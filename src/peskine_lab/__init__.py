@@ -9,7 +9,7 @@ Layout:
     linalg     dense exact linear algebra mod p
     subspaces  row-space representatives, meets/joins, flags
     trivector  alternating 3-forms, contractions, Pfaffians
-    scan       batched exhaustive scans over F_p^n and P^n(F_p)
+    scan       batched exhaustive scans and the rank-drop mask
     polynomial sparse multivariate polynomials mod p
     divisors   structured trivector samplers and flag recovery
     loci       degeneracy loci: membership tests, interpolated equations

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .divisors import (
     DivisorSample,
-    rank4_uniqueness_scan,
+    rank4_points,
     sample_divisor,
     sample_general,
     verify_flag,
@@ -41,7 +41,6 @@ from .fibration import (
 from .loci import (
     conic_fiber,
     cubic_from_pfaffian,
-    cubic_singularity_probe,
     dv_member,
     k3_witness_search,
     peskine_member,
@@ -61,7 +60,7 @@ from .orbits import (
 )
 from .report import CheckReport
 from .rng import Rng
-from .scan import batched_contract1, batched_pfaffian_minors, batched_rank, projective_chunks
+from .scan import batched_pfaffian_minors, batched_rank, projective_chunks, rank_drop_mask
 from .subspaces import Flag, Subspace
 from .trivector import Trivector, triples
 
@@ -119,7 +118,7 @@ def peskine_predicate(sigma: Trivector) -> LocusPredicate:
     bound = sigma.n - 4
 
     def test(block: np.ndarray) -> np.ndarray:
-        return batched_rank(batched_contract1(sigma, block), sigma.p) <= bound
+        return rank_drop_mask(sigma, block, bound)
 
     return LocusPredicate(
         kind="projective", n=sigma.n - 1, p=sigma.p, test_batch=test, name=f"rank-drop-n{sigma.n}"
@@ -370,7 +369,7 @@ def _run_lem_3_4(cfg: CheckConfig):
         b6 = samp.flag[1].basis
         for block in projective_chunks(5, p):
             pts = block @ b6 % p
-            member = batched_rank(batched_contract1(samp.sigma, pts), p) <= samp.sigma.n - 4
+            member = rank_drop_mask(samp.sigma, pts, samp.sigma.n - 4)
             zero = cubic.evaluate_batch(block) == 0
             mismatches += int((member != zero).sum())
             points += len(block)
@@ -395,7 +394,7 @@ def _run_rem_3_5(cfg: CheckConfig):
             samp = sample_divisor(rng.child(f"sigma-{p}-{i}"), "d1-6-10", p)
             cubic = cubic_from_pfaffian(samp.sigma, samp.flag)
             v1c = samp.flag[1].coords_of(samp.flag[0].basis[0])
-            grad = cubic_singularity_probe(cubic, v1c)
+            grad = cubic.gradient(v1c)
             vanishing += int(not grad.any())
         metrics[f"gradient_vanishing_p{p}"] = vanishing
         metrics[f"seeds_p{p}"] = seeds
@@ -486,7 +485,7 @@ def _run_lem_3_8_unique(cfg: CheckConfig):
     counts: Counter = Counter()
     for i in range(seeds):
         samp = sample_divisor(rng.child(f"sigma-{i}"), "d1-6-10", p)
-        counts[rank4_uniqueness_scan(samp.sigma, threads=cfg.threads)] += 1
+        counts[len(rank4_points(samp.sigma, threads=cfg.threads))] += 1
     metrics = {
         "count_hist": {str(k): v for k, v in sorted(counts.items())},
         "singleton_fraction": counts[1] / seeds,
@@ -942,8 +941,3 @@ def run_check(check_id: str, config: CheckConfig | None = None) -> CheckReport:
         metrics=metrics,
         runtime_ms=elapsed,
     )
-
-
-def default_suite(config: CheckConfig | None = None) -> list[CheckReport]:
-    """Run every registered check with the given configuration."""
-    return [run_check(check_id, config) for check_id in REGISTRY]

@@ -22,7 +22,7 @@ from .checks import (
     sing_o2_predicate,
 )
 from .divisors import KINDS, rank4_points, sample_divisor, sample_general
-from .estimators import BudgetExceeded, LocusPredicate, slice_dim_estimate
+from .estimators import LocusPredicate, slice_dim_estimate
 from .fibration import dprime_rank2_test
 from .loci import peskine_points
 from .report import emit_report, report_from_dict, summary_table
@@ -107,11 +107,7 @@ def _cmd_verify(args) -> int:
         print(f"unknown check id {args.check_id!r} (known: {known})", file=sys.stderr)
         return EXIT_USAGE
     cfg = _merged_config(args)
-    try:
-        rep = run_check(args.check_id, cfg)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    rep = run_check(args.check_id, cfg)
     if args.out:
         print(emit_report([rep], args.out))
     else:
@@ -198,17 +194,13 @@ def _cmd_estimate_dim(args) -> int:
     cfg = _merged_config(args)
     pred = _estimate_predicate(args, cfg)
     rng = Rng(cfg.seed).child(f"cli-estimate-{args.locus}")
-    try:
-        est = slice_dim_estimate(
-            pred,
-            rng,
-            trials=cfg.trials if cfg.trials is not None else 20,
-            budget=cfg.budget,
-            threads=cfg.threads,
-        )
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    est = slice_dim_estimate(
+        pred,
+        rng,
+        trials=cfg.trials if cfg.trials is not None else 20,
+        budget=cfg.budget,
+        threads=cfg.threads,
+    )
     profile = " ".join(f"{d}:{f:.2f}" for d, f in sorted(est.hit_profile.items()))
     print(f"locus={args.locus} p={pred.p} estimated_dim={est.estimated_dim}")
     print(f"ambiguous={est.ambiguous} profile=[{profile}]")

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg, scan
 from .rng import Rng
 from .subspaces import Flag, Subspace
-from .trivector import Trivector, perfect_matchings, triple_index, triples
+from .trivector import Trivector, triple_index, triples
 
 KINDS = ("general", "d3-3-10", "d1-6-10", "d4-7-7")
 
@@ -132,91 +132,19 @@ def recover_flag_d1_6_10(sigma: Trivector, v1) -> Flag:
     return Flag((line, ker))
 
 
-def two_block_sample(rng: Rng, p: int) -> Trivector:
-    """Trivector supported on triples inside {0..5} and inside {4..9}.
-
-    Both e_0 and e_9 then contract to forms supported on a 5 x 5 block, so
-    the scan for rank <= 4 points finds at least two.
-    """
-    coeffs = np.zeros(len(triples(10)), dtype=np.int64)
-    tindex = triple_index(10)
-    for t in triples(10):
-        if max(t) <= 5 or min(t) >= 4:
-            coeffs[tindex[t]] = rng.below(p)
-    return Trivector.from_coeffs(coeffs, 10, p)
-
-
-def rank4_uniqueness_scan(sigma: Trivector, threads: int | None = None) -> int:
-    """Number of points of P(F_p^n) where the contraction drops to rank <= 4.
-
-    For a D1_6_10 sample the planted line is always counted; the question
-    is how often it is the only hit.  Practical at the enumeration primes.
-    """
-    return len(rank4_points(sigma, threads=threads))
-
-
-def rank4_points(sigma: Trivector, filters: int = 6, threads: int | None = None) -> list[tuple[int, ...]]:
+def rank4_points(sigma: Trivector, threads: int | None = None) -> list[tuple[int, ...]]:
     """All points of P(F_p^n) where the contraction has rank <= 4.
 
-    Scans canonical projective representatives in deterministic order.  A
-    point u with rank sigma(u,.,.) < 6 kills every principal 6x6 Pfaffian
-    minor, so a cascade of random minors (evaluated straight from gathered
-    tensor slices, no full contraction) discards almost every point; the
-    few survivors get an exact batched rank computation.
+    Scans canonical projective representatives in deterministic order
+    through `scan.rank_drop_mask`.
     """
-    from itertools import combinations
-
-    p, n = sigma.p, sigma.n
-    if n < 6:
+    if sigma.n < 6:
         raise ValueError("scan needs ambient dimension at least 6")
-    subset_rng = Rng(0xD1CE).child(f"rank4-minors-{p}-{n}")
-    subsets = []
-    for _ in range(filters):
-        pool = list(range(n))
-        subset_rng.shuffle(pool)
-        subsets.append(tuple(sorted(pool[:6])))
-
-    tensor_flat = sigma.tensor.reshape(n, n * n)
-    plans = []
-    for sub in subsets:
-        pairs = list(combinations(sub, 2))
-        col_of = {pair: c for c, pair in enumerate(pairs)}
-        pos = {v: i for i, v in enumerate(sub)}
-        gather = tensor_flat[:, [i * n + j for (i, j) in pairs]]
-        terms = []
-        for sign, local_pairs in perfect_matchings(6):
-            terms.append((sign % p, [col_of[(sub[i], sub[j])] for (i, j) in local_pairs]))
-        plans.append((gather, terms))
-        del pos
-
-    use_float = p * p * n < (1 << 53)
-
-    def minor_values(pts: np.ndarray, plan) -> np.ndarray:
-        gather, terms = plan
-        if use_float:
-            vals = np.rint(pts.astype(np.float64) @ gather.astype(np.float64)).astype(np.int64) % p
-        else:
-            vals = pts @ gather % p
-        out = np.zeros(pts.shape[0], dtype=np.int64)
-        for sign, cols in terms:
-            term = vals[:, cols[0]] * vals[:, cols[1]] % p * vals[:, cols[2]] % p
-            out = (out + sign * term) % p
-        return out
 
     def work(block: np.ndarray):
-        pts = block
-        for plan in plans:
-            if pts.shape[0] == 0:
-                return []
-            pts = pts[minor_values(pts, plan) == 0]
-        if pts.shape[0] == 0:
-            return []
-        mats = scan.batched_contract1(sigma, pts)
-        ranks = scan.batched_rank(mats, p)
-        return [tuple(int(x) for x in pts[i]) for i in np.nonzero(ranks <= 4)[0]]
+        return [tuple(int(x) for x in u) for u in block[scan.rank_drop_mask(sigma, block, 4)]]
 
-    chunks = scan.projective_chunks(n - 1, p)
     found: list[tuple[int, ...]] = []
-    for part in scan.run_chunked(work, chunks, threads):
+    for part in scan.run_chunked(work, scan.projective_chunks(sigma.n - 1, sigma.p), threads):
         found.extend(part)
     return found

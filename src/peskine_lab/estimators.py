@@ -1,4 +1,4 @@
-"""Exhaustive locus enumeration and slice-based dimension estimation.
+"""Slice-based dimension estimation.
 
 The dimension estimator replaces Krull-dimension computations with a
 sampling scheme: intersect the locus with random affine-linear slices of
@@ -30,10 +30,6 @@ DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 20
 DEFAULT_HIT = 0.5
 DEFAULT_MISS = 0.45
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a scan would need more membership tests than allowed."""
 
 
 @dataclass(frozen=True)
@@ -77,38 +73,6 @@ class DimEstimate:
     confidence_note: str = ""
     ambiguous: bool = False
     params: dict = field(default_factory=dict)
-
-
-def enumerate_locus(
-    pred: LocusPredicate,
-    budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
-) -> tuple[list[tuple[int, ...]], int]:
-    """All locus points in lexicographic order, plus the count.
-
-    Exhausts the ambient rational points (canonical representatives for
-    projective ambients), so the ambient size must fit the test budget.
-    """
-    total = pred.point_count()
-    if total > budget:
-        raise BudgetExceeded(
-            f"ambient has {total} points, budget allows {budget} membership tests"
-        )
-    from .scan import projective_chunks
-
-    if pred.kind == "projective":
-        chunks = projective_chunks(pred.n, pred.p)
-    else:
-        chunks = affine_chunks(pred.n, pred.p)
-
-    def worker(block: np.ndarray) -> np.ndarray:
-        keep = np.asarray(pred.test_batch(block), dtype=bool)
-        return block[keep]
-
-    parts = run_chunked(worker, chunks, threads)
-    found = [tuple(int(x) for x in row) for part in parts for row in part]
-    found.sort()
-    return found, len(found)
 
 
 def _slice_points(rng, d: int, pred: LocusPredicate, width: int) -> np.ndarray:

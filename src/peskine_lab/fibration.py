@@ -26,7 +26,7 @@ from . import linalg
 from .orbits import BElement, project_to_B
 from .polynomial import monomials_of_degree
 from .rng import Rng
-from .scan import batched_contract1, batched_rank, projective_chunks, run_chunked
+from .scan import batched_contract1, batched_rank, projective_chunks, rank_drop_mask, run_chunked
 from .subspaces import Flag, Subspace, complement_rows
 from .trivector import SkewForm, Trivector, pfaffian
 
@@ -196,8 +196,7 @@ def thm21_fiber(
             raise ValueError("exhaustive fiber scan is for enumeration primes")
         grid = np.indices((p, p, p)).reshape(3, -1).T.astype(np.int64)
         pts = (grid @ w + v) % p
-        ranks = batched_rank(batched_contract1(sigma, pts), p)
-        hits = grid[ranks <= sigma.n - 4]
+        hits = grid[rank_drop_mask(sigma, pts, sigma.n - 4)]
         return sorted(tuple(int(x) for x in row) for row in hits)
     if mode != "linear":
         raise ValueError(f"unknown mode {mode!r}")
@@ -455,16 +454,6 @@ def projective_rep(c: np.ndarray, p: int) -> tuple[int, ...]:
             inv = linalg.inv_mod(int(x), p)
             return tuple(int(v) * inv % p for v in c)
     raise ValueError("zero vector has no projective representative")
-
-
-def singular_fiber_probe(
-    sigma: Trivector, flag: Flag, u7: Subspace, point
-) -> int:
-    """Jacobian rank of the quadric pair at a common zero (2 = smooth)."""
-    pencil = quadric_pencil(sigma, flag, u7)
-    if pencil.value_at(point) != (0, 0):
-        raise ValueError("probe point is not on both quadrics")
-    return pencil.gradient_rank(point)
 
 
 def fiber_profile(pencil: QuadricPencil) -> dict[str, int]:

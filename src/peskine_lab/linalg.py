@@ -2,8 +2,9 @@
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  Supported
 primes are odd and below 2**31, so a product of two reduced entries never
-overflows int64; sums of up to ~2**18 such products stay safe as well, which
-covers every matrix dimension used here.
+overflows int64, but a sum of four such products already can.  Every
+product-sum of unbounded length therefore goes through `mat_mul`, which
+picks float64, int64 or 16-bit limbs from the bound p^2 * inner.
 
 Conventions:
     * `rref` returns the reduced row echelon form with zero rows dropped,
@@ -18,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 MAX_PRIME = 1 << 31
+_FLOAT_EXACT = 1 << 53
+_INT_EXACT = 1 << 63
 
 
 def is_prime(n: int) -> bool:
@@ -56,18 +59,26 @@ def as_field(mat, p: int) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product mod p.
+    """Exact product mod p of arrays with entries in [0, p) (1-D or 2-D).
 
-    Uses float64 BLAS when the bound p^2 * inner < 2^53 guarantees exact
-    integer arithmetic, otherwise falls back to int64.
+    Uses float64 BLAS while p^2 * inner < 2^53 keeps every sum an exact
+    integer, int64 while it stays below 2^63, and otherwise splits b into
+    16-bit limbs and the inner dimension into blocks so that each partial
+    sum fits int64.
     """
     inner = a.shape[-1]
-    if inner == 0:
-        return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    if p * p * inner < (1 << 53):
-        prod = np.dot(a.astype(np.float64), b.astype(np.float64))
-        return (np.rint(prod).astype(np.int64)) % p
-    return np.dot(a, b) % p
+    bound = (int(p) - 1) ** 2 * inner
+    if bound < _FLOAT_EXACT:
+        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    if bound < _INT_EXACT:
+        return a @ b % p
+    step = (_INT_EXACT >> 1) // ((p - 1) * 0xFFFF)
+    hi = lo = 0
+    for k in range(0, inner, step):
+        ak, bk = a[..., k : k + step], b[k : k + step]
+        hi = (hi + ak @ (bk >> 16)) % p
+        lo = (lo + ak @ (bk & 0xFFFF)) % p
+    return (hi * 0x10000 + lo) % p
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -169,10 +180,6 @@ def inverse(mat, p: int) -> np.ndarray:
     if len(pivots) < n or pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular mod p")
     return red[:n, n:]
-
-
-def sample_matrix(rng, rows: int, cols: int, p: int) -> np.ndarray:
-    return rng.matrix(rows, cols, p)
 
 
 def sample_gl(rng, n: int, p: int) -> np.ndarray:

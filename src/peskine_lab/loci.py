@@ -34,16 +34,13 @@ def peskine_points(sigma: Trivector, threads: int | None = None) -> list[tuple[i
 
     Exhaustive and deterministic; meant for the enumeration prime tier.
     """
-    p, n = sigma.p, sigma.n
-    bound = n - 4
+    n = sigma.n
 
     def work(block: np.ndarray):
-        mats = scan.batched_contract1(sigma, block)
-        ranks = scan.batched_rank(mats, p)
-        return [tuple(int(x) for x in block[i]) for i in np.nonzero(ranks <= bound)[0]]
+        return [tuple(int(x) for x in u) for u in block[scan.rank_drop_mask(sigma, block, n - 4)]]
 
     out: list[tuple[int, ...]] = []
-    for part in scan.run_chunked(work, scan.projective_chunks(n - 1, p), threads):
+    for part in scan.run_chunked(work, scan.projective_chunks(n - 1, sigma.p), threads):
         out.extend(part)
     return out
 
@@ -189,17 +186,7 @@ def _quotient_pfaffian_at(sigma: Trivector, u, v1) -> int | None:
     return pfaffian_mod_radical(sigma.contract1(u).mat, u, v1, p)
 
 
-def cubic_singularity_probe(cubic: CubicForm, v1_coords) -> np.ndarray:
-    """The six formal partial derivatives of the cubic at the given point."""
-    return cubic.gradient(v1_coords)
-
-
-def k3_member(
-    sigma: Trivector,
-    flag: Flag,
-    u8: Subspace,
-    search_p: int | None = None,
-) -> tuple[bool, Subspace | None]:
+def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspace | None]:
     """Two-condition membership for an 8-space over the (V1, V6) flag.
 
     (a) sigma(v1, ., .) vanishes on u8;
@@ -213,10 +200,6 @@ def k3_member(
     visits every candidate.  Practical only at p in {3, 5}.
     """
     p = sigma.p
-    if search_p is None:
-        search_p = p
-    if search_p != p:
-        raise ValueError("the inner search runs over the coefficient field itself")
     if p not in (3, 5):
         raise ValueError("the exhaustive inner search is limited to p in {3, 5}")
     if u8.dim != 8:
@@ -467,8 +450,6 @@ def sample_peskine_points(
     confirmation.  Points inside `avoid` are skipped.  Deduplicates
     canonical representatives; raises if the patch budget runs out first.
     """
-    from .scan import batched_contract1, batched_rank
-
     p, n = sigma.p, sigma.n
     bound = n - 4
     subsets = (tuple(range(bound + 2)), tuple(range(n - bound - 2, n)))
@@ -484,10 +465,7 @@ def sample_peskine_points(
             if not len(params):
                 continue
             cand = (params @ dirs + base) % p
-            ranks = batched_rank(batched_contract1(sigma, cand), p)
-            for v, r in zip(cand, ranks):
-                if r > bound:
-                    continue
+            for v in cand[scan.rank_drop_mask(sigma, cand, bound)]:
                 if avoid is not None and avoid.contains_vector(v):
                     continue
                 first = int(np.flatnonzero(v)[0])

@@ -98,9 +98,3 @@ def emit_report(reports: list[CheckReport], path) -> str:
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return summary_table(rows)
-
-
-def stable_report_bytes(reports: list[CheckReport]) -> bytes:
-    """Concatenated stable bytes of the sorted reports (determinism probe)."""
-    rows = sorted(reports, key=lambda r: (r.check_id, str(r.seed)))
-    return b"\n".join(r.stable_bytes() for r in rows)

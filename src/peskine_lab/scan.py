@@ -1,12 +1,16 @@
 """Batched exhaustive scans over F_p^d and P^d(F_p).
 
-The heavy checks walk every point of a projective space and compute the
-rank of a contracted skew form at each.  Doing that one point at a time in
-Python is hopeless, so this module provides chunked point generators and
-vectorized mod-p kernels (batched contraction, batched Gaussian rank,
-batched Pfaffian minors).  Results are exact: intermediate products are
-bounded so that int64 (or float64 used as a 53-bit integer container)
-never overflows.
+The heavy checks walk every point of a projective space and decide, at
+each, whether the contracted skew form sigma(u, ., .) drops rank.  Doing
+that one point at a time in Python is hopeless, so this module provides
+chunked point generators and vectorized mod-p kernels: batched
+contraction, batched Gaussian rank, and one signed-perfect-matching
+Pfaffian kernel over gathered pair columns.  `rank_drop_mask` is the one
+rank-drop test every scan uses: a cascade of principal Pfaffian minors
+discards most points cheaply, and the survivors get the exact rank.
+Results are exact at every admitted prime: products go through
+`linalg.mat_mul`, and elementwise products of two reduced entries fit
+int64.
 
 Chunks are generated in a fixed deterministic order and combined in that
 order, so scans return identical results for any worker thread count.
@@ -15,12 +19,16 @@ order, so scans return identical results for any worker thread count.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import linalg
+from .rng import Rng
 from .trivector import Trivector, perfect_matchings
 
 DEFAULT_CHUNK = 1 << 15
@@ -76,18 +84,9 @@ def projective_chunks(d: int, p: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np
 
 
 def batched_contract1(sigma: Trivector, points: np.ndarray) -> np.ndarray:
-    """Skew matrices sigma(u, ., .) for a batch of points u, shape (B, n, n).
-
-    For the prime tiers in use, p^2 * n < 2^53, so the contraction runs
-    through float64 matrix multiply and is exact.
-    """
-    p, n = sigma.p, sigma.n
-    flat = sigma.tensor.reshape(n, n * n)
-    if p * p * n < (1 << 53):
-        prod = points.astype(np.float64) @ flat.astype(np.float64)
-        mats = np.rint(prod).astype(np.int64) % p
-    else:
-        mats = (points @ flat) % p
+    """Skew matrices sigma(u, ., .) for a batch of points u, shape (B, n, n)."""
+    n = sigma.n
+    mats = linalg.mat_mul(points, sigma.tensor.reshape(n, n * n), sigma.p)
     return mats.reshape(points.shape[0], n, n)
 
 
@@ -95,7 +94,6 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of square matrices mod p via masked elimination."""
     a = mats.copy() % p
     batch, rows, cols = a.shape
-    inv_table = inverse_table(p)
     ranks = np.zeros(batch, dtype=np.int64)
     row_done = np.zeros((batch, rows), dtype=bool)
     for c in range(cols):
@@ -108,7 +106,7 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
         b_idx = np.nonzero(has)[0]
         pr = pivot_row[b_idx]
         pivot_vals = a[b_idx, pr, c]
-        scaled = a[b_idx, pr, :] * inv_table[pivot_vals][:, None] % p
+        scaled = a[b_idx, pr, :] * _inverses(pivot_vals, p)[:, None] % p
         col_vals = a[b_idx, :, c]
         a[b_idx] = (a[b_idx] - col_vals[:, :, None] * scaled[:, None, :]) % p
         a[b_idx, pr, :] = scaled
@@ -120,6 +118,7 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 _INV_TABLES: dict[int, np.ndarray] = {}
+_INVERSE_TABLE_LIMIT = 1 << 16
 
 
 def inverse_table(p: int) -> np.ndarray:
@@ -133,20 +132,57 @@ def inverse_table(p: int) -> np.ndarray:
     return table
 
 
-_MATCHING_ARRAYS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+def _inverses(vals: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of nonzero residues.
+
+    A lookup table below _INVERSE_TABLE_LIMIT; above it, where a table
+    would take 8p bytes, the Fermat power vals^(p-2) by square and
+    multiply (each product of two residues fits int64).
+    """
+    if p < _INVERSE_TABLE_LIMIT:
+        return inverse_table(p)[vals]
+    out = np.ones_like(vals)
+    base = vals % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
 
-def _matching_arrays(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Perfect matchings of `size` as index arrays (signs, rows, cols)."""
-    cached = _MATCHING_ARRAYS.get(size)
-    if cached is None:
-        matchings = perfect_matchings(size)
-        signs = np.array([sign for sign, _ in matchings], dtype=np.int64)
-        rows = np.array([[i for i, _ in pairs] for _, pairs in matchings], dtype=np.int64)
-        cols = np.array([[j for _, j in pairs] for _, pairs in matchings], dtype=np.int64)
-        cached = (signs, rows, cols)
-        _MATCHING_ARRAYS[size] = cached
-    return cached
+@lru_cache(maxsize=None)
+def _matching_terms(size: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
+    """Signed perfect matchings of {0..size-1} over pair columns.
+
+    Pair (i, j), i < j, is column c of the combinations(range(size), 2)
+    order; each term is (positive sign, the columns of its pairs).
+    """
+    column = {pair: c for c, pair in enumerate(combinations(range(size), 2))}
+    return tuple(
+        (sign > 0, tuple(column[pair] for pair in pairs))
+        for sign, pairs in perfect_matchings(size)
+    )
+
+
+def _pfaffian_from_pairs(pairs: np.ndarray, size: int, p: int) -> np.ndarray:
+    """Pfaffians of a batch of B even-size skew forms given by their pairs.
+
+    `pairs` has shape (C(size, 2), B): row c holds the upper entries
+    M[i, j], i < j, of pair c in combinations order, reduced mod p.  One
+    pass per signed perfect matching over contiguous rows; a (B, terms,
+    pairs) gather costs more memory traffic than it saves in numpy calls.
+    The unreduced sum stays below (size - 1)!! * p, inside int64 for any
+    size up to 10.
+    """
+    acc = np.zeros(pairs.shape[1], dtype=np.int64)
+    for positive, cols in _matching_terms(size):
+        term = pairs[cols[0]]
+        for c in cols[1:]:
+            term = term * pairs[c] % p
+        acc += term if positive else p - term
+    return acc % p
 
 
 def batched_pfaffian_minors(mats: np.ndarray, p: int, subset: tuple[int, ...]) -> np.ndarray:
@@ -161,16 +197,58 @@ def batched_pfaffian_minors(mats: np.ndarray, p: int, subset: tuple[int, ...]) -
     if size % 2:
         return np.zeros(mats.shape[0], dtype=np.int64)
     n = mats.shape[1]
-    signs, rows, cols = _matching_arrays(size)
-    sub = np.asarray(subset, dtype=np.int64)
-    flat_idx = (sub[rows] * n + sub[cols]).reshape(-1)
-    vals = mats.reshape(mats.shape[0], n * n)[:, flat_idx].reshape(
-        mats.shape[0], rows.shape[0], rows.shape[1]
+    flat_idx = [i * n + j for i, j in combinations(subset, 2)]
+    return _pfaffian_from_pairs(mats.reshape(mats.shape[0], n * n).T[flat_idx], size, p)
+
+
+_CASCADE_MINORS = 6
+
+
+@lru_cache(maxsize=None)
+def _cascade_columns(n: int, size: int, p: int) -> tuple[np.ndarray, ...]:
+    """Flat tensor columns (i * n + j over upper pairs) of the cascade minors.
+
+    The principal index subsets are _CASCADE_MINORS draws from a fixed
+    stream, duplicates dropped.
+    """
+    stream = Rng(0xD1CE).child(f"rank{size - 2}-minors-{p}-{n}")
+    subsets = []
+    for _ in range(_CASCADE_MINORS):
+        pool = list(range(n))
+        stream.shuffle(pool)
+        subsets.append(tuple(sorted(pool[:size])))
+    return tuple(
+        np.array([i * n + j for i, j in combinations(sub, 2)], dtype=np.int64)
+        for sub in dict.fromkeys(subsets)
     )
-    term = vals[:, :, 0] * (signs % p)[None, :] % p
-    for t in range(1, vals.shape[2]):
-        term = term * vals[:, :, t] % p
-    return term.sum(axis=1) % p
+
+
+def rank_drop_mask(sigma: Trivector, points: np.ndarray, bound: int) -> np.ndarray:
+    """Exact mask of the rows u of `points` with rank sigma(u, ., .) <= bound.
+
+    A skew form of rank <= bound has rank at most the even part b of
+    bound, so every principal Pfaffian of size b + 2 vanishes.  A cascade
+    of such minors, each from a gather `points @ tensor[:, i, j]` over its
+    upper pairs without the full contraction, drops the rows where one is
+    nonzero; the survivors get the exact rank.
+    """
+    p, n = sigma.p, sigma.n
+    size = bound - bound % 2 + 2
+    alive = np.arange(points.shape[0])
+    pts = points
+    if 2 <= size <= n:
+        flat = sigma.tensor.reshape(n, n * n)
+        for cols in _cascade_columns(n, size, p):
+            if not len(alive):
+                break
+            pairs = linalg.mat_mul(flat[:, cols].T, pts.T, p)
+            zero = _pfaffian_from_pairs(pairs, size, p) == 0
+            pts, alive = pts[zero], alive[zero]
+    if len(alive):
+        alive = alive[batched_rank(batched_contract1(sigma, pts), p) <= bound]
+    mask = np.zeros(points.shape[0], dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def run_chunked(
@@ -180,12 +258,20 @@ def run_chunked(
 ) -> list:
     """Apply `worker` to every chunk, in order, optionally on a thread pool.
 
-    The output list matches the chunk order regardless of thread count,
-    which keeps scan results byte-identical under parallelism.
+    Chunks are drawn lazily: one at a time with one worker, and with more
+    at most 2 x threads chunks are in flight (drawn but not yet worked
+    off).  The output list matches the chunk order regardless of thread
+    count, which keeps scan results byte-identical under parallelism.
     """
     workers = thread_count(threads)
-    chunk_list = list(chunks)
-    if workers <= 1 or len(chunk_list) <= 1:
-        return [worker(c) for c in chunk_list]
+    if workers <= 1:
+        return [worker(c) for c in chunks]
+    out = []
+    pending: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, chunk_list))
+        for chunk in chunks:
+            pending.append(pool.submit(worker, chunk))
+            if len(pending) == 2 * workers:
+                out.append(pending.popleft().result())
+        out.extend(f.result() for f in pending)
+    return out

@@ -131,11 +131,6 @@ def pfaffian(mat, p: int) -> int:
     return rec(tuple(range(n)))
 
 
-def skew_rank(mat, p: int) -> int:
-    """Rank of a skew matrix (always even)."""
-    return linalg.rank(mat, p)
-
-
 @lru_cache(maxsize=None)
 def perfect_matchings(size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """Signed perfect matchings of {0..size-1}.
@@ -220,18 +215,20 @@ class Trivector:
         t.setflags(write=False)
         return t
 
+    def _contraction(self, u) -> np.ndarray:
+        """The reduced n x n matrix of sigma(u, ., .)."""
+        n, p = self.n, self.p
+        flat = self.tensor.reshape(n, n * n)
+        return linalg.mat_mul(linalg.as_field(u, p), flat, p).reshape(n, n)
+
     def eval3(self, u, v, w) -> int:
-        u = linalg.as_field(u, self.p)
-        v = linalg.as_field(v, self.p)
-        w = linalg.as_field(w, self.p)
-        m1 = np.tensordot(u, self.tensor, axes=([0], [0])) % self.p
-        return int(v @ m1 @ w % self.p)
+        p = self.p
+        row = linalg.mat_mul(linalg.as_field(v, p), self._contraction(u), p)
+        return int(linalg.mat_mul(row, linalg.as_field(w, p), p))
 
     def contract1(self, u) -> SkewForm:
         """The skew form sigma(u, ., .)."""
-        u = linalg.as_field(u, self.p)
-        mat = np.tensordot(u, self.tensor, axes=([0], [0])) % self.p
-        return SkewForm.from_matrix(mat, self.p)
+        return SkewForm.from_matrix(self._contraction(u), self.p)
 
     def contract2(self, u, v) -> np.ndarray:
         """The covector sigma(u, v, .): the row c with
@@ -240,17 +237,17 @@ class Trivector:
         With M = sigma(u, ., .) this is v @ M; the column M @ v would be
         sigma(u, ., v) = -sigma(u, v, .).
         """
-        return linalg.as_field(linalg.as_field(v, self.p) @ self.contract1(u).mat, self.p)
+        return linalg.mat_mul(linalg.as_field(v, self.p), self.contract1(u).mat, self.p)
 
     def gl_transform(self, g) -> "Trivector":
         """Pullback along g^{-1}: the result tau satisfies
         tau(g u, g v, g w) = sigma(u, v, w)."""
-        h = linalg.inverse(linalg.as_field(g, self.p), self.p)
+        n, p = self.n, self.p
+        h = linalg.inverse(linalg.as_field(g, p), p)
         t = self.tensor
-        t = np.tensordot(h, t, axes=([0], [0])) % self.p
-        t = np.tensordot(h, t, axes=([0], [1])) % self.p
-        t = np.tensordot(h, t, axes=([0], [2])) % self.p
-        t = np.transpose(t, (2, 1, 0))
+        for _ in range(3):
+            # contract the leading axis with h, then rotate it to the back
+            t = linalg.mat_mul(h.T, t.reshape(n, n * n), p).reshape(n, n, n).transpose(1, 2, 0)
         coeffs = [t[i, j, k] for (i, j, k) in triples(self.n)]
         return Trivector.from_coeffs(np.array(coeffs, dtype=np.int64), self.n, self.p)
 

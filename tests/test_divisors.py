@@ -7,16 +7,28 @@ from peskine_lab import linalg
 from peskine_lab.divisors import (
     KINDS,
     rank4_points,
-    rank4_uniqueness_scan,
     recover_flag_d1_6_10,
     sample_divisor,
     standard_flag,
-    two_block_sample,
     verify_flag,
     zeroed_triples,
 )
 from peskine_lab.rng import Rng
-from peskine_lab.trivector import triples
+from peskine_lab.trivector import Trivector, triple_index, triples
+
+
+def two_block_sample(rng: Rng, p: int) -> Trivector:
+    """Trivector supported on triples inside {0..5} and inside {4..9}.
+
+    Both e_0 and e_9 then contract to forms supported on a 5 x 5 block, so
+    the scan for rank <= 4 points finds at least two.
+    """
+    coeffs = np.zeros(len(triples(10)), dtype=np.int64)
+    tindex = triple_index(10)
+    for t in triples(10):
+        if max(t) <= 5 or min(t) >= 4:
+            coeffs[tindex[t]] = rng.below(p)
+    return Trivector.from_coeffs(coeffs, 10, p)
 
 
 def test_zeroed_triple_counts():
@@ -115,7 +127,6 @@ def test_rank4_points_finds_planted_line():
     # every reported point really has low rank, checked scalar-wise
     for pt in pts[:50]:
         assert samp.sigma.contract1(np.array(pt)).rank() <= 4
-    assert rank4_uniqueness_scan(samp.sigma) == len(pts)
 
 
 def test_two_block_sample_has_two_rank_drops():

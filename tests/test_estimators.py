@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from peskine_lab.estimators import (
-    BudgetExceeded,
     DimEstimate,
     LocusPredicate,
-    enumerate_locus,
     image_dim_estimate,
     slice_dim_estimate,
 )
@@ -50,21 +48,6 @@ def test_predicate_width_and_count():
 def test_predicate_rejects_unknown_kind():
     with pytest.raises(ValueError):
         LocusPredicate(kind="weird", n=5, p=5, test_batch=lambda b: b[:, 0] == 0)
-
-
-def test_enumerate_locus_exact():
-    pred = linear_locus(4, 2, 3)
-    pts, count = enumerate_locus(pred)
-    assert count == 3**2
-    assert pts == sorted(pts)
-    arr = np.array(pts)
-    assert pred.test_batch(arr).all()
-
-
-def test_enumerate_locus_budget():
-    pred = linear_locus(10, 2, 11)
-    with pytest.raises(BudgetExceeded):
-        enumerate_locus(pred, budget=1000)
 
 
 @pytest.mark.parametrize("d", [12, 15, 18])

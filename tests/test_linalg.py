@@ -123,10 +123,26 @@ def test_sample_full_rank():
         assert linalg.rank(m, 5) == 3
 
 
+ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32), st.sampled_from([3, 7, 101]))
+@given(st.integers(0, 2**32), st.sampled_from(ADMITTED_PRIMES))
 def test_mat_mul_matches_numpy(seed, p):
+    # Reference in Python ints, which cannot overflow.
     rng = Rng(seed)
     a = rng.matrix(3, 4, p)
     b = rng.matrix(4, 2, p)
-    assert np.array_equal(linalg.mat_mul(a, b, p), a @ b % p)
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert np.array_equal(linalg.mat_mul(a, b, p), want.astype(np.int64))
+    full = np.full((1, 4), p - 1, dtype=np.int64)
+    assert linalg.mat_mul(full, full.T, p).tolist() == [[4 % p]]
+    assert int(linalg.mat_mul(a[0], b[:, 0], p)) == int(want[0, 0])
+
+
+def test_mat_mul_long_inner_at_largest_prime():
+    # Long enough to need several inner blocks on the 16-bit limb path.
+    p = 2**31 - 1
+    k = 70000
+    full = np.full((1, k), p - 1, dtype=np.int64)
+    assert linalg.mat_mul(full, full.T, p).tolist() == [[k % p]]

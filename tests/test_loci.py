@@ -9,7 +9,6 @@ from peskine_lab.loci import (
     CubicForm,
     conic_fiber,
     cubic_from_pfaffian,
-    cubic_singularity_probe,
     dv_member,
     k3_member,
     k3_witness_search,
@@ -170,7 +169,7 @@ def test_cubic_singularity_probe_is_gradient():
     # x0^3 has gradient (3 x0^2, 0, ..., 0)
     coeffs[monos.index((0, 0, 0))] = 1
     cf = CubicForm.from_coefficients(coeffs, 7)
-    grad = cubic_singularity_probe(cf, [2, 0, 0, 0, 0, 0])
+    grad = cf.gradient([2, 0, 0, 0, 0, 0])
     assert grad.tolist() == [3 * 4 % 7, 0, 0, 0, 0, 0]
 
 
@@ -201,8 +200,6 @@ def test_k3_member_validation():
     missing_v6 = Subspace.from_rows(np.vstack([eye[:5], eye[6:9]]), 10, 3)
     with pytest.raises(ValueError):
         k3_member(tri, flag, missing_v6)
-    with pytest.raises(ValueError):
-        k3_member(tri, flag, u8, search_p=5)
     tri7, flag7, u8_7 = setup(7)
     with pytest.raises(ValueError):
         k3_member(tri7, flag7, u8_7)  # exhaustive search needs p in {3, 5}

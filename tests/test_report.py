@@ -6,7 +6,6 @@ from peskine_lab.report import (
     CheckReport,
     emit_report,
     report_from_dict,
-    stable_report_bytes,
     summary_table,
 )
 
@@ -82,4 +81,4 @@ def test_emit_report_stable_region(tmp_path):
     two = json.loads((tmp_path / "two.json").read_text())
     assert one["reports"] == two["reports"]
     assert one["timings_ms"] != two["timings_ms"]
-    assert stable_report_bytes(reps) == stable_report_bytes(slow)
+    assert [r.stable_bytes() for r in reps] == [r.stable_bytes() for r in slow]

@@ -1,9 +1,15 @@
 """Chunked enumeration and the batched kernels it feeds."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peskine_lab import linalg
+from peskine_lab.divisors import sample_divisor
 from peskine_lab.rng import Rng
 from peskine_lab.scan import (
     affine_chunks,
@@ -13,10 +19,11 @@ from peskine_lab.scan import (
     inverse_table,
     projective_chunks,
     projective_count,
+    rank_drop_mask,
     run_chunked,
     thread_count,
 )
-from peskine_lab.trivector import Trivector, pfaffian
+from peskine_lab.trivector import Trivector, pfaffian, triples
 
 
 def collect(chunks):
@@ -115,3 +122,79 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("PESKINE_LAB_THREADS", "zebra")
     with pytest.raises(ValueError):
         thread_count()
+
+
+ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+def test_batched_rank_matches_scalar_at_large_primes(p):
+    # Products of 5 x r and r x 5 factors give every rank up to 5.
+    rng = Rng(24)
+    mats = []
+    for r in range(6):
+        for _ in range(4):
+            left, right = rng.matrix(5, r, p), rng.matrix(r, 5, p)
+            mats.append(linalg.mat_mul(left, right, p))
+    mats = np.stack(mats)
+    assert batched_rank(mats, p).tolist() == [linalg.rank(m, p) for m in mats]
+
+
+def _planted_sigma(kind, n, p, rng):
+    """A trivector of the given kind, plus points planted on its rank-drop locus."""
+    if kind == "zero":
+        return Trivector.zero(n, p), []
+    if kind == "decomposable":
+        # e0 ^ e1 ^ e2 moved by g: every contraction has rank <= 2, and the
+        # image of span(e3, ...) contracts to zero.
+        coeffs = np.zeros(len(triples(n)), dtype=np.int64)
+        coeffs[0] = 1
+        g = linalg.sample_gl(rng, n, p)
+        return Trivector.from_coeffs(coeffs, n, p).gl_transform(g), [g[:, n - 1]]
+    if kind == "d1-6-10":
+        samp = sample_divisor(rng, "d1-6-10", p)
+        return samp.sigma, [samp.flag[0].basis[0]]
+    return Trivector.random(rng, n, p), []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(ADMITTED_PRIMES),
+    st.sampled_from([(4, 0), (6, 2), (8, 4), (10, 6), (10, 4)]),
+    st.sampled_from(["random", "decomposable", "zero", "d1-6-10"]),
+)
+def test_rank_drop_mask_matches_exact_rank(seed, p, case, kind):
+    n, bound = case
+    assume(kind != "d1-6-10" or n == 10)
+    rng = Rng(seed)
+    sigma, planted = _planted_sigma(kind, n, p, rng)
+    pts = np.vstack([rng.matrix(60, n, p), np.zeros((1, n), dtype=np.int64)] + [
+        np.asarray(v, dtype=np.int64)[None] for v in planted
+    ])
+    mask = rank_drop_mask(sigma, pts, bound)
+    assert mask.tolist() == (batched_rank(batched_contract1(sigma, pts), p) <= bound).tolist()
+    assert mask[60:].all()
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_run_chunked_bounds_chunks_in_flight(threads):
+    lock = threading.Lock()
+    state = {"made": 0, "done": 0, "peak": 0}
+
+    def chunks():
+        for i in range(40):
+            with lock:
+                state["made"] += 1
+                state["peak"] = max(state["peak"], state["made"] - state["done"])
+            yield np.arange(i, i + 3)
+
+    def worker(chunk):
+        time.sleep(0.002)
+        with lock:
+            state["done"] += 1
+        return int(chunk.sum())
+
+    assert run_chunked(worker, chunks(), threads=threads) == [3 * i + 3 for i in range(40)]
+    assert state["made"] == 40
+    assert state["peak"] <= 2 * threads

@@ -6,15 +6,17 @@ and the 4x4 closed form pf = a01*a23 - a02*a13 + a03*a12.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peskine_lab import linalg
 from peskine_lab.rng import Rng
+from peskine_lab.scan import batched_contract1, batched_rank
 from peskine_lab.trivector import (
     SkewForm,
     Trivector,
     pfaffian,
     perfect_matchings,
-    skew_rank,
     triple_index,
     triples,
 )
@@ -75,9 +77,9 @@ def test_skew_rank_even(rng):
     p = 7
     for _ in range(30):
         a = random_skew(rng, 6, p)
-        r = skew_rank(a, p)
+        r = linalg.rank(a, p)
         assert r % 2 == 0
-        assert r == linalg.rank(a, p)
+        assert r == batched_rank(a[None], p)[0]
 
 
 def test_skewform_apply_and_kernel(rng):
@@ -124,6 +126,24 @@ def test_contract2_matches_eval3(rng):
     u, v, w = (rng.ints(6, p) for _ in range(3))
     row = tri.contract2(u, v)
     assert int(row @ w % p) == tri.eval3(u, v, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([3, 7, 101, 65521, 2**31 - 1]))
+def test_contractions_exact_at_admitted_primes(seed, p):
+    # Python-int reference: sigma(u, v, w) = sum T[i, j, k] u_i v_j w_k.
+    rng = Rng(seed)
+    tri = Trivector.random(rng, 6, p)
+    u = np.full(6, p - 1, dtype=np.int64)
+    v = np.full(6, p - 2, dtype=np.int64)
+    w = rng.ints(6, p)
+    t = tri.tensor.astype(object)
+    mat = np.einsum("i,ijk->jk", u.astype(object), t) % p
+    row = v.astype(object) @ mat % p
+    assert np.array_equal(tri.contract1(u).mat, mat.astype(np.int64))
+    assert np.array_equal(batched_contract1(tri, u[None])[0], mat.astype(np.int64))
+    assert tri.contract2(u, v).tolist() == row.tolist()
+    assert tri.eval3(u, v, w) == int(row @ w.astype(object) % p)
 
 
 def test_gl_transform_pullback(rng):
