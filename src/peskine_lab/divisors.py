@@ -93,7 +93,6 @@ def verify_flag(sigma: Trivector, kind: str, flag: Flag) -> bool:
         raise ValueError(f"unknown structured kind {kind!r}")
     if flag.dims() != _FLAG_DIMS[kind]:
         return False
-    p = sigma.p
     if kind == "d3-3-10":
         b3 = flag[0].basis
         for a in range(3):
@@ -107,10 +106,8 @@ def verify_flag(sigma: Trivector, kind: str, flag: Flag) -> bool:
             if sigma.contract2(v1, row).any():
                 return False
         return True
-    b7 = flag[1].basis
     for a in flag[0].basis:
-        m = sigma.contract1(a).mat
-        if (b7 @ m @ b7.T % p).any():
+        if sigma.contract1(a).restrict(flag[1]).mat.any():
             return False
     return True
 

@@ -134,11 +134,11 @@ def sigma_prime_rank_scan(
         "ui,aj,ijk->uak", u7.basis, b9, sigma.tensor, optimize=True
     )
     sub = np.tensordot(sub, b9, axes=([2], [1])) % p
-    v6 = flag[1]
+    ann6 = flag[1].annihilator()
 
     def work(block: np.ndarray):
         pts = block @ u7.basis % p
-        off = ~np.array([v6.contains_vector(v) for v in pts], dtype=bool)
+        off = linalg.mat_mul(pts, ann6.T, p).any(axis=1)
         pts = pts[off]
         if not len(pts):
             return (np.zeros((0, sigma.n), dtype=np.int64), [], [])
@@ -343,10 +343,11 @@ class QuadricPencil:
     degenerate: bool
 
     def value_at(self, c) -> tuple[int, int]:
-        c = linalg.as_field(c, self.p).reshape(-1)
+        p = self.p
+        c = linalg.as_field(c, p).reshape(-1)
         return (
-            int(c @ self.q_a @ c % self.p),
-            int(c @ self.q_b @ c % self.p),
+            int(linalg.mat_mul(linalg.mat_mul(c, self.q_a, p), c, p)),
+            int(linalg.mat_mul(linalg.mat_mul(c, self.q_b, p), c, p)),
         )
 
     def gradient_rank(self, c) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg, scan
 from .polynomial import Poly, monomials_of_degree
 from .rng import Rng
-from .subspaces import Flag, Subspace, all_subspaces, complement_rows
+from .subspaces import Flag, Subspace, all_subspaces, rref_bases
 from .trivector import Trivector, pfaffian
 
 
@@ -186,6 +186,10 @@ def _quotient_pfaffian_at(sigma: Trivector, u, v1) -> int | None:
     return pfaffian_mod_radical(sigma.contract1(u).mat, u, v1, p)
 
 
+# Point-plane pairs per einsum in the K3 plane search (8 values each).
+_PLANE_BLOCK = 1 << 16
+
+
 def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspace | None]:
     """Two-condition membership for an 8-space over the (V1, V6) flag.
 
@@ -197,7 +201,14 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     formulation: every valid T lies inside the common annihilator
     A(t) = {w : sigma(t, w, u8) = 0} of each of its own points t, so
     scanning points t1 with dim A(t1) >= 3 and the planes of A(t1)/t1
-    visits every candidate.  Practical only at p in {3, 5}.
+    visits every candidate.  The 8 forms sigma(., ., z) are skew, so t1
+    always lies in A(t1) and sigma(t1, T, u8) = 0 holds for every such
+    plane; T is isotropic iff the forms vanish on the plane itself.  The
+    kernels A(t1) of all candidate points come from one batched
+    elimination, and their planes are tested against one plane table per
+    dim A(t1) with an einsum.  The witness is the first point in canonical
+    order with an isotropic plane, and its first such plane in
+    `all_subspaces` order.  Practical only at p in {3, 5}.
     """
     p = sigma.p
     if p not in (3, 5):
@@ -223,51 +234,53 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     reps = np.vstack(list(scan.projective_chunks(6, p)))
     stacked = np.tensordot(reps, forms.transpose(1, 0, 2), axes=([1], [0])) % p
 
-    kdims = 7 - scan.batched_rank(stacked, p)
-    for i in np.nonzero(kdims >= 3)[0]:
-        t1 = reps[i]
-        ker = linalg.kernel(stacked[i].reshape(8, 7), p)
-        t1_sub = Subspace.from_rows(t1, 7, p)
-        kspace = Subspace.from_rows(ker, 7, p)
-        if not kspace.contains(t1_sub):
-            continue
-        comp_rows = complement_rows(kspace, t1_sub)
-        for plane in all_subspaces(len(comp_rows), 2, p):
-            t_rows = [t1]
-            for prow in plane.basis:
-                vec = np.zeros(7, dtype=np.int64)
-                for c, r in zip(prow, comp_rows):
-                    vec = (vec + c * r) % p
-                t_rows.append(vec)
-            t_mat = np.array(t_rows, dtype=np.int64) % p
-            if _isotropic_triple(forms, t_mat, p):
-                lift = np.zeros((3, 8), dtype=np.int64)
-                lift[:, comp] = t_mat
-                u4_rows = np.vstack([v1c[None, :], lift])
-                u4 = Subspace.from_rows(u4_rows @ b8 % p, sigma.n, p)
-                if u4.dim == 4:
-                    return (True, u4)
-    return (False, None)
+    cand = np.nonzero(7 - scan.batched_rank(stacked, p) >= 3)[0]
+    t1s = reps[cand]
+    kers, kdims = scan.batched_kernel(stacked[cand], p)
+    # complement_rows(A(t1), <t1>) keeps every rref row of A(t1) but the
+    # last one whose pivot coordinate of t1 is nonzero.
+    on_t1 = np.take_along_axis(t1s, (kers != 0).argmax(axis=2), axis=1) != 0
+    on_t1 &= np.arange(7) < kdims[:, None]
+    drop = 6 - on_t1[:, ::-1].argmax(axis=1)
+    keep = np.arange(6) + (np.arange(6) >= drop[:, None])
+    comp_rows = np.take_along_axis(kers, keep[:, :, None], axis=1)
 
-
-def _isotropic_triple(forms: np.ndarray, t_mat: np.ndarray, p: int) -> bool:
-    for c in range(forms.shape[0]):
-        m = forms[c]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if int(t_mat[i] @ m @ t_mat[j] % p):
-                    return False
-    return True
+    # first[i]: index of the first isotropic plane of point i, or -1.  The
+    # points of one dimension m of A(t1)/t1 share a plane table and are
+    # tested in blocks, up to the first block with a hit.
+    first = np.full(len(cand), -1)
+    tables = {}
+    for kdim in sorted(set(kdims.tolist())):
+        m = kdim - 1
+        group = np.flatnonzero(kdims == kdim)
+        table = tables[m] = np.concatenate([planes for _, planes in rref_bases(m, 2, p)])
+        step = max(1, _PLANE_BLOCK // len(table))
+        for start in range(0, len(group), step):
+            block = group[start : start + step]
+            rows = comp_rows[block, None, :m]
+            restricted = (rows @ forms % p) @ rows.swapaxes(2, 3) % p
+            vals = np.einsum("qa,gcab,qb->gqc", table[:, 0], restricted, table[:, 1])
+            iso = ~(vals % p).any(axis=2)
+            first[block] = np.where(iso.any(axis=1), iso.argmax(axis=1), -1)
+            if iso.any():
+                break
+    hits = np.flatnonzero(first >= 0)
+    if not len(hits):
+        return (False, None)
+    i = hits[0]
+    m = kdims[i] - 1
+    lift = np.zeros((3, 8), dtype=np.int64)
+    lift[:, comp] = np.vstack([t1s[i], tables[m][first[i]] @ comp_rows[i, :m] % p])
+    u4_rows = np.vstack([v1c[None, :], lift])
+    return (True, Subspace.from_rows(u4_rows @ b8 % p, sigma.n, p))
 
 
 def lagrangian_planes(omega: np.ndarray, p: int) -> list[Subspace]:
     """All omega-isotropic 2-planes of F_p^4 for a nondegenerate skew form."""
-    out = []
-    for s in all_subspaces(4, 2, p):
-        b = s.basis
-        if int(b[0] @ omega @ b[1] % p) == 0:
-            out.append(s)
-    return out
+    planes = list(all_subspaces(4, 2, p))
+    bases = np.array([s.basis for s in planes])
+    vals = (linalg.mat_mul(bases[:, 0], omega, p) * bases[:, 1] % p).sum(axis=1) % p
+    return [s for s, v in zip(planes, vals) if v == 0]
 
 
 def k3_witness_search(sigma: Trivector, flag: Flag) -> tuple[Subspace, Subspace] | None:
@@ -379,17 +392,14 @@ def _quartic_gather_arrays(n: int) -> tuple[np.ndarray, ...]:
 def _batched_quartic_eval(points: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
     """Values of quartic forms at a batch of points, shape (B, forms).
 
-    Splits each monomial into two quadratic gathers; the accumulation
-    runs through float64 when 715-ish terms of size p^5 stay under 2^53,
-    else through int64 with reduction first.
+    Splits each monomial into two quadratic gathers, each product reduced
+    mod p, and sums the monomial values against the coefficients through
+    `linalg.mat_mul`, which is exact for every admitted prime.
     """
     i2, j2, i4, j4 = _quartic_gather_arrays(points.shape[1])
-    x2 = points[:, i2] * points[:, j2]
-    prod = x2[:, i4] * x2[:, j4]
-    if coeffs.shape[0] * p**5 < (1 << 53):
-        vals = prod.astype(np.float64) @ coeffs.astype(np.float64)
-        return np.rint(vals).astype(np.int64) % p
-    return (prod % p) @ coeffs % p
+    x2 = points[:, i2] * points[:, j2] % p
+    prod = x2[:, i4] * x2[:, j4] % p
+    return linalg.mat_mul(prod, coeffs, p)
 
 
 def _grid_quartic_zeros(quartics: np.ndarray, base, dirs, p: int) -> np.ndarray:

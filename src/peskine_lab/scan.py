@@ -4,10 +4,11 @@ The heavy checks walk every point of a projective space and decide, at
 each, whether the contracted skew form sigma(u, ., .) drops rank.  Doing
 that one point at a time in Python is hopeless, so this module provides
 chunked point generators and vectorized mod-p kernels: batched
-contraction, batched Gaussian rank, and one signed-perfect-matching
-Pfaffian kernel over gathered pair columns.  `rank_drop_mask` is the one
-rank-drop test every scan uses: a cascade of principal Pfaffian minors
-discards most points cheaply, and the survivors get the exact rank.
+contraction, one batched Gauss-Jordan elimination behind rank and
+kernel, and one signed-perfect-matching Pfaffian kernel over gathered
+pair columns.  `rank_drop_mask` is the one rank-drop test every scan
+uses: a cascade of principal Pfaffian minors discards most points
+cheaply, and the survivors get the exact rank.
 Results are exact at every admitted prime: products go through
 `linalg.mat_mul`, and elementwise products of two reduced entries fit
 int64.
@@ -90,31 +91,96 @@ def batched_contract1(sigma: Trivector, points: np.ndarray) -> np.ndarray:
     return mats.reshape(points.shape[0], n, n)
 
 
-def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of square matrices mod p via masked elimination."""
-    a = mats.copy() % p
-    batch, rows, cols = a.shape
-    ranks = np.zeros(batch, dtype=np.int64)
-    row_done = np.zeros((batch, rows), dtype=bool)
+# Working dtypes of the elimination with their largest values.
+_WORK_DTYPES = ((np.int16, (1 << 15) - 1), (np.int32, (1 << 31) - 1), (np.int64, (1 << 63) - 1))
+
+
+def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masked Gauss-Jordan elimination of a batch of matrices mod p.
+
+    Returns (reduced, pivot_col): `reduced` has every pivot scaled to 1
+    and its column cleared in all other rows, and pivot_col[b, r] is the
+    pivot column of row r, or the column count where row r is not a pivot
+    row (such rows end up zero).  Sorting the rows by pivot_col gives the
+    rref.  The pivot of each column is its first nonzero row not yet used.
+
+    Reduction is delayed: one elimination step subtracts at most (p - 1)^2
+    from an entry, so entries are reduced only when `room` more steps
+    could leave the working dtype, the narrowest of int16, int32 and
+    int64 that holds `cols` steps (int64 in any case).  The column searched
+    for a pivot and the pivot row are reduced at every step.
+    """
+    batch, rows, cols = mats.shape
+    step = (p - 1) ** 2
+    dtype, top = next((t, top) for t, top in _WORK_DTYPES if t is np.int64 or top - p >= cols * step)
+    a = (mats % p).astype(dtype)
+    room = (top - p) // step
+    since = 0
+    pivot_col = np.full((batch, rows), cols, dtype=np.int16)
     for c in range(cols):
         col = a[:, :, c]
-        candidates = (col != 0) & ~row_done
-        has = candidates.any(axis=1)
-        if not has.any():
+        col %= p
+        candidates = (col != 0) & (pivot_col == cols)
+        b_idx = np.flatnonzero(candidates.any(axis=1))
+        if not len(b_idx):
             continue
-        pivot_row = candidates.argmax(axis=1)
-        b_idx = np.nonzero(has)[0]
-        pr = pivot_row[b_idx]
-        pivot_vals = a[b_idx, pr, c]
-        scaled = a[b_idx, pr, :] * _inverses(pivot_vals, p)[:, None] % p
-        col_vals = a[b_idx, :, c]
-        a[b_idx] = (a[b_idx] - col_vals[:, :, None] * scaled[:, None, :]) % p
-        a[b_idx, pr, :] = scaled
-        a[b_idx, :, c] = 0
-        a[b_idx, pr, c] = 1
-        row_done[b_idx, pr] = True
-        ranks[b_idx] += 1
-    return ranks
+        if since == room:
+            a %= p
+            since = 0
+        # Columns c onward of the matrices with a pivot here (a view when
+        # that is all of them); left of c the pivot row is zero mod p.
+        whole = len(b_idx) == batch
+        sub = a[:, :, c:] if whole else a[b_idx, :, c:]
+        pr = candidates[b_idx].argmax(axis=1)
+        k = np.arange(len(b_idx))
+        row = sub[k, pr, :] % p
+        scaled = row * _inverses(row[:, 0], p).astype(dtype)[:, None] % p
+        sub -= sub[:, :, :1] * scaled[:, None, :]
+        sub[k, pr, :] = scaled
+        if not whole:
+            a[b_idx, :, c:] = sub
+        pivot_col[b_idx, pr] = c
+        since += 1
+    a %= p
+    return a.astype(np.int64), pivot_col
+
+
+def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a batch of matrices mod p via masked elimination.
+
+    Wide matrices are eliminated transposed, one step per row.
+    """
+    if mats.shape[1] < mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)
+    pivot_col = _gauss_jordan(mats, p)[1]
+    return np.count_nonzero(pivot_col < mats.shape[2], axis=1)
+
+
+def batched_kernel(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right kernels of a batch of (rows, cols) matrices mod p, in rref.
+
+    Returns (kers, dims): kers[b] has shape (cols, cols), its first
+    dims[b] rows equal `linalg.kernel(mats[b], p)` row for row and the
+    rest are zero.  The kernel basis read off the reduced form (one row
+    per free column) goes through the same elimination once more and its
+    rows are sorted by pivot.
+    """
+    batch, _, cols = mats.shape
+    red, pivot_col = _gauss_jordan(mats, p)
+    free = np.ones((batch, cols), dtype=bool)
+    b_idx, r_idx = np.nonzero(pivot_col < cols)
+    free[b_idx, pivot_col[b_idx, r_idx]] = False
+    basis = np.zeros((batch, cols, cols), dtype=np.int64)
+    # Row f of the basis is e_f minus, at each pivot column c, the entry of
+    # c's pivot row at column f; rows at pivot columns are dropped.
+    basis[b_idx, :, pivot_col[b_idx, r_idx]] = (p - red[b_idx, r_idx, :]) % p
+    basis *= free[:, :, None]
+    diag = np.arange(cols)
+    basis[:, diag, diag] = free
+    red, pivot_col = _gauss_jordan(basis, p)
+    order = np.argsort(pivot_col, axis=1, kind="stable")
+    kers = np.take_along_axis(red, order[:, :, None], axis=1)
+    return kers, np.count_nonzero(free, axis=1)
 
 
 _INV_TABLES: dict[int, np.ndarray] = {}

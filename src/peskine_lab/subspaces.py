@@ -177,28 +177,32 @@ def sample_subspace(rng, n: int, k: int, p: int) -> Subspace:
     return Subspace.from_rows(linalg.sample_full_rank(rng, k, n, p), n, p)
 
 
-def all_subspaces(n: int, k: int, p: int):
-    """Yield every k-dimensional subspace of F_p^n once, via rref cells."""
-    from itertools import combinations, product
+def rref_bases(n: int, k: int, p: int):
+    """Yield the rref bases of every k-dimensional subspace of F_p^n.
+
+    One (pivots, bases) block per Schubert cell, bases of shape (B, k, n):
+    cells in combinations order of their pivots, each cell's free entries
+    (row-major) in base-p counter order.  This is the order of
+    `all_subspaces`.
+    """
+    from itertools import combinations
 
     for piv in combinations(range(n), k):
-        free_slots = [
-            (r, c)
-            for r in range(k)
-            for c in range(n)
-            if c > piv[r] and c not in piv
-        ]
-        base = np.zeros((k, n), dtype=np.int64)
-        for r, c in enumerate(piv):
-            base[r, c] = 1
-        if not free_slots:
-            yield Subspace(p=p, n=n, basis=_freeze(base), pivots=piv)
-            continue
-        for values in product(range(p), repeat=len(free_slots)):
-            mat = base.copy()
-            for (r, c), val in zip(free_slots, values):
-                mat[r, c] = val
-            yield Subspace(p=p, n=n, basis=_freeze(mat), pivots=piv)
+        free = [(r, c) for r in range(k) for c in range(n) if c > piv[r] and c not in piv]
+        idx = np.arange(p ** len(free), dtype=np.int64)
+        bases = np.zeros((len(idx), k, n), dtype=np.int64)
+        bases[:, range(k), piv] = 1
+        for r, c in reversed(free):
+            bases[:, r, c] = idx % p
+            idx //= p
+        yield piv, bases
+
+
+def all_subspaces(n: int, k: int, p: int):
+    """Yield every k-dimensional subspace of F_p^n once, via rref cells."""
+    for piv, bases in rref_bases(n, k, p):
+        for basis in bases:
+            yield Subspace(p=p, n=n, basis=_freeze(basis), pivots=piv)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

@@ -78,7 +78,7 @@ class SkewForm:
     def apply(self, u, v) -> int:
         u = linalg.as_field(u, self.p)
         v = linalg.as_field(v, self.p)
-        return int(u @ self.mat @ v % self.p)
+        return int(linalg.mat_mul(linalg.mat_mul(u, self.mat, self.p), v, self.p))
 
     def restrict(self, s: Subspace) -> "SkewForm":
         return restrict_skew(self, s)

@@ -108,7 +108,8 @@ def test_sigma_prime_rank_scan_matches_scalar():
     samp = nondegenerate_sample(rng, p)
     u7 = sample_u7_over(rng, samp.flag)
     pts, full, prime = sigma_prime_rank_scan(samp.sigma, samp.flag, u7)
-    assert len(pts) == len(full) == len(prime)
+    assert len(pts) == len(full) == len(prime) == p**6
+    assert not any(samp.flag[1].contains_vector(l) for l in pts)
     for k in range(0, len(pts), max(1, len(pts) // 7)):
         l = pts[k]
         assert full[k] == samp.sigma.contract1(l).rank()

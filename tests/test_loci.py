@@ -1,12 +1,16 @@
 """Degeneracy loci: membership, quotient Pfaffians, cubic, K3 search."""
 
+import math
+
 import numpy as np
 import pytest
 
-from peskine_lab import linalg
+from peskine_lab import linalg, scan
+from peskine_lab.checks import sample_d16_nondegenerate
 from peskine_lab.divisors import sample_divisor, standard_flag
 from peskine_lab.loci import (
     CubicForm,
+    _batched_quartic_eval,
     conic_fiber,
     cubic_from_pfaffian,
     dv_member,
@@ -21,7 +25,7 @@ from peskine_lab.loci import (
 from peskine_lab.polynomial import monomials_of_degree
 from peskine_lab.rng import Rng
 from peskine_lab.scan import projective_count
-from peskine_lab.subspaces import Flag, Subspace
+from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows
 from peskine_lab.trivector import Trivector, triple_index, triples
 
 
@@ -217,6 +221,108 @@ def test_k3_member_zero_sigma():
     assert u4.contains(flag[0])
 
 
+def reference_k3_member(sigma, flag, u8):
+    """The per-point, per-plane K3 search: a kernel and a Subspace per
+    candidate t1, then every plane of A(t1)/t1 tested pair by pair."""
+    p = sigma.p
+    v1 = flag[0].basis[0]
+    b8 = u8.basis
+    if sigma.contract1(v1).restrict(u8).mat.any():
+        return (False, None)
+    g = np.einsum("xi,yj,zk,ijk->xyz", b8, b8, b8, sigma.tensor) % p
+    v1c = u8.coords_of(v1)
+    comp = list(Subspace.from_rows(v1c, 8, p).complement_pivots())
+    forms = np.ascontiguousarray((g[np.ix_(comp, comp)].transpose(2, 0, 1) % p).reshape(8, 7, 7))
+    reps = np.vstack(list(scan.projective_chunks(6, p)))
+    stacked = np.tensordot(reps, forms.transpose(1, 0, 2), axes=([1], [0])) % p
+    kdims = 7 - scan.batched_rank(stacked, p)
+    for i in np.nonzero(kdims >= 3)[0]:
+        t1 = reps[i]
+        t1_sub = Subspace.from_rows(t1, 7, p)
+        kspace = Subspace.from_rows(linalg.kernel(stacked[i].reshape(8, 7), p), 7, p)
+        if not kspace.contains(t1_sub):
+            continue
+        comp_rows = complement_rows(kspace, t1_sub)
+        for plane in all_subspaces(len(comp_rows), 2, p):
+            t_rows = [t1]
+            for prow in plane.basis:
+                vec = np.zeros(7, dtype=np.int64)
+                for c, r in zip(prow, comp_rows):
+                    vec = (vec + c * r) % p
+                t_rows.append(vec)
+            t_mat = np.array(t_rows, dtype=np.int64) % p
+            isotropic = all(
+                int(t_mat[a] @ forms[c] @ t_mat[b] % p) == 0
+                for c in range(8)
+                for a in range(3)
+                for b in range(a + 1, 3)
+            )
+            if isotropic:
+                lift = np.zeros((3, 8), dtype=np.int64)
+                lift[:, comp] = t_mat
+                u4 = Subspace.from_rows(np.vstack([v1c[None, :], lift]) @ b8 % p, sigma.n, p)
+                if u4.dim == 4:
+                    return (True, u4)
+    return (False, None)
+
+
+def candidate_u8s(sigma, flag):
+    """The isotropic extensions of V6 in the order k3_witness_search tries them."""
+    p = sigma.p
+    v6 = flag[1]
+    comp = list(v6.complement_pivots())
+    omega = sigma.contract1(flag[0].basis[0]).mat[np.ix_(comp, comp)] % p
+    out = []
+    for plane in lagrangian_planes(omega, p):
+        lift = np.zeros((2, sigma.n), dtype=np.int64)
+        lift[:, comp] = plane.basis
+        u8 = v6.join(Subspace.from_rows(lift, sigma.n, p))
+        if u8.dim == 8:
+            out.append(u8)
+    return out
+
+
+@pytest.mark.parametrize("p, seed, count", [(3, 41, None), (3, 42, None), (3, 43, None), (5, 44, 3), (5, 45, 3)])
+def test_k3_member_matches_reference_search(p, seed, count):
+    # Every candidate U8 of a sigma at p = 3.  At p = 5, where the reference
+    # takes seconds per non-member, the first three: two non-members, then
+    # a member, for both seeds.
+    samp = sample_d16_nondegenerate(Rng(seed), p)
+    results = []
+    for u8 in candidate_u8s(samp.sigma, samp.flag)[:count]:
+        got = k3_member(samp.sigma, samp.flag, u8)
+        assert got == reference_k3_member(samp.sigma, samp.flag, u8)
+        results.append(got[0])
+    assert any(results) and not all(results)
+
+
+def test_k3_member_matches_reference_on_a_sparse_sigma():
+    # sigma(e0, U8, U8) = 0 for U8 = <e0..e7>, and the first witness point
+    # t1 has several isotropic planes in A(t1)/t1: which rref row of A(t1)
+    # the complement of t1 leaves out decides which plane comes first.
+    p = 3
+    idx = triple_index(10)
+    coeffs = np.zeros(len(triples(10)), dtype=np.int64)
+    for t, c in {(1, 2, 5): 1, (1, 4, 6): 1, (1, 5, 6): 2, (2, 4, 7): 1, (3, 4, 6): 2}.items():
+        coeffs[idx[t]] = c
+    g = np.eye(10, dtype=np.int64)
+    g[1:8, 1:8] = [
+        [1, 1, 1, 1, 0, 0, 1],
+        [2, 2, 1, 2, 0, 2, 1],
+        [2, 2, 0, 1, 1, 2, 1],
+        [2, 1, 1, 0, 2, 1, 0],
+        [2, 1, 2, 2, 2, 1, 0],
+        [0, 2, 1, 0, 0, 1, 2],
+        [2, 0, 2, 0, 2, 1, 2],
+    ]
+    sigma = Trivector.from_coeffs(coeffs, 10, p).gl_transform(g)
+    flag = standard_flag("d1-6-10", p)
+    u8 = Subspace.from_rows(np.eye(10, dtype=np.int64)[:8], 10, p)
+    got = k3_member(sigma, flag, u8)
+    assert got[0]
+    assert got == reference_k3_member(sigma, flag, u8)
+
+
 def test_k3_witness_search_witness_is_valid():
     # Frozen seed with a known witness at p = 3.
     rng = Rng(3601)
@@ -264,6 +370,22 @@ def test_conic_fiber_validation():
     shifted8 = Subspace.from_rows(np.eye(10, dtype=np.int64)[2:], 10, p)
     with pytest.raises(ValueError):
         conic_fiber(tri, v4, shifted8)
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+def test_batched_quartic_eval_exact_at_large_primes(p):
+    # (p - 1)^4 passes 2^63 above p = 55108; x9^4 at x = p - 1 is 1.
+    monos = monomials_of_degree(10, 4)
+    coeffs = np.zeros((len(monos), 2), dtype=np.int64)
+    coeffs[monos.index((9, 9, 9, 9)), 0] = 1
+    coeffs[:, 1] = Rng(p).ints(len(monos), p)
+    points = np.vstack([np.full((1, 10), p - 1), Rng(7).matrix(3, 10, p)])
+    points[0, :9] = 0
+    got = _batched_quartic_eval(points, coeffs, p)
+    assert got[0, 0] == 1
+    for x, row in zip(points, got):
+        want = sum(int(c) * math.prod(int(x[i]) for i in m) for m, c in zip(monos, coeffs[:, 1])) % p
+        assert row[1] == want
 
 
 def test_sample_peskine_points_members():

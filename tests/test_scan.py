@@ -14,6 +14,7 @@ from peskine_lab.rng import Rng
 from peskine_lab.scan import (
     affine_chunks,
     batched_contract1,
+    batched_kernel,
     batched_pfaffian_minors,
     batched_rank,
     inverse_table,
@@ -138,6 +139,31 @@ def test_batched_rank_matches_scalar_at_large_primes(p):
             mats.append(linalg.mat_mul(left, right, p))
     mats = np.stack(mats)
     assert batched_rank(mats, p).tolist() == [linalg.rank(m, p) for m in mats]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([3, 5, 65521, 2**31 - 1]),
+    st.lists(st.integers(0, 7), min_size=1, max_size=6),
+)
+def test_batched_kernel_matches_kernel(seed, p, ranks):
+    # One batch of 8 x 7 matrices of the drawn ranks (a rank r product has
+    # rank r or, rarely, less), so pivots fall in different columns.
+    rng = Rng(seed)
+    mats = np.stack([
+        linalg.mat_mul(rng.matrix(8, r, p), rng.matrix(r, 7, p), p) if r else np.zeros((8, 7), np.int64)
+        for r in ranks
+    ])
+    kers, dims = batched_kernel(mats, p)
+    assert kers.shape == (len(ranks), 7, 7)
+    for m, ker, dim in zip(mats, kers, dims):
+        want = linalg.kernel(m, p)
+        assert dim == len(want)
+        assert np.array_equal(ker[:dim], want)
+        assert not ker[dim:].any()
+    # The 7 x 8 transposes are wide; batched_rank eliminates along their rows.
+    assert batched_rank(mats.transpose(0, 2, 1), p).tolist() == (7 - dims).tolist()
 
 
 def _planted_sigma(kind, n, p, rng):

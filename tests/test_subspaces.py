@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from peskine_lab.subspaces import (
     all_subspaces,
     complement_rows,
     gaussian_binomial,
+    rref_bases,
     sample_subspace,
 )
 
@@ -110,6 +113,23 @@ def test_all_subspaces_count(n, k, p):
     assert len(spaces) == gaussian_binomial(n, k, p)
     assert len(set(spaces)) == len(spaces)
     assert all(s.dim == k for s in spaces)
+    assert all(np.array_equal(Subspace.from_rows(s.basis, n, p).basis, s.basis) for s in spaces)
+    # The order: pivot cells in combinations order, free entries (row-major)
+    # in base-p counter order; rref_bases yields the same, one cell a block.
+    want = []
+    for piv in combinations(range(n), k):
+        free = [(r, c) for r in range(k) for c in range(n) if c > piv[r] and c not in piv]
+        for values in product(range(p), repeat=len(free)):
+            m = np.zeros((k, n), dtype=np.int64)
+            m[range(k), piv] = 1
+            for (r, c), v in zip(free, values):
+                m[r, c] = v
+            want.append((piv, m))
+    assert [s.pivots for s in spaces] == [piv for piv, _ in want]
+    assert all(np.array_equal(s.basis, m) for s, (_, m) in zip(spaces, want))
+    cells = list(rref_bases(n, k, p))
+    assert [piv for piv, b in cells for _ in b] == [s.pivots for s in spaces]
+    assert np.array_equal(np.concatenate([b for _, b in cells]), np.array([s.basis for s in spaces]))
 
 
 def test_sample_subspace_dim():

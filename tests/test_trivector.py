@@ -94,6 +94,19 @@ def test_skewform_apply_and_kernel(rng):
     assert ker.dim == 6 - form.rank()
 
 
+def test_skewform_apply_exact_at_largest_prime():
+    # Python-int value: (p - 1) * 3 (p - 1)^2 = -3 mod p; int64 u @ M @ v wraps.
+    p = 2**31 - 1
+    m = np.zeros((4, 4), dtype=np.int64)
+    m[0, 1:] = p - 1
+    m[1:, 0] = 1
+    u = np.array([p - 1, 0, 0, 0])
+    v = np.array([0, p - 1, p - 1, p - 1])
+    want = int(sum(int(u[i]) * int(m[i, j]) * int(v[j]) for i in range(4) for j in range(4)) % p)
+    assert want == 2147483644
+    assert SkewForm.from_matrix(m, p).apply(u, v) == want
+
+
 def test_trivector_coeff_antisymmetry(rng):
     tri = Trivector.random(rng, 6, 7)
     assert tri.coeff(0, 1, 2) == (-tri.coeff(1, 0, 2)) % 7
