@@ -18,7 +18,7 @@ the uncertain band come back flagged ambiguous instead of wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -75,15 +75,18 @@ class DimEstimate:
     params: dict = field(default_factory=dict)
 
 
-def _slice_points(rng, d: int, pred: LocusPredicate, width: int) -> np.ndarray:
-    """Image of all p^d parameters under a random affine-linear embedding."""
+def _slice_points(rng, d: int, pred: LocusPredicate, width: int) -> Iterator[np.ndarray]:
+    """Image of all p^d parameters under a random affine-linear embedding.
+
+    The embedding is drawn at once (matrix, then offset); the image comes
+    lazily, one `affine_chunks` block at a time, so a slice is never held
+    whole.
+    """
     p = pred.p
     mat = linalg.sample_full_rank(rng, d, width, p) if d else np.zeros((0, width), np.int64)
     offset = rng.ints(width, p)
-    blocks = []
-    for tail in affine_chunks(d, p) if d else [np.zeros((1, 0), dtype=np.int64)]:
-        blocks.append((tail @ mat + offset) % p)
-    return np.vstack(blocks)
+    tails = affine_chunks(d, p) if d else [np.zeros((1, 0), dtype=np.int64)]
+    return ((tail @ mat + offset) % p for tail in tails)
 
 
 def slice_dim_estimate(
@@ -144,15 +147,9 @@ def slice_dim_estimate(
         hits = 0
         for t in range(trials):
             srng = rng.child(f"slice-{d}-{t}")
-            pts = _slice_points(srng, d, pred, width)
-
-            def worker(block: np.ndarray) -> bool:
-                return bool(cone_test(block).any())
-
-            step = 1 << 15
             chunk_hits = run_chunked(
-                worker,
-                (pts[i : i + step] for i in range(0, len(pts), step)),
+                lambda block: bool(cone_test(block).any()),
+                _slice_points(srng, d, pred, width),
                 threads,
             )
             hits += int(any(chunk_hits))

@@ -6,6 +6,13 @@ overflows int64, but a sum of four such products already can.  Every
 product-sum of unbounded length therefore goes through `mat_mul`, which
 picks float64, int64 or 16-bit limbs from the bound p^2 * inner.
 
+Delayed reduction: a sum of `terms` signed products of `factors` reduced
+entries each is exact in int64 while (p - 1)^factors * terms < 2^63
+(`products_fit_int64`).  Kernels that sum such products (the Pfaffian
+kernel in `scan`, `Poly.evaluate_batch`) then reduce once per sum, not
+once per factor, and fall back to a reduction after every factor above
+the bound.
+
 Conventions:
     * `rref` returns the reduced row echelon form with zero rows dropped,
       pivots scaled to 1, and pivot columns cleared elsewhere.  Two row
@@ -79,6 +86,16 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         hi = (hi + ak @ (bk >> 16)) % p
         lo = (lo + ak @ (bk & 0xFFFF)) % p
     return (hi * 0x10000 + lo) % p
+
+
+def products_fit_int64(p: int, factors: int, terms: int) -> bool:
+    """Whether `terms` signed products of `factors` entries in [0, p) sum in int64.
+
+    Every partial product and partial sum is then bounded by
+    (p - 1)^factors * terms < 2^63, so the sum may be reduced once at the
+    end.
+    """
+    return (int(p) - 1) ** factors * terms < _INT_EXACT
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

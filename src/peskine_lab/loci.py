@@ -402,13 +402,28 @@ def _batched_quartic_eval(points: np.ndarray, coeffs: np.ndarray, p: int) -> np.
     return linalg.mat_mul(prod, coeffs, p)
 
 
+def _power_table(xs: np.ndarray, p: int) -> np.ndarray:
+    """Rows [1, x, x^2, x^3, x^4] mod p for x in `xs` (reduced), by iterated products."""
+    table = np.ones((len(xs), 5), dtype=np.int64)
+    for k in range(1, 5):
+        table[:, k] = table[:, k - 1] * xs % p
+    return table
+
+
+def _axis_transform(mat: np.ndarray, grid: np.ndarray, axis: int, p: int) -> np.ndarray:
+    """Apply `mat` along one axis of `grid` mod p, through `linalg.mat_mul`."""
+    moved = np.moveaxis(grid, axis, 0)
+    out = linalg.mat_mul(mat, moved.reshape(moved.shape[0], -1), p)
+    return np.moveaxis(out.reshape((mat.shape[0],) + moved.shape[1:]), 0, axis)
+
+
 def _grid_quartic_zeros(quartics: np.ndarray, base, dirs, p: int) -> np.ndarray:
     """Common-zero parameters of quartic forms on an affine grid, (H, m).
 
     The grid is base + t @ dirs over all t in F_p^m.  Each form restricts
     to a polynomial of degree <= 4 per t-coordinate, so its values on the
     whole grid follow from 5^m interpolation nodes by per-axis Vandermonde
-    transforms; everything stays exact mod p.
+    transforms; everything stays exact mod p at every admitted prime.
     """
     m = len(dirs)
     forms = quartics.shape[1]
@@ -419,18 +434,13 @@ def _grid_quartic_zeros(quartics: np.ndarray, base, dirs, p: int) -> np.ndarray:
         np.meshgrid(*([np.arange(5)] * m), indexing="ij"), axis=-1
     ).reshape(-1, m)
     pts = (nodes @ dirs + base) % p
-    vals = _batched_quartic_eval(pts, quartics, p).reshape((5,) * m + (forms,))
-    small = np.vander(np.arange(5), 5, increasing=True) % p
-    small_inv = linalg.inverse(small, p)
-    coeffs = vals
+    grid = _batched_quartic_eval(pts, quartics, p).reshape((5,) * m + (forms,))
+    small_inv = linalg.inverse(_power_table(np.arange(5) % p, p), p)
     for axis in range(m):
-        coeffs = np.moveaxis(
-            np.tensordot(small_inv, coeffs, axes=([1], [axis])) % p, 0, axis
-        )
-    big = np.vander(np.arange(p), 5, increasing=True) % p
-    grid = coeffs
+        grid = _axis_transform(small_inv, grid, axis, p)
+    big = _power_table(np.arange(p), p)
     for axis in range(m):
-        grid = np.moveaxis(np.tensordot(big, grid, axes=([1], [axis])) % p, 0, axis)
+        grid = _axis_transform(big, grid, axis, p)
     flat = grid.reshape(-1, forms)
     hit = ~flat.any(axis=1)
     if not hit.any():

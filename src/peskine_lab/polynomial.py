@@ -102,15 +102,26 @@ class Poly:
         return total
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Values on a (B, nvars) batch of points."""
-        pts = points % self.p
-        out = np.zeros(pts.shape[0], dtype=np.int64)
+        """Values on a (B, nvars) batch of points.
+
+        Each term is its coefficient times at most total_degree()
+        coordinates, all in [0, p).  While (p - 1)^(degree + 1) * terms
+        fits int64 (`linalg.products_fit_int64`) the sum of the terms is
+        reduced once at the end; above that bound every product is
+        reduced after each factor.
+        """
+        p = self.p
+        delayed = linalg.products_fit_int64(p, self.total_degree() + 1, len(self.terms))
+        coords = np.ascontiguousarray(points.T, dtype=np.int64) % p
+        out = np.zeros(coords.shape[1], dtype=np.int64)
         for m, c in self.terms:
-            term = np.full(pts.shape[0], c, dtype=np.int64)
+            term = c
             for i in m:
-                term = term * pts[:, i] % self.p
-            out = (out + term) % self.p
-        return out
+                term = term * coords[i]
+                if not delayed:
+                    term %= p
+            out += term
+        return out % p
 
     def _check(self, other: "Poly") -> None:
         if self.p != other.p or self.nvars != other.nvars:

@@ -10,8 +10,9 @@ pair columns.  `rank_drop_mask` is the one rank-drop test every scan
 uses: a cascade of principal Pfaffian minors discards most points
 cheaply, and the survivors get the exact rank.
 Results are exact at every admitted prime: products go through
-`linalg.mat_mul`, and elementwise products of two reduced entries fit
-int64.
+`linalg.mat_mul`, elementwise products of two reduced entries fit
+int64, and the Pfaffian kernel delays its reduction mod p only while
+`linalg.products_fit_int64` holds.
 
 Chunks are generated in a fixed deterministic order and combined in that
 order, so scans return identical results for any worker thread count.
@@ -239,15 +240,26 @@ def _pfaffian_from_pairs(pairs: np.ndarray, size: int, p: int) -> np.ndarray:
     M[i, j], i < j, of pair c in combinations order, reduced mod p.  One
     pass per signed perfect matching over contiguous rows; a (B, terms,
     pairs) gather costs more memory traffic than it saves in numpy calls.
-    The unreduced sum stays below (size - 1)!! * p, inside int64 for any
-    size up to 10.
+    Each term is a product of size / 2 entries, added or subtracted by
+    its sign.  While (p - 1)^(size / 2) * (size - 1)!! fits int64
+    (`linalg.products_fit_int64`) the signed sum is reduced once at the
+    end; above that bound every product is reduced after each factor, so
+    the sum stays below (size - 1)!! * p.
     """
+    matchings = _matching_terms(size)
+    delayed = linalg.products_fit_int64(p, size // 2, len(matchings))
     acc = np.zeros(pairs.shape[1], dtype=np.int64)
-    for positive, cols in _matching_terms(size):
-        term = pairs[cols[0]]
+    term = np.empty_like(acc)
+    for positive, cols in matchings:
+        term[:] = pairs[cols[0]]
         for c in cols[1:]:
-            term = term * pairs[c] % p
-        acc += term if positive else p - term
+            term *= pairs[c]
+            if not delayed:
+                term %= p
+        if positive:
+            acc += term
+        else:
+            acc -= term
     return acc % p
 
 

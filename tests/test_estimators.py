@@ -1,11 +1,15 @@
 """Dimension estimator calibrated on loci whose dimension is known exactly."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from peskine_lab import estimators, linalg
 from peskine_lab.estimators import (
     DimEstimate,
     LocusPredicate,
+    _slice_points,
     image_dim_estimate,
     slice_dim_estimate,
 )
@@ -16,8 +20,6 @@ from peskine_lab.rng import Rng
 def linear_locus(n, d, p, seed=100):
     """Affine predicate for a random linear subspace of known dimension d."""
     rng = Rng(seed)
-    from peskine_lab import linalg
-
     normals = linalg.sample_full_rank(rng, n - d, n, p)
 
     def test_batch(points):
@@ -98,6 +100,34 @@ def test_threshold_validation():
     pred = linear_locus(6, 3, 5)
     with pytest.raises(ValueError):
         slice_dim_estimate(pred, Rng(1), hit_threshold=0.3, miss_threshold=0.4)
+
+
+def test_slice_points_stream(monkeypatch):
+    # p = 7, d = 6: 117,649 points in 4 chunks, drawn one at a time, equal
+    # to the whole slice built at once from the same embedding.
+    p, d, width = 7, 6, 8
+    drawn = []
+    affine_chunks = estimators.affine_chunks
+
+    def counting_chunks(*args):
+        for block in affine_chunks(*args):
+            drawn.append(len(block))
+            yield block
+
+    monkeypatch.setattr(estimators, "affine_chunks", counting_chunks)
+    pred = LocusPredicate(kind="affine", n=width, p=p, test_batch=lambda b: b[:, 0] == 0)
+    chunks = _slice_points(Rng(9), d, pred, width)
+    assert drawn == []
+    first = next(chunks)
+    assert drawn == [len(first)]
+    blocks = [first] + list(chunks)
+    assert len(blocks) == 4 and sum(drawn) == p**d
+
+    rng = Rng(9)
+    mat = linalg.sample_full_rank(rng, d, width, p)
+    offset = rng.ints(width, p)
+    tails = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    assert np.array_equal(np.vstack(blocks), (tails @ mat + offset) % p)
 
 
 def test_image_dim_estimate_linear():

@@ -4,7 +4,9 @@ Each hash is the SHA-256 of `run_check(id, CheckConfig(**overrides))
 .stable_bytes()` at the default seed.  The first three were recorded
 before the rank-drop scan was unified, at their default configs; the
 reduced configs of the chart-scan and K3-search checks were recorded
-before those searches were batched.
+before those searches were batched; `lem-3.13`, `lem-3.4` and
+`lem-3.8-unique` before the Pfaffian and polynomial product kernels
+delayed their reduction mod p.
 """
 
 import hashlib
@@ -32,6 +34,12 @@ GOLDEN = {
     "prop-3.18": (
         {"p": 5, "trials": 1},
         "b9beb49c651db9aff823ae191b1740fe2bb3b205b1aa04733c0bb2214e44fa6e",
+    ),
+    "lem-3.13": ({}, "be2853e82439bbdb87ac9c42a6f94ce50e9fc3ff1814e673a9fc7971adef2e17"),
+    "lem-3.4": ({}, "1e2677d2f8ffb017dcbe31a479a726a89dac22c50230aa971e88226c3865e337"),
+    "lem-3.8-unique": (
+        {"trials": 2},
+        "3e78b79f948d9ae45357c0f5f7ca13bcebd8a6092de353c22cf02455c49dfef0",
     ),
 }
 

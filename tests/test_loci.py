@@ -11,6 +11,8 @@ from peskine_lab.divisors import sample_divisor, standard_flag
 from peskine_lab.loci import (
     CubicForm,
     _batched_quartic_eval,
+    _grid_quartic_zeros,
+    _power_table,
     conic_fiber,
     cubic_from_pfaffian,
     dv_member,
@@ -386,6 +388,41 @@ def test_batched_quartic_eval_exact_at_large_primes(p):
     for x, row in zip(points, got):
         want = sum(int(c) * math.prod(int(x[i]) for i in m) for m, c in zip(monos, coeffs[:, 1])) % p
         assert row[1] == want
+
+
+def test_power_table_exact_at_65521():
+    # Unreduced x^4 wraps int64 above p = 55108.
+    p = 65521
+    table = _power_table(np.arange(p), p)
+    assert table[p - 1].tolist() == [1, p - 1, 1, p - 1, 1]
+    assert table[12345].tolist() == [pow(12345, k, p) for k in range(5)]
+
+
+@pytest.mark.parametrize("p", [7, 65521])
+def test_grid_quartic_zeros_on_a_line_matches_pointwise(p):
+    # The line (t, 1, 0, 0) on x0^4 - x1^4 meets the gcd(4, p - 1) fourth
+    # roots of unity, t = p - 1 among them; random quartics on random
+    # lines at p = 7 check the rest of the grid.
+    monos = monomials_of_degree(4, 4)
+    planted = np.zeros((len(monos), 1), dtype=np.int64)
+    planted[monos.index((0, 0, 0, 0)), 0] = 1
+    planted[monos.index((1, 1, 1, 1)), 0] = p - 1
+    base, dirs = np.array([0, 1, 0, 0]), np.array([[1, 0, 0, 0]])
+    roots = _grid_quartic_zeros(planted, base, dirs, p)[:, 0]
+    assert len(roots) == math.gcd(4, p - 1) and roots[-1] == p - 1
+    cases = [(planted, base, dirs)]
+    if p == 7:
+        rng = Rng(8)
+        cases += [(rng.matrix(len(monos), 1, p), rng.ints(4, p), rng.matrix(1, 4, p)) for _ in range(20)]
+    ts = np.arange(p)
+    hits = 0
+    for quartics, base, dirs in cases:
+        got = _grid_quartic_zeros(quartics, base, dirs, p)
+        vals = _batched_quartic_eval((ts[:, None] * dirs[0] + base) % p, quartics, p)
+        want = ts[~vals.any(axis=1)]
+        assert got[:, 0].tolist() == want.tolist()
+        hits += len(want)
+    assert p != 7 or hits > len(roots), "the random quartics should have zeros on some line"
 
 
 def test_sample_peskine_points_members():

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from peskine_lab import linalg
 from peskine_lab.polynomial import Poly, jacobian_matrix, monomials_of_degree
 from peskine_lab.rng import Rng
+
+ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
+# The primes on either side of the delay bound of a 15-term cubic:
+# (p - 1)^4 * 15 < 2^63 holds at 28001 and fails at 28019.
+CUBIC_BOUND_PRIMES = [28001, 28019]
 
 
 def xy_poly(p=7):
@@ -25,6 +33,40 @@ def test_evaluate_batch_matches_scalar():
     assert batch.shape == (40,)
     for row, val in zip(pts, batch):
         assert f.evaluate(row) == int(val)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(ADMITTED_PRIMES + CUBIC_BOUND_PRIMES),
+    st.integers(1, 20),
+    st.integers(0, 4),
+)
+def test_evaluate_batch_matches_python_ints(seed, p, nterms, degree):
+    # Random terms of degree <= `degree` in 5 variables, evaluated at random
+    # points and at (p - 1, ..., p - 1), where every factor is largest.
+    rng = Rng(seed)
+    terms = {}
+    for _ in range(nterms):
+        mono = tuple(int(i) for i in rng.ints(rng.below(degree + 1), 5))
+        terms[mono] = rng.below(p) or p - 1
+    f = Poly.from_dict(terms, nvars=5, p=p)
+    pts = np.vstack([rng.matrix(6, 5, p), np.full((1, 5), p - 1)])
+    assert f.evaluate_batch(pts).tolist() == [f.evaluate(x) for x in pts]
+
+
+@pytest.mark.parametrize("p", CUBIC_BOUND_PRIMES)
+def test_evaluate_batch_exact_at_the_delay_bound(p):
+    # Fifteen cubic terms with coefficient p - 1 at (p - 1, ..., p - 1): the
+    # unreduced sum is 15 (p - 1)^4, just below 2^63 at 28001 and past it
+    # at 28019, where each factor must be reduced.
+    monos = monomials_of_degree(4, 3)[:15]
+    assert len(monos) == 15
+    f = Poly.from_dict({m: p - 1 for m in monos}, nvars=4, p=p)
+    assert linalg.products_fit_int64(p, 4, 15) == (p == 28001)
+    pts = np.vstack([np.full((1, 4), p - 1), Rng(p).matrix(5, 4, p)])
+    assert f.evaluate_batch(pts).tolist() == [f.evaluate(x) for x in pts]
+    assert f.evaluate_batch(pts)[0] == 15 * (p - 1) ** 4 % p
 
 
 def test_add_mul_consistent_with_evaluation():

@@ -26,6 +26,8 @@ from peskine_lab.scan import (
 )
 from peskine_lab.trivector import Trivector, pfaffian, triples
 
+ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
+
 
 def collect(chunks):
     return np.vstack(list(chunks))
@@ -94,15 +96,18 @@ def test_batched_contract1_matches_contract1():
 
 
 def test_batched_pfaffian_minors_matches_scalar():
-    rng = Rng(23)
-    p = 11
-    raw = np.stack([rng.matrix(6, 6, p) for _ in range(40)])
-    mats = (raw - raw.transpose(0, 2, 1)) % p
-    for subset in [(0, 1), (0, 2, 4), (0, 2, 3, 5), (0, 1, 2, 3, 4, 5)]:
-        got = batched_pfaffian_minors(mats, p, subset)
-        idx = np.ix_(subset, subset)
-        want = [pfaffian(m[idx], p) for m in mats]
-        assert got.tolist() == want
+    # Random 10 x 10 skew forms and the one with every upper entry p - 1,
+    # whose Pfaffian terms are all largest; minors of every size up to 10.
+    subsets = [(0, 1), (0, 2, 4), (0, 2, 3, 5), (0, 1, 2, 3, 4, 5), tuple(range(1, 9)), tuple(range(10))]
+    for p in [11] + ADMITTED_PRIMES:
+        rng = Rng(23)
+        raw = np.stack([rng.matrix(10, 10, p) for _ in range(12)] + [np.triu(np.full((10, 10), p - 1), 1)])
+        mats = (raw - raw.transpose(0, 2, 1)) % p
+        for subset in subsets:
+            got = batched_pfaffian_minors(mats, p, subset)
+            idx = np.ix_(subset, subset)
+            want = [pfaffian(m[idx], p) for m in mats]
+            assert got.tolist() == want, (p, subset)
 
 
 def test_run_chunked_order_independent_of_threads():
@@ -124,8 +129,6 @@ def test_thread_count_env(monkeypatch):
     with pytest.raises(ValueError):
         thread_count()
 
-
-ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
 
 
 @pytest.mark.parametrize("p", [65521, 2**31 - 1])
