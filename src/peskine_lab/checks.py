@@ -722,14 +722,12 @@ def _run_prop_3_18(cfg: CheckConfig):
             members = pts[full <= samp.sigma.n - 4]
             locus_total += len(members)
             pencil = quadric_pencil(samp.sigma, samp.flag, u7)
-            image = set()
-            for l in members:
-                c = quotient_u7_coords(u7, v1, l)
-                if pencil.value_at(c) != (0, 0):
-                    containment_violations += 1
-                image.add(projective_rep(c, p))
+            coords = quotient_u7_coords(u7, v1, members)
+            va, vb = pencil.value_at(coords)
+            containment_violations += int(((va != 0) | (vb != 0)).sum())
+            image = len(np.unique(projective_rep(coords, p), axis=0))
             profile = fiber_profile(pencil)
-            discrepancies.append(profile["points"] - len(image))
+            discrepancies.append(profile["points"] - image)
 
     p_big = 101
     rank6 = 0

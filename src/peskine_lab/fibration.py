@@ -4,9 +4,10 @@ Everything here lives downstream of one nondegenerate two-form: for a
 trivector with sigma(v1, V6, .) = 0 the contraction at v1 descends to
 omega on V10/V6, and perps under omega drive four constructions:
 
-  * sigma_prime_rank: the rank of sigma(l, ., .) on U7-perp, quotiented
-    by the two radical directions l and v1 (values 4 or 6 in practice;
-    4 detects the rank-drop locus).
+  * sigma_prime_rank_scan: over the chart P(U7) minus P(V6), the rank of
+    sigma(l, ., .), at most n - 2 since l lies in its kernel, and of its
+    restriction to U7-perp, at most 6 since the independent l and v1 lie
+    in its radical (4 detects the rank-drop locus).
   * sigma_dprime: a 20-coordinate residue of sigma at a flagged pair
     U2 inside U7, landing in the orbit-model space of `orbits`.
   * quadric_pencil: two interpolated quadrics on P(U7/V1) whose common
@@ -26,7 +27,14 @@ from . import linalg
 from .orbits import BElement, project_to_B
 from .polynomial import monomials_of_degree
 from .rng import Rng
-from .scan import batched_contract1, batched_rank, projective_chunks, rank_drop_mask, run_chunked
+from .scan import (
+    batched_contract1,
+    batched_rank,
+    family_ranks,
+    projective_chunks,
+    rank_drop_mask,
+    run_chunked,
+)
 from .subspaces import Flag, Subspace, complement_rows
 from .trivector import SkewForm, Trivector, pfaffian
 
@@ -79,39 +87,12 @@ def u7_perp(od: OmegaData, u7: Subspace) -> Subspace:
     if red.shape[0] != 1:
         raise ValueError("U7 does not project to a line in the quotient")
     line = red[0]
-    perp_rows = linalg.kernel((line @ od.omega.mat % p).reshape(1, 4), p)
+    perp_rows = linalg.kernel(linalg.mat_mul(line, od.omega.mat, p).reshape(1, 4), p)
     lifted = np.array([v6.lift_quotient(r) for r in perp_rows], dtype=np.int64)
     out = v6.join(Subspace.from_rows(lifted, u7.n, p))
     if out.dim != 9:
         raise AssertionError("perp construction produced a wrong dimension")
     return out
-
-
-def sigma_prime_rank(sigma: Trivector, flag: Flag, u7: Subspace, l) -> int:
-    """Rank of sigma(l, ., .) on the 7-dim quotient U7perp/(l + V1).
-
-    Equals the rank of the 9x9 restriction to U7perp because both l and
-    v1 lie in its radical; the quotient is still formed explicitly so the
-    returned object matches the definition.
-    """
-    p = sigma.p
-    l = linalg.as_field(l, p).reshape(-1)
-    if flag[1].contains_vector(l):
-        raise ValueError("the probe vector must lie off the divisor 6-space")
-    if not u7.contains_vector(l):
-        raise ValueError("the probe vector must lie in U7")
-    od = omega_data(sigma, flag)
-    u9 = u7_perp(od, u7)
-    b = u9.basis
-    m = b @ sigma.contract1(l).mat @ b.T % p
-    x = u9.coords_of(l)
-    y = u9.coords_of(flag[0].basis[0])
-    rad = Subspace.from_rows(np.vstack([x, y]), 9, p)
-    if rad.dim != 2:
-        raise AssertionError("radical pair collapsed unexpectedly")
-    comp = rad.complement_pivots()
-    quot = m[np.ix_(comp, comp)]
-    return linalg.rank(quot, p)
 
 
 def sigma_prime_rank_scan(
@@ -125,40 +106,28 @@ def sigma_prime_rank_scan(
     Returns (points, full_ranks, prime_ranks): canonical representatives
     in ambient coordinates, the rank of sigma(l, ., .) on the whole space,
     and the rank of its restriction to U7perp (equal to the quotient rank).
+
+    Both forms are linear in the chart coordinates, so each rank comes
+    from `family_ranks` over one family.  The full rank is at most n - 2
+    (l lies in the kernel) and the restricted one at most 6 (l and v1 lie
+    in its radical), and these are exactly the caps of the bounds n - 4
+    and 4, so both ranks are exact.
     """
-    p = sigma.p
+    p, n = sigma.p, sigma.n
     od = omega_data(sigma, flag)
-    u9 = u7_perp(od, u7)
-    b9 = u9.basis.astype(np.int64)
-    sub = np.einsum(
-        "ui,aj,ijk->uak", u7.basis, b9, sigma.tensor, optimize=True
-    )
-    sub = np.tensordot(sub, b9, axes=([2], [1])) % p
+    b9 = u7_perp(od, u7).basis
+    full = linalg.mat_mul(u7.basis, sigma.tensor.reshape(n, n * n), p)
+    restricted = linalg.congruence(b9, full.reshape(7, n, n), p).reshape(7, -1)
     ann6 = flag[1].annihilator()
 
     def work(block: np.ndarray):
-        pts = block @ u7.basis % p
+        pts = linalg.mat_mul(block, u7.basis, p)
         off = linalg.mat_mul(pts, ann6.T, p).any(axis=1)
-        pts = pts[off]
-        if not len(pts):
-            return (np.zeros((0, sigma.n), dtype=np.int64), [], [])
-        full = batched_rank(batched_contract1(sigma, pts), p)
-        restricted = np.tensordot(block[off], sub, axes=([1], [0])) % p
-        prime = batched_rank(restricted, p)
-        return (pts, list(full), list(prime))
+        block = block[off]
+        return pts[off], family_ranks(full, block, n - 4, p), family_ranks(restricted, block, 4, p)
 
-    points: list[np.ndarray] = []
-    fulls: list[int] = []
-    primes: list[int] = []
-    for pts, full, prime in run_chunked(work, projective_chunks(6, p), threads):
-        points.append(pts)
-        fulls.extend(full)
-        primes.extend(prime)
-    return (
-        np.vstack(points),
-        np.array(fulls, dtype=np.int64),
-        np.array(primes, dtype=np.int64),
-    )
+    parts = run_chunked(work, projective_chunks(6, p), threads)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def thm21_fiber(
@@ -274,7 +243,7 @@ def sigma_dprime(
         generator = linalg.as_field(generator, p).reshape(-1)
         if not u2.contains_vector(generator) or v1.contains_vector(generator):
             raise ValueError("generator must lie in U2 off V1")
-    mat = frame @ sigma.contract1(generator).mat @ frame.T % p
+    mat = linalg.congruence(frame, sigma.contract1(generator).mat, p)
     return project_to_B(mat, p)
 
 
@@ -342,13 +311,16 @@ class QuadricPencil:
     base_point: tuple[int, ...]
     degenerate: bool
 
-    def value_at(self, c) -> tuple[int, int]:
+    def value_at(self, c):
+        """(Q_A(c), Q_B(c)) as ints, or two arrays over the rows of a (B, 6) batch."""
         p = self.p
-        c = linalg.as_field(c, p).reshape(-1)
-        return (
-            int(linalg.mat_mul(linalg.mat_mul(c, self.q_a, p), c, p)),
-            int(linalg.mat_mul(linalg.mat_mul(c, self.q_b, p), c, p)),
+        c = linalg.as_field(c, p)
+        values = tuple(
+            (linalg.mat_mul(c, q, p) * c % p).sum(axis=-1) % p for q in (self.q_a, self.q_b)
         )
+        if c.ndim == 1:
+            return tuple(int(v) for v in values)
+        return values
 
     def gradient_rank(self, c) -> int:
         """Rank of the 2x6 Jacobian of (Q_A, Q_B) at c (factors of 2 dropped)."""
@@ -420,8 +392,8 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
         y = w8.coords_of(v1_vec)
 
         def value(c, _b8=b8, _w8=w8, _y=y):
-            u = c @ lift_rows % p
-            m8 = _b8 @ sigma.contract1(u).mat @ _b8.T % p
+            u = linalg.mat_mul(c, lift_rows, p)
+            m8 = linalg.congruence(_b8, sigma.contract1(u).mat, p)
             return pfaffian_mod_radical(m8, _w8.coords_of(u), _y, p)
 
         quadrics.append(_interpolate_quadric(value, p, f"quadric-{tag}-{p}"))
@@ -439,22 +411,40 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
 
 
 def quotient_u7_coords(u7: Subspace, v1: Subspace, vec) -> np.ndarray:
-    """Coordinates of vec in the canonical basis of U7/V1."""
+    """Coordinates of vec in the canonical basis of U7/V1.
+
+    `vec` is one vector or a (B, n) batch, one row of coordinates each.
+    The basis of V1 followed by the canonical complement rows is A times
+    the rref basis of U7, so its pivot columns are the invertible A and
+    the coordinates are vec[pivots] A^-1.
+    """
     p = u7.p
-    rows = np.array(complement_rows(u7, v1), dtype=np.int64)
-    stacked = np.vstack([v1.basis, rows])
-    sol = linalg.solve(stacked.T, linalg.as_field(vec, p).reshape(-1), p)
-    return sol[v1.dim :]
+    stacked = np.vstack([v1.basis, np.array(complement_rows(u7, v1), dtype=np.int64)])
+    pivots = list(u7.pivots)
+    vecs = linalg.as_field(vec, p)
+    coords = linalg.mat_mul(vecs[..., pivots], linalg.inverse(stacked[:, pivots], p), p)
+    if not np.array_equal(linalg.mat_mul(coords, stacked, p), vecs):
+        raise ValueError("vector does not lie in U7")
+    return coords[..., v1.dim :]
 
 
-def projective_rep(c: np.ndarray, p: int) -> tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1."""
-    c = linalg.as_field(c, p).reshape(-1)
-    for x in c:
-        if x:
-            inv = linalg.inv_mod(int(x), p)
-            return tuple(int(v) * inv % p for v in c)
-    raise ValueError("zero vector has no projective representative")
+def projective_rep(c: np.ndarray, p: int):
+    """Scale so the first nonzero coordinate is 1.
+
+    One vector gives a tuple; a (B, k) batch gives the (B, k) array of
+    scaled rows.
+    """
+    c = linalg.as_field(c, p)
+    rows = c.reshape(-1, c.shape[-1])
+    nonzero = rows != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("zero vector has no projective representative")
+    lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
+    inv = np.array([linalg.inv_mod(int(x), p) for x in lead], dtype=np.int64)
+    scaled = rows * inv[:, None] % p
+    if c.ndim == 1:
+        return tuple(int(v) for v in scaled[0])
+    return scaled
 
 
 def fiber_profile(pencil: QuadricPencil) -> dict[str, int]:
@@ -494,10 +484,11 @@ def birationality_probe(
 ) -> LineProbe:
     """Count the sigma'-degenerate points on the line P(U2) through [v1], [l].
 
-    The p points off the divisor are tested through sigma_prime_rank
-    dropping below the generic value 6 (a closed condition: on a line
-    fully inside the locus, isolated points fall to rank 2 while the rest
-    sit at rank 4, and both belong).  The point [v1] itself is counted via
+    The p points l + t v1 off the divisor are tested through the rank of
+    sigma(l + t v1, ., .) restricted to U7perp (the quotient rank of
+    Lemma 3.8) dropping below the generic value 6 (a closed condition:
+    on a line fully inside the locus, isolated points fall to rank 2
+    while the rest sit at rank 4, and both belong).  The point [v1] itself is counted via
     the residue criterion: its mod-A2 rank dropping to 2 or below is
     exactly the case where the whole line sits in the locus.
     """
@@ -510,16 +501,12 @@ def birationality_probe(
         raise ValueError("probe point coincides with the flagged line")
     if u7 is None:
         u7 = v6.join(Subspace.span_of(l, n=sigma.n, p=p))
-    od = omega_data(sigma, flag)
-    u9 = u7_perp(od, u7)
-    b9 = u9.basis
-    v1_vec = v1.basis[0]
-    pts = (np.arange(p, dtype=np.int64)[:, None] * v1_vec[None, :] + l) % p
-    restricted = np.einsum(
-        "ai,bij,cj->bac", b9, batched_contract1(sigma, pts), b9, optimize=True
-    ) % p
-    ranks = batched_rank(restricted, p)
-    off = int((ranks <= 4).sum())
+    b9 = u7_perp(omega_data(sigma, flag), u7).basis
+    # The restricted forms along the line, linear in (t, 1).
+    ends = np.vstack([v1.basis[0], l])
+    family = linalg.congruence(b9, batched_contract1(sigma, ends), p).reshape(2, -1)
+    line = np.column_stack([np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)])
+    off = int((family_ranks(family, line, 4, p) <= 4).sum())
     resid = sigma_dprime(sigma, flag, u2, u7)
     v1_deg = linalg.rank(resid.mod_a2_block(), p) <= 2
     return LineProbe(count=off + int(v1_deg), off_v6_degenerate=off, v1_degenerate=v1_deg)

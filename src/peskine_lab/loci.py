@@ -73,7 +73,7 @@ def pfaffian_mod_radical(mat: np.ndarray, x, y, p: int) -> int:
     y = linalg.as_field(y, p).reshape(-1)
     if size % 2:
         raise ValueError("quotient pfaffian needs even ambient size")
-    if (m @ x % p).any() or (m @ y % p).any():
+    if linalg.mat_mul(m, x, p).any() or linalg.mat_mul(m, y, p).any():
         raise ValueError("x and y must lie in the radical of the form")
     for a in range(size):
         for b in range(a + 1, size):

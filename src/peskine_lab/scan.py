@@ -1,14 +1,19 @@
 """Batched exhaustive scans over F_p^d and P^d(F_p).
 
 The heavy checks walk every point of a projective space and decide, at
-each, whether the contracted skew form sigma(u, ., .) drops rank.  Doing
-that one point at a time in Python is hopeless, so this module provides
-chunked point generators and vectorized mod-p kernels: batched
+each, whether a skew form linear in the point drops rank: the
+contraction sigma(u, ., .), or its restriction to a fixed subspace.
+Doing that one point at a time in Python is hopeless, so this module
+provides chunked point generators and vectorized mod-p kernels: batched
 contraction, one batched Gauss-Jordan elimination behind rank and
 kernel, and one signed-perfect-matching Pfaffian kernel over gathered
-pair columns.  `rank_drop_mask` is the one rank-drop test every scan
-uses: a cascade of principal Pfaffian minors discards most points
-cheaply, and the survivors get the exact rank.
+pair columns.  `family_ranks` is the one rank-drop test every scan
+uses, on any linear family of m x m skew forms (m even or odd): a
+cascade of principal Pfaffian minors discards most points cheaply, the
+survivors get the exact rank, and the result is the rank capped just
+above the bound, which is exact wherever that cap is a proven maximum.
+`rank_drop_mask` is its mask on the family of contractions of a
+trivector.
 Results are exact at every admitted prime: products go through
 `linalg.mat_mul`, elementwise products of two reduced entries fit
 int64, and the Pfaffian kernel delays its reduction mod p only while
@@ -25,6 +30,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -283,50 +289,66 @@ _CASCADE_MINORS = 6
 
 
 @lru_cache(maxsize=None)
-def _cascade_columns(n: int, size: int, p: int) -> tuple[np.ndarray, ...]:
-    """Flat tensor columns (i * n + j over upper pairs) of the cascade minors.
+def _cascade_columns(m: int, size: int, p: int) -> tuple[np.ndarray, ...]:
+    """Flat form columns (i * m + j over upper pairs) of the cascade minors.
 
-    The principal index subsets are _CASCADE_MINORS draws from a fixed
-    stream, duplicates dropped.
+    The principal index subsets of range(m) are _CASCADE_MINORS draws
+    from a fixed stream, duplicates dropped.
     """
-    stream = Rng(0xD1CE).child(f"rank{size - 2}-minors-{p}-{n}")
+    stream = Rng(0xD1CE).child(f"rank{size - 2}-minors-{p}-{m}")
     subsets = []
     for _ in range(_CASCADE_MINORS):
-        pool = list(range(n))
+        pool = list(range(m))
         stream.shuffle(pool)
         subsets.append(tuple(sorted(pool[:size])))
     return tuple(
-        np.array([i * n + j for i, j in combinations(sub, 2)], dtype=np.int64)
+        np.array([i * m + j for i, j in combinations(sub, 2)], dtype=np.int64)
         for sub in dict.fromkeys(subsets)
     )
 
 
-def rank_drop_mask(sigma: Trivector, points: np.ndarray, bound: int) -> np.ndarray:
-    """Exact mask of the rows u of `points` with rank sigma(u, ., .) <= bound.
+def family_ranks(flat: np.ndarray, points: np.ndarray, bound: int, p: int) -> np.ndarray:
+    """Ranks of the skew forms of a linear family, capped at b + 2.
 
-    A skew form of rank <= bound has rank at most the even part b of
-    bound, so every principal Pfaffian of size b + 2 vanishes.  A cascade
-    of such minors, each from a gather `points @ tensor[:, i, j]` over its
-    upper pairs without the full contraction, drops the rows where one is
-    nonzero; the survivors get the exact rank.
+    `flat` has shape (d, m * m): row k is the m x m skew form of the k-th
+    coordinate, flattened row-major, so the form at a point u in F_p^d is
+    `u @ flat` reshaped to (m, m); m may be even or odd.  Returns
+    min(rank, b + 2) at every row of `points`, where b is the even part
+    of `bound`, so `ranks <= bound` is the exact rank-drop mask, and the
+    ranks are exact wherever b + 2 is a proven maximum.
+
+    A skew form of rank <= bound has rank at most b, so every principal
+    Pfaffian of size b + 2 vanishes.  A cascade of such minors, each from
+    a gather `points @ flat[:, cols]` over its upper pairs without the
+    whole form, drops the rows where one is nonzero (rank >= b + 2 there);
+    the survivors get their exact rank from `batched_rank`.
     """
-    p, n = sigma.p, sigma.n
+    m = isqrt(flat.shape[1])
     size = bound - bound % 2 + 2
+    ranks = np.full(points.shape[0], size, dtype=np.int64)
     alive = np.arange(points.shape[0])
     pts = points
-    if 2 <= size <= n:
-        flat = sigma.tensor.reshape(n, n * n)
-        for cols in _cascade_columns(n, size, p):
+    if 2 <= size <= m:
+        for cols in _cascade_columns(m, size, p):
             if not len(alive):
                 break
             pairs = linalg.mat_mul(flat[:, cols].T, pts.T, p)
             zero = _pfaffian_from_pairs(pairs, size, p) == 0
             pts, alive = pts[zero], alive[zero]
     if len(alive):
-        alive = alive[batched_rank(batched_contract1(sigma, pts), p) <= bound]
-    mask = np.zeros(points.shape[0], dtype=bool)
-    mask[alive] = True
-    return mask
+        mats = linalg.mat_mul(pts, flat, p).reshape(len(pts), m, m)
+        ranks[alive] = np.minimum(batched_rank(mats, p), size)
+    return ranks
+
+
+def rank_drop_mask(sigma: Trivector, points: np.ndarray, bound: int) -> np.ndarray:
+    """Exact mask of the rows u of `points` with rank sigma(u, ., .) <= bound.
+
+    The family of contractions: `family_ranks` on sigma.tensor flattened
+    to (n, n * n).
+    """
+    n = sigma.n
+    return family_ranks(sigma.tensor.reshape(n, n * n), points, bound, sigma.p) <= bound
 
 
 def run_chunked(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from peskine_lab import linalg
+from peskine_lab.checks import sample_d16_nondegenerate, sample_u7
 from peskine_lab.divisors import sample_divisor, standard_flag
 from peskine_lab.fibration import (
     birationality_probe,
@@ -15,14 +16,14 @@ from peskine_lab.fibration import (
     quadric_pencil,
     quotient_u7_coords,
     sigma_dprime,
-    sigma_prime_rank,
     sigma_prime_rank_scan,
     thm21_fiber,
     u7_perp,
 )
+from peskine_lab.loci import pfaffian_mod_radical
 from peskine_lab.orbits import project_to_B
 from peskine_lab.rng import Rng
-from peskine_lab.scan import projective_chunks
+from peskine_lab.scan import batched_contract1, batched_rank, projective_chunks
 from peskine_lab.subspaces import Flag, Subspace, complement_rows
 from peskine_lab.trivector import Trivector
 
@@ -45,6 +46,27 @@ def sample_u7_over(rng, flag):
             break
     direction = v6.lift_quotient(q)
     return v6.join(Subspace.span_of(direction, n=v6.n, p=v6.p))
+
+
+def sigma_prime_rank(sigma, flag, u7, l):
+    """Scalar reference: rank of sigma(l, ., .) on the 7-dim quotient U7perp/(l + V1).
+
+    Equals the rank of the 9x9 restriction to U7perp because both l and
+    v1 lie in its radical; the quotient is formed explicitly so the value
+    matches the definition.
+    """
+    p = sigma.p
+    l = linalg.as_field(l, p).reshape(-1)
+    if flag[1].contains_vector(l):
+        raise ValueError("the probe vector must lie off the divisor 6-space")
+    if not u7.contains_vector(l):
+        raise ValueError("the probe vector must lie in U7")
+    u9 = u7_perp(omega_data(sigma, flag), u7)
+    m = linalg.congruence(u9.basis, sigma.contract1(l).mat, p)
+    rad = Subspace.from_rows(np.vstack([u9.coords_of(l), u9.coords_of(flag[0].basis[0])]), 9, p)
+    assert rad.dim == 2
+    comp = rad.complement_pivots()
+    return linalg.rank(m[np.ix_(comp, comp)], p)
 
 
 def test_omega_data_rank_and_degeneracy():
@@ -110,6 +132,13 @@ def test_sigma_prime_rank_scan_matches_scalar():
     pts, full, prime = sigma_prime_rank_scan(samp.sigma, samp.flag, u7)
     assert len(pts) == len(full) == len(prime) == p**6
     assert not any(samp.flag[1].contains_vector(l) for l in pts)
+    # Exact ranks at every point: the cascade's shortcut to the maximal
+    # ranks n - 2 and 6 is checked everywhere.
+    b9 = u7_perp(omega_data(samp.sigma, samp.flag), u7).basis
+    mats = batched_contract1(samp.sigma, pts)
+    assert full.tolist() == batched_rank(mats, p).tolist()
+    assert prime.tolist() == batched_rank(linalg.congruence(b9, mats, p), p).tolist()
+    assert set(full.tolist()) <= {0, 2, 4, 6, 8} and set(prime.tolist()) <= {0, 2, 4, 6}
     for k in range(0, len(pts), max(1, len(pts) // 7)):
         l = pts[k]
         assert full[k] == samp.sigma.contract1(l).rank()
@@ -227,6 +256,35 @@ def test_quadric_pencil_homogeneity_and_containment():
         assert 0 <= pencil.member_rank(alpha, beta) <= 6
 
 
+def test_quadric_pencil_at_largest_prime():
+    # Every product on the pencil path is exact at p = 2^31 - 1: the
+    # interpolated quadrics agree with the Pfaffian values in Python ints.
+    p = 2**31 - 1
+    samp = sample_d16_nondegenerate(Rng(107), p)
+    u7 = sample_u7(Rng(108), samp.flag)
+    pencil = quadric_pencil(samp.sigma, samp.flag, u7)
+    u9 = u7_perp(omega_data(samp.sigma, samp.flag), u7)
+    v1 = samp.flag[0]
+    # Object arrays multiply in Python ints, which cannot overflow.
+    tensor = samp.sigma.tensor.astype(object)
+    lift = np.array(complement_rows(u7, v1)).astype(object)
+    rng = Rng(109)
+    for _ in range(3):
+        c = rng.ints(6, p).astype(object)
+        u = c @ lift % p
+        contracted = np.tensordot(u, tensor, axes=1) % p
+        want = []
+        for direction in complement_rows(u9, u7):
+            w8 = u7.join(Subspace.span_of(direction, n=10, p=p))
+            b8 = w8.basis.astype(object)
+            m8 = (b8 @ contracted @ b8.T % p).astype(np.int64)
+            x = w8.coords_of(u.astype(np.int64))
+            want.append(pfaffian_mod_radical(m8, x, w8.coords_of(v1.basis[0]), p))
+        got = [c @ q.astype(object) @ c % p for q in (pencil.q_a, pencil.q_b)]
+        assert got == want
+        assert pencil.value_at(c.astype(np.int64)) == tuple(want)
+
+
 def test_fiber_profile_tallies():
     rng = Rng(102)
     p = 3
@@ -276,11 +334,23 @@ def test_quotient_u7_coords_roundtrip():
     vec = (coeffs @ rows + shift * v1.basis[0]) % p
     assert np.array_equal(quotient_u7_coords(u7, v1, vec), coeffs)
 
+    batch = rng.matrix(5, 6, p)
+    vecs = (batch @ rows + rng.ints(5, p)[:, None] * v1.basis[0]) % p
+    assert np.array_equal(quotient_u7_coords(u7, v1, vecs), batch)
+    assert all(np.array_equal(quotient_u7_coords(u7, v1, v), c) for v, c in zip(vecs, batch))
+    off_u7 = complement_rows(Subspace.full(10, p), u7)[0]
+    with pytest.raises(ValueError):
+        quotient_u7_coords(u7, v1, off_u7)
+
 
 def test_projective_rep():
     assert projective_rep(np.array([0, 3, 6]), 7) == (0, 1, 2)
     with pytest.raises(ValueError):
         projective_rep(np.zeros(4, dtype=np.int64), 7)
+    batch = np.array([[0, 3, 6], [2, 0, 1], [0, 0, 5]])
+    assert projective_rep(batch, 7).tolist() == [[0, 1, 2], [1, 0, 4], [0, 0, 1]]
+    with pytest.raises(ValueError):
+        projective_rep(np.vstack([batch, np.zeros((1, 3), dtype=np.int64)]), 7)
 
 
 def test_birationality_probe_on_planted_line():

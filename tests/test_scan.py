@@ -17,6 +17,7 @@ from peskine_lab.scan import (
     batched_kernel,
     batched_pfaffian_minors,
     batched_rank,
+    family_ranks,
     inverse_table,
     projective_chunks,
     projective_count,
@@ -204,6 +205,45 @@ def test_rank_drop_mask_matches_exact_rank(seed, p, case, kind):
     mask = rank_drop_mask(sigma, pts, bound)
     assert mask.tolist() == (batched_rank(batched_contract1(sigma, pts), p) <= bound).tolist()
     assert mask[60:].all()
+
+
+def _low_rank_form(rng, m, rank, p):
+    """A random m x m skew form of rank at most `rank`: U^T S U, S skew rank x rank."""
+    if rank == 0:
+        return np.zeros((m, m), dtype=np.int64)
+    upper = np.triu(rng.matrix(rank, rank, p), 1)
+    return linalg.congruence(rng.matrix(rank, m, p).T, (upper - upper.T) % p, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(ADMITTED_PRIMES),
+    st.sampled_from([9, 10]),
+    st.sampled_from([4, 6]),
+    st.sampled_from(["random", "shared-radical"]),
+)
+def test_family_ranks_match_batched_rank(seed, p, m, bound, kind):
+    """Capped ranks of a linear family of skew forms, m odd or even.
+
+    Coordinate forms of rank 0, 2, 4 or 6 plant low-rank points at the
+    unit vectors; in the shared-radical family every form lives on one
+    6-space, so every point survives the cascade and gets its exact rank.
+    """
+    rng = Rng(seed)
+    d = 5
+    if kind == "shared-radical":
+        u = rng.matrix(6, m, p)
+        forms = [linalg.congruence(u.T, _low_rank_form(rng, 6, 6, p), p) for _ in range(d)]
+    else:
+        forms = [_low_rank_form(rng, m, r, p) for r in (0, 2, 4, 6, m - m % 2)]
+    flat = np.stack(forms).reshape(d, m * m)
+    unit_and_zero = np.vstack([np.eye(d, dtype=np.int64), np.zeros((1, d), dtype=np.int64)])
+    pts = np.vstack([rng.matrix(40, d, p), unit_and_zero])
+    exact = batched_rank(linalg.mat_mul(pts, flat, p).reshape(len(pts), m, m), p)
+    ranks = family_ranks(flat, pts, bound, p)
+    assert ranks.tolist() == np.minimum(exact, bound + 2).tolist()
+    assert ranks[-1] == 0
 
 
 @pytest.mark.parametrize("threads", [1, 4])
