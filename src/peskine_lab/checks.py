@@ -32,7 +32,6 @@ from .fibration import (
     fiber_profile,
     omega_data,
     prescribed_dprime_sigma,
-    projective_rep,
     quadric_pencil,
     quotient_u7_coords,
     sigma_dprime,
@@ -58,9 +57,16 @@ from .orbits import (
     pf_mod_line,
     project_to_B,
 )
+from .polynomial import jacobian
 from .report import CheckReport
 from .rng import Rng
-from .scan import batched_pfaffian_minors, batched_rank, projective_chunks, rank_drop_mask
+from .scan import (
+    batched_pfaffian_minors,
+    batched_rank,
+    projective_chunks,
+    projective_rep,
+    rank_drop_mask,
+)
 from .subspaces import Flag, Subspace
 from .trivector import Trivector, triples
 
@@ -136,22 +142,12 @@ def o2_predicate(p: int) -> LocusPredicate:
 
 def sing_o2_predicate(p: int) -> LocusPredicate:
     f1, f2 = pencil_cubics(p)
-    parts1 = [f1.partial(i) for i in range(20)]
-    parts2 = [f2.partial(i) for i in range(20)]
 
     def test(block: np.ndarray) -> np.ndarray:
         on = (f1.evaluate_batch(block) == 0) & (f2.evaluate_batch(block) == 0)
         out = np.zeros(len(block), dtype=bool)
         if on.any():
-            sub = block[on]
-            jac = np.stack(
-                [
-                    np.stack([g.evaluate_batch(sub) for g in parts1], axis=1),
-                    np.stack([g.evaluate_batch(sub) for g in parts2], axis=1),
-                ],
-                axis=1,
-            )
-            out[on] = batched_rank(jac, p) <= 1
+            out[on] = batched_rank(jacobian([f1, f2], block[on]), p) <= 1
         return out
 
     return LocusPredicate(kind="affine", n=20, p=p, test_batch=test, name="sing-o2")

@@ -23,8 +23,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import linalg
-from .polynomial import Poly, jacobian_matrix
-from .scan import affine_chunks, projective_count, run_chunked
+from .polynomial import Poly, jacobian
+from .scan import affine_chunks, batched_rank, run_chunked
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 20
@@ -56,11 +56,6 @@ class LocusPredicate:
     @property
     def width(self) -> int:
         return self.n + 1 if self.kind == "projective" else self.n
-
-    def point_count(self) -> int:
-        if self.kind == "projective":
-            return projective_count(self.n, self.p)
-        return self.p**self.n
 
 
 @dataclass(frozen=True)
@@ -187,15 +182,11 @@ def image_dim_estimate(polys: list[Poly], rng, samples: int = 50) -> int:
     The image of a polynomial map has the dimension of its differential
     at a generic parameter; finite samples give a lower bound that is
     sharp with overwhelming probability, so the max over samples is
-    reported.
+    reported.  All samples are drawn from `rng` at once, one point per
+    row, and ranked in one batch.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
     p = polys[0].p
-    nvars = polys[0].nvars
-    best = 0
-    for _ in range(samples):
-        point = rng.ints(nvars, p)
-        jac = jacobian_matrix(polys, point)
-        best = max(best, linalg.rank(jac, p))
-    return best
+    points = rng.matrix(samples, polys[0].nvars, p)
+    return int(batched_rank(jacobian(polys, points), p).max(initial=0))

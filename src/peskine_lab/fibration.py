@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .orbits import BElement, project_to_B
-from .polynomial import monomials_of_degree
+from .polynomial import interpolate_form, monomials_of_degree
 from .rng import Rng
 from .scan import (
     batched_contract1,
@@ -322,47 +322,9 @@ class QuadricPencil:
             return tuple(int(v) for v in values)
         return values
 
-    def gradient_rank(self, c) -> int:
-        """Rank of the 2x6 Jacobian of (Q_A, Q_B) at c (factors of 2 dropped)."""
-        c = linalg.as_field(c, self.p).reshape(-1)
-        rows = np.vstack([self.q_a @ c % self.p, self.q_b @ c % self.p])
-        return linalg.rank(rows, self.p)
-
     def member_rank(self, alpha: int, beta: int) -> int:
         mixed = (alpha * self.q_a + beta * self.q_b) % self.p
         return linalg.rank(mixed, self.p)
-
-
-def _interpolate_quadric(values_fn, p: int, label: str) -> np.ndarray:
-    """Fit a homogeneous quadratic in 6 variables through sampled nodes."""
-    monos = monomials_of_degree(6, 2)
-    rng = Rng(_QUADRIC_NODE_SEED).child(label)
-    nodes = []
-    while len(nodes) < len(monos) + 10:
-        c = rng.ints(6, p)
-        if c.any():
-            nodes.append(c)
-    rows = np.zeros((len(nodes), len(monos)), dtype=np.int64)
-    rhs = np.zeros(len(nodes), dtype=np.int64)
-    for r, c in enumerate(nodes):
-        rhs[r] = values_fn(c)
-        for k, mono in enumerate(monos):
-            val = 1
-            for v in mono:
-                val = val * int(c[v]) % p
-            rows[r, k] = val
-    if linalg.rank(rows, p) != len(monos):
-        raise ValueError("interpolation nodes are degenerate; resample")
-    coeffs = linalg.solve(rows, rhs, p)
-    q = np.zeros((6, 6), dtype=np.int64)
-    inv2 = linalg.inv_mod(2, p)
-    for k, mono in enumerate(monos):
-        i, j = mono
-        if i == j:
-            q[i, i] = coeffs[k]
-        else:
-            q[i, j] = q[j, i] = coeffs[k] * inv2 % p
-    return q
 
 
 def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
@@ -371,7 +333,8 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
     For each of the two canonical directions extending U7 inside its perp
     9-space, the value at [u] in P(U7/V1) is the Pfaffian of sigma(u, ., .)
     on the 8-space U7 + direction, taken modulo the radical pair (u, v1).
-    That value is a homogeneous quadratic in the quotient coordinates.
+    That value is a homogeneous quadratic in the quotient coordinates,
+    recovered by `interpolate_form` with 10 surplus nonzero nodes.
     """
     from .loci import pfaffian_mod_radical
 
@@ -384,6 +347,7 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
     v1 = flag[0]
     v1_vec = v1.basis[0]
     lift_rows = np.array(complement_rows(u7, v1), dtype=np.int64)
+    inv2 = linalg.inv_mod(2, p)
 
     quadrics = []
     for tag, direction in zip(("a", "b"), dirs):
@@ -391,12 +355,19 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
         b8 = w8.basis
         y = w8.coords_of(v1_vec)
 
-        def value(c, _b8=b8, _w8=w8, _y=y):
+        def value(c):
+            if not c.any():
+                return None
             u = linalg.mat_mul(c, lift_rows, p)
-            m8 = linalg.congruence(_b8, sigma.contract1(u).mat, p)
-            return pfaffian_mod_radical(m8, _w8.coords_of(u), _y, p)
+            m8 = linalg.congruence(b8, sigma.contract1(u).mat, p)
+            return pfaffian_mod_radical(m8, w8.coords_of(u), y, p)
 
-        quadrics.append(_interpolate_quadric(value, p, f"quadric-{tag}-{p}"))
+        rng = Rng(_QUADRIC_NODE_SEED).child(f"quadric-{tag}-{p}")
+        coeffs = interpolate_form(value, rng, 6, 2, 10, p)
+        q = np.zeros((6, 6), dtype=np.int64)
+        for (i, j), c in zip(monomials_of_degree(6, 2), coeffs):
+            q[i, j] = q[j, i] = c if i == j else c * inv2 % p
+        quadrics.append(q)
     q_a, q_b = quadrics
     degenerate = not (q_a.any() or q_b.any())
     if degenerate:
@@ -426,25 +397,6 @@ def quotient_u7_coords(u7: Subspace, v1: Subspace, vec) -> np.ndarray:
     if not np.array_equal(linalg.mat_mul(coords, stacked, p), vecs):
         raise ValueError("vector does not lie in U7")
     return coords[..., v1.dim :]
-
-
-def projective_rep(c: np.ndarray, p: int):
-    """Scale so the first nonzero coordinate is 1.
-
-    One vector gives a tuple; a (B, k) batch gives the (B, k) array of
-    scaled rows.
-    """
-    c = linalg.as_field(c, p)
-    rows = c.reshape(-1, c.shape[-1])
-    nonzero = rows != 0
-    if not nonzero.any(axis=1).all():
-        raise ValueError("zero vector has no projective representative")
-    lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
-    inv = np.array([linalg.inv_mod(int(x), p) for x in lead], dtype=np.int64)
-    scaled = rows * inv[:, None] % p
-    if c.ndim == 1:
-        return tuple(int(v) for v in scaled[0])
-    return scaled
 
 
 def fiber_profile(pencil: QuadricPencil) -> dict[str, int]:

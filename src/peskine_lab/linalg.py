@@ -65,6 +65,13 @@ def as_field(mat, p: int) -> np.ndarray:
     return arr
 
 
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """A contiguous read-only int64 copy (or view) of `arr`."""
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product mod p of arrays with entries in [0, p) (1-D or 2-D).
 

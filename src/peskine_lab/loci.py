@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg, scan
-from .polynomial import Poly, monomials_of_degree
+from .polynomial import Poly, interpolate_form, jacobian, monomials_of_degree
 from .rng import Rng
 from .subspaces import Flag, Subspace, all_subspaces, rref_bases
 from .trivector import Trivector, pfaffian
@@ -111,18 +111,11 @@ class CubicForm:
     def p(self) -> int:
         return self.poly.p
 
-    def coefficients(self) -> np.ndarray:
-        table = self.poly.as_dict()
-        return np.array([table.get(m, 0) for m in monomials_of_degree(6, 3)], dtype=np.int64)
-
-    def evaluate(self, point) -> int:
-        return self.poly.evaluate(point)
-
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         return self.poly.evaluate_batch(points)
 
     def gradient(self, point) -> np.ndarray:
-        return np.array([self.poly.partial(i).evaluate(point) for i in range(6)], dtype=np.int64)
+        return jacobian([self.poly], linalg.as_field(point, self.p).reshape(1, 6))[0, 0]
 
     def is_cubic(self) -> bool:
         return self.poly.total_degree() == 3
@@ -134,45 +127,20 @@ def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> CubicForm:
     For u in V6 off the distinguished line, sigma(u, ., .) has both u and
     v1 in its radical, so the quotient Pfaffian is a well-defined scalar;
     as a function of the V6-coordinates of u it is a cubic.  The cubic is
-    recovered by exact interpolation at deterministic nodes and verified
-    on the surplus nodes by construction (the solve is overdetermined).
+    recovered by `interpolate_form` at deterministic nodes, with 20
+    surplus nodes; a node is skipped where u and v1 are dependent.
     """
     p = sigma.p
     v1 = flag[0].basis[0]
     b6 = flag[1].basis
     if flag[0].dim != 1 or flag[1].dim != 6:
         raise ValueError("need a (1, 6) flag")
-    monos = monomials_of_degree(6, 3)
-    if p ** 6 < 4 * len(monos):
-        raise ValueError(f"field with p = {p} is too small for stable interpolation")
-    node_rng = Rng(0xC0B1C).child(f"cubic-nodes-{p}")
 
-    rows: list[np.ndarray] = []
-    vals: list[int] = []
-    attempts = 0
-    while len(rows) < len(monos) + 20:
-        attempts += 1
-        if attempts > 40 * len(monos):
-            raise ValueError("interpolation nodes kept degenerating")
-        c = node_rng.ints(6, p)
-        u = c @ b6 % p
-        mu = _quotient_pfaffian_at(sigma, u, v1)
-        if mu is None:
-            continue
-        rows.append(np.array([_mono_value(m, c, p) for m in monos], dtype=np.int64))
-        vals.append(mu)
-    a = np.array(rows, dtype=np.int64)
-    if linalg.rank(a, p) < len(monos):
-        raise ValueError("interpolation matrix is singular; nodes not in general position")
-    coeffs = linalg.solve(a, np.array(vals, dtype=np.int64), p)
+    def value(c: np.ndarray) -> int | None:
+        return _quotient_pfaffian_at(sigma, linalg.mat_mul(c, b6, p), v1)
+
+    coeffs = interpolate_form(value, Rng(0xC0B1C).child(f"cubic-nodes-{p}"), 6, 3, 20, p)
     return CubicForm.from_coefficients(coeffs, p)
-
-
-def _mono_value(mono: tuple[int, ...], point: np.ndarray, p: int) -> int:
-    val = 1
-    for i in mono:
-        val = val * int(point[i]) % p
-    return val
 
 
 def _quotient_pfaffian_at(sigma: Trivector, u, v1) -> int | None:
@@ -331,44 +299,6 @@ def conic_fiber(sigma: Trivector, v4: Subspace, v8: Subspace) -> list[Subspace]:
     return out
 
 
-def _minor_quartics(sigma: Trivector, subsets) -> np.ndarray:
-    """Principal Pfaffian minors of the contraction, as quartics in the point.
-
-    For each index subset of size 8 the Pfaffian of sigma(u,.,.) on it is
-    a degree-4 polynomial in u; the returned (monomials, len(subsets))
-    coefficient matrix is ordered like monomials_of_degree(n, 4).
-    """
-    from .trivector import perfect_matchings
-
-    n, p = sigma.n, sigma.p
-    tensor = sigma.tensor
-    monos = monomials_of_degree(n, 4)
-    mono_index = {m: i for i, m in enumerate(monos)}
-    cols = []
-    for subset in subsets:
-        idx = list(subset)
-        acc: dict[tuple, int] = {}
-        for sign, pairs in perfect_matchings(len(subset)):
-            terms: dict[tuple, int] = {(): sign % p}
-            for a, b in pairs:
-                row = tensor[:, idx[a], idx[b]]
-                grown: dict[tuple, int] = {}
-                for mono, c in terms.items():
-                    for i in range(n):
-                        ci = int(row[i])
-                        if ci:
-                            key = tuple(sorted(mono + (i,)))
-                            grown[key] = (grown.get(key, 0) + c * ci) % p
-                terms = grown
-            for mono, c in terms.items():
-                acc[mono] = (acc.get(mono, 0) + c) % p
-        col = np.zeros(len(monos), dtype=np.int64)
-        for mono, c in acc.items():
-            col[mono_index[mono]] = c
-        cols.append(col)
-    return np.stack(cols, axis=1)
-
-
 _QUARTIC_INDEX: dict[int, tuple[np.ndarray, ...]] = {}
 
 
@@ -464,16 +394,22 @@ def sample_peskine_points(
     """Random rank-drop points at genericity primes, by patch scanning.
 
     Scans the projectivization of random 4-dimensional subspaces: two
-    principal Pfaffian minors of the contraction, precomputed as quartics
-    in the point, are evaluated on each pivot chart's affine grid through
-    Vandermonde factorization, and the common zeros get exact rank
-    confirmation.  Points inside `avoid` are skipped.  Deduplicates
-    canonical representatives; raises if the patch budget runs out first.
+    principal Pfaffian minors of the contraction, expanded by
+    `scan.family_pfaffian` into quartics in the point (one dense column
+    per minor, in `monomials_of_degree(n, 4)` order), are evaluated on
+    each pivot chart's affine grid through Vandermonde factorization, and
+    the common zeros get exact rank confirmation.  Points inside `avoid`
+    are skipped.  Deduplicates canonical representatives; raises if the
+    patch budget runs out first.
     """
     p, n = sigma.p, sigma.n
     bound = n - 4
     subsets = (tuple(range(bound + 2)), tuple(range(n - bound - 2, n)))
-    quartics = _minor_quartics(sigma, subsets)
+    flat = sigma.tensor.reshape(n, n * n)
+    minors = [scan.family_pfaffian(flat, subset, p).as_dict() for subset in subsets]
+    quartics = np.array(
+        [[minor.get(m, 0) for minor in minors] for m in monomials_of_degree(n, 4)], dtype=np.int64
+    )
     seen: set[bytes] = set()
     out: list[np.ndarray] = []
     for trial in range(max_patches):
@@ -485,11 +421,9 @@ def sample_peskine_points(
             if not len(params):
                 continue
             cand = (params @ dirs + base) % p
-            for v in cand[scan.rank_drop_mask(sigma, cand, bound)]:
-                if avoid is not None and avoid.contains_vector(v):
+            for canon in scan.projective_rep(cand[scan.rank_drop_mask(sigma, cand, bound)], p):
+                if avoid is not None and avoid.contains_vector(canon):
                     continue
-                first = int(np.flatnonzero(v)[0])
-                canon = v * linalg.inv_mod(int(v[first]), p) % p
                 key = canon.tobytes()
                 if key in seen:
                     continue

@@ -19,18 +19,9 @@ import numpy as np
 from . import linalg
 from .polynomial import Poly
 from .rng import Rng
-from .subspaces import Subspace
+from .scan import family_pfaffian
 
-PAIRS_ALL = tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8))
-PAIRS_B = tuple(pr for pr in PAIRS_ALL if pr != (1, 2))
-PAIR_INDEX_ALL = {pr: k for k, pr in enumerate(PAIRS_ALL)}
-PAIR_INDEX_B = {pr: k for k, pr in enumerate(PAIRS_B)}
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
+PAIRS_B = tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8) if (i, j) != (1, 2))
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,7 @@ class BElement:
 
     @classmethod
     def from_coords(cls, coords, p: int) -> "BElement":
-        return cls(p=p, coords=_freeze(linalg.as_field(coords, p)))
+        return cls(p=p, coords=linalg.freeze(linalg.as_field(coords, p)))
 
     @classmethod
     def zero(cls, p: int) -> "BElement":
@@ -60,21 +51,10 @@ class BElement:
     def __hash__(self) -> int:
         return hash((self.p, self.coords.tobytes()))
 
-    def entry(self, i: int, j: int) -> int:
-        """Coordinate on a_i ^ a_j (1-based, i != j), zero on the killed pair."""
-        if i == j:
-            return 0
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        if (i, j) == (1, 2):
-            return 0
-        return int(self.coords[PAIR_INDEX_B[(i, j)]]) * sign % self.p
-
     def lift(self, s: int = 0) -> np.ndarray:
         """7x7 skew matrix of the lift with (1,2)-entry s."""
         m = np.zeros((7, 7), dtype=np.int64)
-        for (i, j), k in PAIR_INDEX_B.items():
+        for k, (i, j) in enumerate(PAIRS_B):
             m[i - 1, j - 1] = self.coords[k]
             m[j - 1, i - 1] = (-int(self.coords[k])) % self.p
         m[0, 1] = s % self.p
@@ -84,14 +64,6 @@ class BElement:
     def mod_a2_block(self) -> np.ndarray:
         """The induced 5x5 skew matrix on A7/A2 (rows/cols a_3..a_7)."""
         return self.lift()[2:, 2:]
-
-    def scale(self, c: int) -> "BElement":
-        return BElement.from_coords(self.coords * (c % self.p) % self.p, self.p)
-
-    def add(self, other: "BElement") -> "BElement":
-        if self.p != other.p:
-            raise ValueError("elements live over different fields")
-        return BElement.from_coords((self.coords + other.coords) % self.p, self.p)
 
 
 def project_to_B(mat: np.ndarray, p: int) -> BElement:
@@ -114,40 +86,16 @@ def wedge(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 def pencil_cubics(p: int) -> tuple[Poly, Poly]:
     """The two quotient Pfaffians F1 (mod a_2) and F2 (mod a_1).
 
-    Both are cubics in the 20 B-coordinates, 15 monomials each; the
-    symbolic construction runs through all 21 wedge coordinates and then
-    asserts that the killed (1,2) variable never occurs.
+    Both are cubics in the 20 B-coordinates, 15 monomials each: the
+    Pfaffians of the lift family (the lift of each unit coordinate) on
+    a_1, a_3..a_7 and on a_2..a_7.  Neither index set holds both a_1 and
+    a_2, so the killed (1,2) slot never enters.
     """
-    from .trivector import perfect_matchings
-
-    def quotient_pf(kept: tuple[int, ...]) -> Poly:
-        acc: dict[tuple[int, ...], int] = {}
-        for sign, pairs in perfect_matchings(6):
-            mono = []
-            flip = 1
-            for (r, s) in pairs:
-                i, j = kept[r], kept[s]
-                if i > j:
-                    i, j, flip = j, i, -flip
-                mono.append(PAIR_INDEX_ALL[(i, j)])
-            key = tuple(sorted(mono))
-            acc[key] = (acc.get(key, 0) + sign * flip) % p
-        return Poly.from_dict(acc, 21, p)
-
-    f1_full = quotient_pf((1, 3, 4, 5, 6, 7))
-    f2_full = quotient_pf((2, 3, 4, 5, 6, 7))
-    killed = PAIR_INDEX_ALL[(1, 2)]
-    for f in (f1_full, f2_full):
-        if f.uses_variable(killed):
-            raise AssertionError("quotient Pfaffian touches the killed coordinate")
-    return (_restrict_to_B(f1_full, p), _restrict_to_B(f2_full, p))
-
-
-def _restrict_to_B(f: Poly, p: int) -> Poly:
-    """Re-index a 21-variable polynomial avoiding (1,2) to the 20 B-variables."""
-    remap = {PAIR_INDEX_ALL[pr]: PAIR_INDEX_B[pr] for pr in PAIRS_B}
-    terms = {tuple(sorted(remap[v] for v in mono)): c for mono, c in f.as_dict().items()}
-    return Poly.from_dict(terms, 20, p)
+    lifts = [BElement.from_coords(e, p).lift() for e in np.eye(20, dtype=np.int64)]
+    flat = np.stack(lifts).reshape(20, 49)
+    f1 = family_pfaffian(flat, (0, 2, 3, 4, 5, 6), p)
+    f2 = family_pfaffian(flat, (1, 2, 3, 4, 5, 6), p)
+    return f1, f2
 
 
 def pf_mod_line(b: BElement, alpha: int, beta: int) -> int:
@@ -180,78 +128,15 @@ def pf_mod_line(b: BElement, alpha: int, beta: int) -> int:
     return beta * beta * pfaffian(n, p) % p
 
 
-def o2_member(b: BElement) -> bool:
-    f1, f2 = pencil_cubics(b.p)
-    return f1.evaluate(b.coords) == 0 and f2.evaluate(b.coords) == 0
-
-
-@lru_cache(maxsize=None)
-def _gradients(p: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    f1, f2 = pencil_cubics(p)
-    return (
-        tuple(f1.partial(i) for i in range(20)),
-        tuple(f2.partial(i) for i in range(20)),
-    )
-
-
-def o2_jacobian(b: BElement) -> np.ndarray:
-    """Exact 2x20 Jacobian of (F1, F2) at b."""
-    g1, g2 = _gradients(b.p)
-    return np.array(
-        [[g.evaluate(b.coords) for g in g1], [g.evaluate(b.coords) for g in g2]],
-        dtype=np.int64,
-    )
-
-
-def sing_o2_member(b: BElement) -> bool:
-    if not o2_member(b):
-        return False
-    return linalg.rank(o2_jacobian(b), b.p) <= 1
-
-
-def o5_sample(rng: Rng, p: int) -> BElement:
-    """Sample the 15-parameter family behind the O5 stratum.
-
-    Draws a line (alpha:beta) in A2, a plane U2 in A7/A2 with lifted basis
-    (u1, u2), a 5-coordinate vector v, a lift combination u and a scalar t,
-    and returns the image of l ^ v + m ^ u + t * u1 ^ u2, where m
-    completes l to a basis of A2.
-    """
-    idx = rng.below(p + 1)
-    if idx < p:
-        alpha, beta = 1, idx
-    else:
-        alpha, beta = 0, 1
-    ell = np.zeros(7, dtype=np.int64)
-    ell[0], ell[1] = alpha, beta
-    m_vec = np.zeros(7, dtype=np.int64)
-    if alpha != 0:
-        m_vec[1] = 1
-    else:
-        m_vec[0] = 1
-
-    u1 = np.zeros(7, dtype=np.int64)
-    u2 = np.zeros(7, dtype=np.int64)
-    plane = None
-    while plane is None or plane.dim != 2:
-        plane = Subspace.from_rows(rng.matrix(2, 5, p), 5, p)
-    u1[2:], u2[2:] = plane.basis[0], plane.basis[1]
-
-    v = np.zeros(7, dtype=np.int64)
-    v[2:] = rng.ints(5, p)
-    y1, y2 = rng.below(p), rng.below(p)
-    u = (y1 * u1 + y2 * u2) % p
-    t = rng.below(p)
-    total = (wedge(ell, v, p) + wedge(m_vec, u, p) + t * wedge(u1, u2, p)) % p
-    return project_to_B(total, p)
-
-
 def o5_parametrization(p: int) -> list[Poly]:
-    """The 20 coordinate polynomials of the chart alpha = 1 of o5_sample.
+    """The 20 coordinates of the 15-parameter family behind the O5 stratum.
 
-    Parameters (15): s = beta; six chart coordinates of the plane
-    (u1 = a_3 + c11 a_5 + c12 a_6 + c13 a_7, u2 = a_4 + c21 a_5 + ...);
-    five coordinates of v; the two lift coefficients y1, y2; and t.
+    The family is the image in B of l ^ v + a_2 ^ u + t * u1 ^ u2, with
+    l = a_1 + s a_2 (the chart alpha = 1 of a line (alpha : beta) in A2).
+    Parameters (15): s; six chart coordinates of the plane spanned by
+    u1 = a_3 + c11 a_5 + c12 a_6 + c13 a_7 and u2 = a_4 + c21 a_5 + ...;
+    five coordinates of v in A7/A2; the lift coefficients y1, y2 of
+    u = y1 u1 + y2 u2; and t.
     """
     nv = 15
     var = lambda i: Poly.variable(i, nv, p)

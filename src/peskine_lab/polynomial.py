@@ -1,15 +1,21 @@
-"""Sparse multivariate polynomials over F_p.
+"""Sparse multivariate polynomials over F_p, and the two jobs done on forms.
 
 Monomials are stored as sorted tuples of variable indices with repetition
 (so x0^2 x3 is (0, 0, 3) and the constant monomial is ()).  Degrees stay
-tiny here (at most 3 in up to 21 variables), so a dict-backed sparse
+tiny here (at most 4 in up to 20 variables), so a dict-backed sparse
 representation with exact arithmetic is plenty.
+
+Building a form from its values is `interpolate_form`, and
+differentiating one is `jacobian`, the batched Jacobian of a polynomial
+map; both serve every caller in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
+from typing import Callable
 
 import numpy as np
 
@@ -46,14 +52,8 @@ class Poly:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         return max((len(m) for m, _ in self.terms), default=0)
-
-    def uses_variable(self, i: int) -> bool:
-        return any(i in m for m, _ in self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -102,7 +102,19 @@ class Poly:
         return total
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Values on a (B, nvars) batch of points.
+        """Values on a (B, nvars) batch of points."""
+        return self._values(np.ascontiguousarray(points.T, dtype=np.int64) % self.p)
+
+    @cached_property
+    def _partials(self) -> tuple["Poly", ...]:
+        return tuple(self.partial(i) for i in range(self.nvars))
+
+    @cached_property
+    def _delayed(self) -> bool:
+        return linalg.products_fit_int64(self.p, self.total_degree() + 1, len(self.terms))
+
+    def _values(self, coords: np.ndarray) -> np.ndarray:
+        """Values at the columns of a reduced (nvars, B) coordinate array.
 
         Each term is its coefficient times at most total_degree()
         coordinates, all in [0, p).  While (p - 1)^(degree + 1) * terms
@@ -110,9 +122,7 @@ class Poly:
         reduced once at the end; above that bound every product is
         reduced after each factor.
         """
-        p = self.p
-        delayed = linalg.products_fit_int64(p, self.total_degree() + 1, len(self.terms))
-        coords = np.ascontiguousarray(points.T, dtype=np.int64) % p
+        p, delayed = self.p, self._delayed
         out = np.zeros(coords.shape[1], dtype=np.int64)
         for m, c in self.terms:
             term = c
@@ -128,16 +138,67 @@ class Poly:
             raise ValueError("polynomials live in different rings")
 
 
-def jacobian_matrix(polys: list[Poly], point) -> np.ndarray:
-    """Exact Jacobian of a polynomial map at a point, rows = components."""
+def jacobian(polys: list[Poly], points: np.ndarray) -> np.ndarray:
+    """Jacobian matrices of a polynomial map at a (B, nvars) batch of points.
+
+    Entry [b, r, i] is the partial derivative of polys[r] in variable i
+    at points[b]; the shape is (B, len(polys), nvars).  The partials are
+    built once per Poly and all evaluated on one transposed copy of the
+    points.
+    """
     if not polys:
         raise ValueError("need at least one polynomial")
-    p = polys[0].p
-    n = polys[0].nvars
-    rows = []
-    for f in polys:
-        rows.append([f.partial(i).evaluate(point) for i in range(n)])
-    return np.array(rows, dtype=np.int64) % p
+    p, nvars = polys[0].p, polys[0].nvars
+    coords = np.ascontiguousarray(points.T, dtype=np.int64) % p
+    out = np.empty((points.shape[0], len(polys), nvars), dtype=np.int64)
+    for r, f in enumerate(polys):
+        for i, g in enumerate(f._partials):
+            out[:, r, i] = g._values(coords)
+    return out
+
+
+def interpolate_form(
+    value: Callable[[np.ndarray], int | None],
+    rng,
+    nvars: int,
+    degree: int,
+    surplus: int,
+    p: int,
+) -> np.ndarray:
+    """Coefficients of a form of `degree` in `nvars` variables, from its values.
+
+    Nodes c are drawn one at a time by `rng.ints(nvars, p)`; `value(c)` is
+    the form's value at c, or None to skip the node.  One node per
+    monomial plus `surplus` more make the solve overdetermined, so the
+    surplus nodes check the fit.  Returns the coefficients in
+    `monomials_of_degree(nvars, degree)` order.  Raises ValueError when
+    the field is too small, when 40 draws per monomial do not give enough
+    nodes, or when the nodes are not in general position or their values
+    fit no such form.
+    """
+    monos = np.array(monomials_of_degree(nvars, degree), dtype=np.int64).reshape(-1, degree)
+    count = len(monos)
+    if p**nvars < 4 * count:
+        raise ValueError(f"field with p = {p} is too small for stable interpolation")
+    nodes, vals = [], []
+    for _ in range(40 * count):
+        c = rng.ints(nvars, p)
+        v = value(c)
+        if v is not None:
+            nodes.append(c)
+            vals.append(v)
+            if len(nodes) == count + surplus:
+                break
+    else:
+        raise ValueError("interpolation nodes kept degenerating")
+    nodes = np.array(nodes)
+    rows = np.ones((len(nodes), count), dtype=np.int64)
+    for k in range(degree):
+        rows = rows * nodes[:, monos[:, k]] % p
+    red, pivots = linalg.rref(np.column_stack([rows, np.array(vals, dtype=np.int64)]), p)
+    if pivots != tuple(range(count)):
+        raise ValueError("interpolation nodes are degenerate or their values fit no form")
+    return red[:, count]
 
 
 def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:

@@ -62,9 +62,6 @@ class Rng:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        return items[self.below(len(items))]
-
     def child(self, label: str) -> "Rng":
         """Independent stream derived from a label; stable across runs."""
         return Rng(_mix(self._state ^ _fnv1a(label)))

@@ -13,7 +13,9 @@ cascade of principal Pfaffian minors discards most points cheaply, the
 survivors get the exact rank, and the result is the rank capped just
 above the bound, which is exact wherever that cap is a proven maximum.
 `rank_drop_mask` is its mask on the family of contractions of a
-trivector.
+trivector, and `family_pfaffian` its symbolic twin: a principal
+Pfaffian of the same family, expanded over the same matching table into
+a polynomial in the family's coordinates.
 Results are exact at every admitted prime: products go through
 `linalg.mat_mul`, elementwise products of two reduced entries fit
 int64, and the Pfaffian kernel delays its reduction mod p only while
@@ -36,6 +38,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import linalg
+from .polynomial import Poly
 from .rng import Rng
 from .trivector import Trivector, perfect_matchings
 
@@ -89,6 +92,24 @@ def projective_chunks(d: int, p: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np
             if free:
                 block[:, pivot + 1 :] = tail
             yield block
+
+
+def projective_rep(c: np.ndarray, p: int):
+    """Scale so the first nonzero coordinate is 1.
+
+    One vector gives a tuple; a (B, k) batch gives the (B, k) array of
+    scaled rows.
+    """
+    c = linalg.as_field(c, p)
+    rows = c.reshape(-1, c.shape[-1])
+    nonzero = rows != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("zero vector has no projective representative")
+    lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
+    scaled = rows * _inverses(lead, p)[:, None] % p
+    if c.ndim == 1:
+        return tuple(int(v) for v in scaled[0])
+    return scaled
 
 
 def batched_contract1(sigma: Trivector, points: np.ndarray) -> np.ndarray:
@@ -339,6 +360,40 @@ def family_ranks(flat: np.ndarray, points: np.ndarray, bound: int, p: int) -> np
         mats = linalg.mat_mul(pts, flat, p).reshape(len(pts), m, m)
         ranks[alive] = np.minimum(batched_rank(mats, p), size)
     return ranks
+
+
+def family_pfaffian(flat: np.ndarray, subset: tuple[int, ...], p: int) -> Poly:
+    """Pfaffian of the principal minor on `subset`, as a polynomial on the family.
+
+    The symbolic twin of `family_ranks`: `flat` is the same (d, m * m)
+    family, and the result is the form of degree len(subset) / 2 in d
+    variables whose value at u is the Pfaffian of `u @ flat` reshaped to
+    (m, m), restricted to `subset`.  Every signed perfect matching of the
+    `_matching_terms` table multiplies out its pair columns, each a
+    linear form kept as a dict over its nonzero entries.  Same convention
+    as `trivector.pfaffian`: 1 on the empty subset, 0 on an odd one.
+    """
+    d = flat.shape[0]
+    m = isqrt(flat.shape[1])
+    acc: dict[tuple[int, ...], int] = {}
+    if len(subset) % 2:
+        return Poly.from_dict(acc, d, p)
+    forms = [
+        [(k, int(c)) for k, c in enumerate(flat[:, i * m + j] % p) if c]
+        for i, j in combinations(subset, 2)
+    ]
+    for positive, cols in _matching_terms(len(subset)):
+        terms = {(): 1 if positive else -1}
+        for c in cols:
+            grown: dict[tuple[int, ...], int] = {}
+            for mono, a in terms.items():
+                for k, b in forms[c]:
+                    key = tuple(sorted(mono + (k,)))
+                    grown[key] = grown.get(key, 0) + a * b
+            terms = grown
+        for mono, a in terms.items():
+            acc[mono] = acc.get(mono, 0) + a
+    return Poly.from_dict(acc, d, p)
 
 
 def rank_drop_mask(sigma: Trivector, points: np.ndarray, bound: int) -> np.ndarray:

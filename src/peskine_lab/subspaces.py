@@ -1,8 +1,8 @@
 """Linear subspaces of F_p^n with canonical representatives.
 
 A :class:`Subspace` stores the reduced row echelon basis of its row space,
-so two objects describe the same subspace iff they compare equal.  Meets
-and joins are exact; `quotient_coords` gives coordinates in V/W against the
+so two objects describe the same subspace iff they compare equal.  Joins
+are exact; `quotient_coords` gives coordinates in V/W against the
 canonical complement spanned by the standard basis vectors at the non-pivot
 columns of W.
 """
@@ -14,12 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -40,7 +34,7 @@ class Subspace:
         if arr.shape[1] != n:
             raise ValueError(f"rows have {arr.shape[1]} columns, ambient is {n}")
         red, piv = linalg.rref(arr, p)
-        return cls(p=p, n=n, basis=_freeze(red), pivots=piv)
+        return cls(p=p, n=n, basis=linalg.freeze(red), pivots=piv)
 
     @classmethod
     def zero(cls, n: int, p: int) -> "Subspace":
@@ -84,14 +78,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return all(self.contains_vector(row) for row in other.basis)
-
-    def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, computed through the dual: rows orthogonal to both
-        annihilators span the meet."""
-        self._check_compatible(other)
-        ann = np.vstack([self.annihilator(), other.annihilator()])
-        rows = linalg.kernel(ann, self.p) if ann.shape[0] else np.eye(self.n, dtype=np.int64)
-        return Subspace.from_rows(rows, self.n, self.p)
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -164,19 +150,6 @@ def complement_rows(space: Subspace, sub: Subspace) -> list[np.ndarray]:
     return out
 
 
-def sample_subspace(rng, n: int, k: int, p: int) -> Subspace:
-    """Uniform k-dimensional subspace of F_p^n.
-
-    Draws a k x n matrix until it has full rank; row spaces of full-rank
-    matrices are equidistributed over the Grassmannian.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
-        return Subspace.zero(n, p)
-    return Subspace.from_rows(linalg.sample_full_rank(rng, k, n, p), n, p)
-
-
 def rref_bases(n: int, k: int, p: int):
     """Yield the rref bases of every k-dimensional subspace of F_p^n.
 
@@ -202,18 +175,7 @@ def all_subspaces(n: int, k: int, p: int):
     """Yield every k-dimensional subspace of F_p^n once, via rref cells."""
     for piv, bases in rref_bases(n, k, p):
         for basis in bases:
-            yield Subspace(p=p, n=n, basis=_freeze(basis), pivots=piv)
-
-
-def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n."""
-    if not 0 <= k <= n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (k - i) - 1
-    return num // den
+            yield Subspace(p=p, n=n, basis=linalg.freeze(basis), pivots=piv)
 
 
 @dataclass(frozen=True)

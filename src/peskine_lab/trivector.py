@@ -30,12 +30,6 @@ def triple_index(n: int) -> dict[tuple[int, int, int], int]:
     return {t: i for i, t in enumerate(triples(n))}
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SkewForm:
     """Skew-symmetric matrix over F_p (zero diagonal enforced)."""
@@ -52,7 +46,7 @@ class SkewForm:
 
     @classmethod
     def from_matrix(cls, mat, p: int) -> "SkewForm":
-        return cls(p=p, mat=_freeze(linalg.as_field(mat, p)))
+        return cls(p=p, mat=linalg.freeze(linalg.as_field(mat, p)))
 
     @property
     def n(self) -> int:
@@ -71,14 +65,6 @@ class SkewForm:
 
     def kernel(self) -> Subspace:
         return Subspace.from_rows(linalg.kernel(self.mat, self.p), self.n, self.p)
-
-    def pfaffian(self) -> int:
-        return pfaffian(self.mat, self.p)
-
-    def apply(self, u, v) -> int:
-        u = linalg.as_field(u, self.p)
-        v = linalg.as_field(v, self.p)
-        return int(linalg.mat_mul(linalg.mat_mul(u, self.mat, self.p), v, self.p))
 
     def restrict(self, s: Subspace) -> "SkewForm":
         return restrict_skew(self, s)
@@ -176,7 +162,7 @@ class Trivector:
 
     @classmethod
     def from_coeffs(cls, coeffs, n: int, p: int) -> "Trivector":
-        return cls(p=p, n=n, coeffs=_freeze(linalg.as_field(coeffs, p)))
+        return cls(p=p, n=n, coeffs=linalg.freeze(linalg.as_field(coeffs, p)))
 
     @classmethod
     def zero(cls, n: int, p: int) -> "Trivector":
@@ -193,15 +179,6 @@ class Trivector:
 
     def __hash__(self) -> int:
         return hash((self.p, self.n, self.coeffs.tobytes()))
-
-    def coeff(self, i: int, j: int, k: int) -> int:
-        """Coefficient on e_i ^ e_j ^ e_k for any distinct i, j, k, with sign."""
-        if len({i, j, k}) < 3:
-            return 0
-        order = sorted((i, j, k))
-        sign = _perm_sign((i, j, k))
-        c = int(self.coeffs[triple_index(self.n)[tuple(order)]])
-        return c * sign % self.p
 
     @cached_property
     def tensor(self) -> np.ndarray:
@@ -250,21 +227,3 @@ class Trivector:
             t = linalg.mat_mul(h.T, t.reshape(n, n * n), p).reshape(n, n, n).transpose(1, 2, 0)
         coeffs = [t[i, j, k] for (i, j, k) in triples(self.n)]
         return Trivector.from_coeffs(np.array(coeffs, dtype=np.int64), self.n, self.p)
-
-    def add(self, other: "Trivector") -> "Trivector":
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("trivectors live on different spaces")
-        return Trivector.from_coeffs((self.coeffs + other.coeffs) % self.p, self.n, self.p)
-
-    def scale(self, c: int) -> "Trivector":
-        return Trivector.from_coeffs(self.coeffs * (c % self.p) % self.p, self.n, self.p)
-
-
-def _perm_sign(seq) -> int:
-    sign = 1
-    seq = list(seq)
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign

@@ -13,6 +13,7 @@ from peskine_lab.loci import (
     _batched_quartic_eval,
     _grid_quartic_zeros,
     _power_table,
+    _quotient_pfaffian_at,
     conic_fiber,
     cubic_from_pfaffian,
     dv_member,
@@ -129,7 +130,7 @@ def test_cubicform_validation():
     coeffs[0] = 1
     cf = CubicForm.from_coefficients(coeffs, 7)
     assert cf.is_cubic()
-    assert np.array_equal(cf.coefficients(), coeffs)
+    assert cf.poly.as_dict() == {monos[0]: 1}
     with pytest.raises(ValueError):
         CubicForm.from_coefficients(coeffs[:-1], 7)
 
@@ -149,8 +150,24 @@ def test_cubic_from_pfaffian_matches_pointwise():
         if Subspace.from_rows(np.vstack([u, v1]), 10, p).dim < 2:
             continue
         want = pfaffian_mod_radical(samp.sigma.contract1(u).mat, u, v1, p)
-        assert cubic.evaluate(c) == want
+        assert cubic.poly.evaluate(c) == want
         checked += 1
+
+
+def test_cubic_from_pfaffian_at_largest_prime():
+    # The node images c @ b6 go through exact products at p = 2^31 - 1, so
+    # the interpolated cubic agrees with the quotient Pfaffians at fresh nodes.
+    p = 2**31 - 1
+    samp = sample_divisor(Rng(63), "d1-6-10", p)
+    cubic = cubic_from_pfaffian(samp.sigma, samp.flag)
+    assert cubic.is_cubic()
+    v1 = samp.flag[0].basis[0]
+    b6 = samp.flag[1].basis.astype(object)
+    rng = Rng(64)
+    for _ in range(3):
+        c = rng.ints(6, p)
+        u = (c.astype(object) @ b6 % p).astype(np.int64)
+        assert cubic.poly.evaluate(c) == _quotient_pfaffian_at(samp.sigma, u, v1)
 
 
 def test_cubic_zero_set_is_rank_drop():
@@ -166,7 +183,7 @@ def test_cubic_zero_set_is_rank_drop():
         if Subspace.from_rows(np.vstack([u, v1]), 10, p).dim < 2:
             continue
         rank = samp.sigma.contract1(u).rank()
-        assert (cubic.evaluate(c) == 0) == (rank <= 6)
+        assert (cubic.poly.evaluate(c) == 0) == (rank <= 6)
 
 
 def test_cubic_singularity_probe_is_gradient():

@@ -4,27 +4,34 @@ import numpy as np
 import pytest
 
 from peskine_lab import linalg
+from peskine_lab.checks import o2_predicate, sing_o2_predicate
 from peskine_lab.orbits import (
+    PAIRS_B,
     BElement,
-    o2_jacobian,
-    o2_member,
     o5_constructed_sample,
     o5_decompose,
     o5_parametrization,
     o5_reconstruct,
-    o5_sample,
     o5_sufficient_member,
     pencil_cubics,
     pf_mod_line,
     project_to_B,
-    sing_o2_member,
     wedge,
 )
+from peskine_lab.polynomial import jacobian
 from peskine_lab.rng import Rng
 
 
 def random_b(rng, p):
     return BElement.from_coords(rng.ints(20, p), p)
+
+
+def on_o2(b):
+    return bool(o2_predicate(b.p).test_batch(b.coords[None])[0])
+
+
+def on_sing_o2(b):
+    return bool(sing_o2_predicate(b.p).test_batch(b.coords[None])[0])
 
 
 def rank2_b(rng, p):
@@ -37,10 +44,11 @@ def test_belement_entries():
     p = 7
     coords = np.arange(1, 21, dtype=np.int64) % p
     b = BElement.from_coords(coords, p)
-    assert b.entry(1, 2) == 0
-    assert b.entry(2, 1) == 0
-    assert b.entry(3, 4) == (-b.entry(4, 3)) % p
-    assert b.entry(5, 5) == 0
+    m = b.lift()
+    assert m[0, 1] == 0 and m[1, 0] == 0  # the killed pair
+    assert m[2, 3] == coords[PAIRS_B.index((3, 4))]
+    assert m[3, 2] == (-m[2, 3]) % p
+    assert not np.diag(m).any()
     m = b.lift(4)
     assert m[0, 1] == 4 and m[1, 0] == 3  # -4 mod 7
     assert ((m + m.T) % p == 0).all()
@@ -122,7 +130,7 @@ def test_rank2_elements_lie_on_o2():
     p = 7
     for _ in range(20):
         b = rank2_b(rng, p)
-        assert o2_member(b)
+        assert on_o2(b)
         for alpha, beta in ((0, 1), (1, 0), (2, 5)):
             assert pf_mod_line(b, alpha, beta) == 0
 
@@ -130,7 +138,7 @@ def test_rank2_elements_lie_on_o2():
 def test_generic_elements_mostly_off_o2():
     rng = Rng(76)
     p = 101
-    hits = sum(o2_member(random_b(rng, p)) for _ in range(50))
+    hits = sum(on_o2(random_b(rng, p)) for _ in range(50))
     assert hits <= 2
 
 
@@ -142,7 +150,8 @@ def test_o2_jacobian_is_directional_derivative():
     f1, f2 = pencil_cubics(p)
     b = random_b(rng, p)
     h = rng.ints(20, p)
-    jac = o2_jacobian(b)
+    jac = jacobian([f1, f2], b.coords[None])[0]
+    assert jac.shape == (2, 20)
     vander = np.array([[t**k % p for k in range(4)] for t in range(4)], dtype=np.int64)
     for row, f in ((0, f1), (1, f2)):
         vals = np.array(
@@ -154,25 +163,22 @@ def test_o2_jacobian_is_directional_derivative():
 
 def test_sing_o2_zero_element():
     b = BElement.zero(7)
-    assert o2_member(b)
-    assert sing_o2_member(b)
-    assert not (o2_jacobian(b) % 7).any()
+    assert on_o2(b)
+    assert on_sing_o2(b)
+    assert not jacobian(list(pencil_cubics(7)), b.coords[None]).any()
 
 
 def test_sing_o2_needs_membership():
+    # Random elements, and rank-2 elements, where both cubics and their
+    # gradients (4 x 4 sub-Pfaffians) vanish: sing-O2 implies O2.
     rng = Rng(78)
-    p = 101
-    b = random_b(rng, p)
-    if not o2_member(b):
-        assert not sing_o2_member(b)
-
-
-def test_o5_sample_mod_a2_rank():
-    rng = Rng(79)
     p = 7
-    for _ in range(20):
-        b = o5_sample(rng, p)
-        assert linalg.rank(b.mod_a2_block(), p) <= 2
+    block = np.vstack([rng.matrix(200, 20, p)] + [rank2_b(rng, p).coords for _ in range(20)])
+    on = o2_predicate(p).test_batch(block)
+    sing = sing_o2_predicate(p).test_batch(block)
+    assert on[200:].all() and sing[200:].all()
+    assert not (sing & ~on).any()
+    assert (on & ~sing)[:200].any()  # smooth points of O2 among the random ones
 
 
 def test_o5_constructed_sample_properties():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peskine_lab import linalg
-from peskine_lab.polynomial import Poly, jacobian_matrix, monomials_of_degree
+from peskine_lab.polynomial import Poly, interpolate_form, jacobian, monomials_of_degree
 from peskine_lab.rng import Rng
 
 ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
@@ -44,7 +44,8 @@ def test_evaluate_batch_matches_scalar():
 )
 def test_evaluate_batch_matches_python_ints(seed, p, nterms, degree):
     # Random terms of degree <= `degree` in 5 variables, evaluated at random
-    # points and at (p - 1, ..., p - 1), where every factor is largest.
+    # points and at (p - 1, ..., p - 1), where every factor is largest; the
+    # Jacobian of (f, f^2 + x0) entry by entry against each partial.
     rng = Rng(seed)
     terms = {}
     for _ in range(nterms):
@@ -53,6 +54,11 @@ def test_evaluate_batch_matches_python_ints(seed, p, nterms, degree):
     f = Poly.from_dict(terms, nvars=5, p=p)
     pts = np.vstack([rng.matrix(6, 5, p), np.full((1, 5), p - 1)])
     assert f.evaluate_batch(pts).tolist() == [f.evaluate(x) for x in pts]
+    polys = [f, f * f + Poly.variable(0, 5, p)]
+    jac = jacobian(polys, pts)
+    assert jac.shape == (len(pts), 2, 5)
+    want = [[[g.partial(i).evaluate(x) for i in range(5)] for g in polys] for x in pts]
+    assert jac.tolist() == want
 
 
 @pytest.mark.parametrize("p", CUBIC_BOUND_PRIMES)
@@ -95,16 +101,11 @@ def test_partial():
 def test_total_degree_and_zero():
     f = xy_poly()
     assert f.total_degree() == 3
-    assert not f.is_zero()
+    assert f.terms
     z = Poly.constant(0, 2, 7)
-    assert z.is_zero()
+    assert not z.terms
+    assert z.total_degree() == 0
     assert Poly.constant(3, 2, 7).total_degree() == 0
-
-
-def test_uses_variable():
-    f = Poly.from_dict({(0, 1): 2}, nvars=3, p=7)
-    assert f.uses_variable(0) and f.uses_variable(1)
-    assert not f.uses_variable(2)
 
 
 def test_variable_and_scale():
@@ -122,9 +123,9 @@ def test_jacobian_matrix():
     p = 7
     f = Poly.from_dict({(0, 0): 1}, nvars=2, p=p)  # x0^2
     g = Poly.from_dict({(0, 1): 1}, nvars=2, p=p)  # x0 x1
-    jac = jacobian_matrix([f, g], [3, 4])
-    # rows: gradients at (3, 4): (2*3, 0) and (4, 3)
-    assert jac.tolist() == [[6, 0], [4, 3]]
+    jac = jacobian([f, g], np.array([[3, 4], [0, 0]]))
+    # rows: gradients at (3, 4): (2*3, 0) and (4, 3); all zero at the origin
+    assert jac.tolist() == [[[6, 0], [4, 3]], [[0, 0], [0, 0]]]
 
 
 def test_monomials_of_degree():
@@ -132,3 +133,32 @@ def test_monomials_of_degree():
     assert len(monos) == 6
     assert all(len(m) == 2 for m in monos)
     assert len(set(monos)) == 6
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_interpolate_form_recovers_a_form(p):
+    # A planted cubic in 4 variables comes back coefficient for coefficient;
+    # skipped nodes are not used.
+    monos = monomials_of_degree(4, 3)
+    want = Rng(5).ints(len(monos), p)
+    form = Poly.from_dict(dict(zip(monos, want.tolist())), 4, p)
+    seen = []
+
+    def value(c):
+        if c[0] % 2:
+            return None
+        seen.append(c)
+        return form.evaluate(c)
+
+    got = interpolate_form(value, Rng(6), 4, 3, 5, p)
+    assert got.tolist() == want.tolist()
+    assert len(seen) == len(monos) + 5
+
+
+def test_interpolate_form_rejects_values_of_no_form():
+    # A quartic is no cubic: the surplus nodes find the misfit.
+    quartic = Poly.from_dict({(0, 0, 1, 1): 1}, 3, 7)
+    with pytest.raises(ValueError):
+        interpolate_form(quartic.evaluate, Rng(7), 3, 3, 10, 7)
+    with pytest.raises(ValueError, match="kept degenerating"):
+        interpolate_form(lambda c: None, Rng(8), 3, 3, 10, 7)

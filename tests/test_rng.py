@@ -47,10 +47,3 @@ def test_shuffle_permutes():
     rng.shuffle(shuffled)
     assert sorted(shuffled) == items
     assert shuffled != items
-
-
-def test_choice_members():
-    rng = Rng(5)
-    pool = ["a", "b", "c"]
-    picks = {rng.choice(pool) for _ in range(50)}
-    assert picks == set(pool)

@@ -17,6 +17,7 @@ from peskine_lab.scan import (
     batched_kernel,
     batched_pfaffian_minors,
     batched_rank,
+    family_pfaffian,
     family_ranks,
     inverse_table,
     projective_chunks,
@@ -244,6 +245,43 @@ def test_family_ranks_match_batched_rank(seed, p, m, bound, kind):
     ranks = family_ranks(flat, pts, bound, p)
     assert ranks.tolist() == np.minimum(exact, bound + 2).tolist()
     assert ranks[-1] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(ADMITTED_PRIMES),
+    st.sampled_from([8, 9]),
+    st.integers(2, 8),
+)
+def test_family_pfaffian_matches_pfaffian(seed, p, m, size):
+    """The symbolic principal Pfaffian of a linear family of skew forms.
+
+    At random points and at the zero point its value is the Pfaffian of
+    the minor of u @ flat on the subset; it is a form of degree size / 2,
+    and zero on odd subsets.
+    """
+    rng = Rng(seed)
+    d = 4
+    forms = []
+    for _ in range(d):
+        raw = rng.matrix(m, m, p)
+        forms.append((raw - raw.T) % p)
+    flat = np.stack(forms).reshape(d, m * m)
+    pool = list(range(m))
+    rng.shuffle(pool)
+    subset = tuple(sorted(pool[:size]))
+    poly = family_pfaffian(flat, subset, p)
+    assert poly.nvars == d
+    assert all(len(mono) == size // 2 for mono, _ in poly.terms)
+    assert size % 2 == 0 or not poly.terms
+    pts = np.vstack([rng.matrix(5, d, p), np.zeros((1, d), dtype=np.int64)])
+    want = [
+        pfaffian(linalg.mat_mul(u, flat, p).reshape(m, m)[np.ix_(subset, subset)], p)
+        for u in pts
+    ]
+    assert [poly.evaluate(u) for u in pts] == want
+    assert poly.evaluate_batch(pts).tolist() == want
 
 
 @pytest.mark.parametrize("threads", [1, 4])

@@ -4,15 +4,30 @@ import numpy as np
 import pytest
 
 from peskine_lab import linalg
-from peskine_lab.subspaces import (
-    Flag,
-    Subspace,
-    all_subspaces,
-    complement_rows,
-    gaussian_binomial,
-    rref_bases,
-    sample_subspace,
-)
+from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows, rref_bases
+
+
+def sample_subspace(rng, n, k, p):
+    """Uniform k-dimensional subspace of F_p^n: the row space of a random
+    full-rank k x n matrix."""
+    if k == 0:
+        return Subspace.zero(n, p)
+    return Subspace.from_rows(linalg.sample_full_rank(rng, k, n, p), n, p)
+
+
+def gaussian_binomial(n, k, p):
+    """Number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (k - i) - 1
+    return num // den
+
+
+def meet(a, b):
+    """Intersection through the dual: rows orthogonal to both annihilators."""
+    ann = np.vstack([a.annihilator(), b.annihilator()])
+    return Subspace.from_rows(linalg.kernel(ann, a.p), a.n, a.p)
 
 
 def test_from_rows_canonicalizes():
@@ -40,11 +55,11 @@ def test_meet_join_dims(rng):
     for _ in range(20):
         a = sample_subspace(rng, 6, 3, p)
         b = sample_subspace(rng, 6, 4, p)
-        meet = a.meet(b)
+        meet_ab = meet(a, b)
         join = a.join(b)
-        assert meet.dim + join.dim == a.dim + b.dim
+        assert meet_ab.dim + join.dim == a.dim + b.dim
         assert join.contains(a) and join.contains(b)
-        assert a.contains(meet) and b.contains(meet)
+        assert a.contains(meet_ab) and b.contains(meet_ab)
 
 
 def test_annihilator(rng):

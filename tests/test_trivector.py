@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from peskine_lab import linalg
 from peskine_lab.rng import Rng
 from peskine_lab.scan import batched_contract1, batched_rank
+from peskine_lab.subspaces import Subspace
 from peskine_lab.trivector import (
     SkewForm,
     Trivector,
@@ -83,35 +84,45 @@ def test_skew_rank_even(rng):
 
 
 def test_skewform_apply_and_kernel(rng):
+    # The form applied to the rref basis (u, v) of a plane is the
+    # restriction [[0, w], [-w, 0]] with w = u M v.
     p = 7
     a = random_skew(rng, 6, p)
     form = SkewForm.from_matrix(a, p)
-    u = rng.ints(6, p)
-    v = rng.ints(6, p)
-    assert form.apply(u, v) == int(u @ a @ v % p)
-    assert form.apply(u, v) == (-form.apply(v, u)) % p
+    plane = Subspace.from_rows(rng.matrix(2, 6, p), 6, p)
+    u, v = plane.basis
+    w = int(u @ a @ v % p)
+    assert form.restrict(plane).mat.tolist() == [[0, w], [(-w) % p, 0]]
     ker = form.kernel()
     assert ker.dim == 6 - form.rank()
+    assert not (ker.basis @ a % p).any()
 
 
 def test_skewform_apply_exact_at_largest_prime():
-    # Python-int value: (p - 1) * 3 (p - 1)^2 = -3 mod p; int64 u @ M @ v wraps.
+    # Restricted to the plane of u = e0 and v = (0, 1, p - 1, p - 1, p - 1),
+    # the form's entry u M v is (p - 1) (1 + 3 (p - 1)) = 2 mod p in Python
+    # ints; the int64 sum u @ M @ v^T near 3 * 2^62 would wrap.
     p = 2**31 - 1
-    m = np.zeros((4, 4), dtype=np.int64)
+    m = np.zeros((5, 5), dtype=np.int64)
     m[0, 1:] = p - 1
     m[1:, 0] = 1
-    u = np.array([p - 1, 0, 0, 0])
-    v = np.array([0, p - 1, p - 1, p - 1])
-    want = int(sum(int(u[i]) * int(m[i, j]) * int(v[j]) for i in range(4) for j in range(4)) % p)
-    assert want == 2147483644
-    assert SkewForm.from_matrix(m, p).apply(u, v) == want
+    u = np.array([1, 0, 0, 0, 0])
+    v = np.array([0, 1, p - 1, p - 1, p - 1])
+    want = int(sum(int(u[i]) * int(m[i, j]) * int(v[j]) for i in range(5) for j in range(5)) % p)
+    assert want == 2
+    plane = Subspace.from_rows(np.vstack([u, v]), 5, p)
+    assert np.array_equal(plane.basis, np.vstack([u, v]))
+    assert SkewForm.from_matrix(m, p).restrict(plane).mat[0, 1] == want
 
 
 def test_trivector_coeff_antisymmetry(rng):
+    # The tensor carries every coefficient with the sign of its permutation.
     tri = Trivector.random(rng, 6, 7)
-    assert tri.coeff(0, 1, 2) == (-tri.coeff(1, 0, 2)) % 7
-    assert tri.coeff(2, 1, 2) == 0
-    assert tri.coeff(3, 4, 5) == tri.coeff(4, 5, 3)
+    t = tri.tensor
+    assert t[0, 1, 2] == tri.coeffs[triple_index(6)[(0, 1, 2)]]
+    assert t[0, 1, 2] == (-t[1, 0, 2]) % 7
+    assert t[2, 1, 2] == 0
+    assert t[3, 4, 5] == t[4, 5, 3]
 
 
 def test_eval3_multilinear(rng):
@@ -130,7 +141,7 @@ def test_contract1_matches_eval3(rng):
     tri = Trivector.random(rng, 6, p)
     u, v, w = (rng.ints(6, p) for _ in range(3))
     form = tri.contract1(u)
-    assert form.apply(v, w) == tri.eval3(u, v, w)
+    assert int(v @ form.mat @ w % p) == tri.eval3(u, v, w)
 
 
 def test_contract2_matches_eval3(rng):
@@ -186,9 +197,8 @@ def test_gl_transform_composition(rng):
 def test_add_scale_zero(rng):
     p = 7
     a = Trivector.random(rng, 6, p)
-    b = a.scale(p - 1)
-    assert not a.add(b).coeffs.any()
-    assert np.array_equal(a.scale(1).coeffs, a.coeffs)
+    negated = Trivector.from_coeffs(a.coeffs * (p - 1), 6, p)
+    assert Trivector.from_coeffs(a.coeffs + negated.coeffs, 6, p) == Trivector.zero(6, p)
     assert not Trivector.zero(6, p).coeffs.any()
 
 
