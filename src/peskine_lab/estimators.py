@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .polynomial import Poly, jacobian
-from .scan import affine_chunks, batched_rank, run_chunked
+from .scan import affine_image_chunks, batched_rank, run_chunked
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 20
@@ -74,14 +74,12 @@ def _slice_points(rng, d: int, pred: LocusPredicate, width: int) -> Iterator[np.
     """Image of all p^d parameters under a random affine-linear embedding.
 
     The embedding is drawn at once (matrix, then offset); the image comes
-    lazily, one `affine_chunks` block at a time, so a slice is never held
-    whole.
+    lazily, one `affine_image_chunks` block at a time, so a slice is never
+    held whole.
     """
     p = pred.p
     mat = linalg.sample_full_rank(rng, d, width, p) if d else np.zeros((0, width), np.int64)
-    offset = rng.ints(width, p)
-    tails = affine_chunks(d, p) if d else [np.zeros((1, 0), dtype=np.int64)]
-    return ((tail @ mat + offset) % p for tail in tails)
+    return affine_image_chunks(mat, rng.ints(width, p), p)
 
 
 def slice_dim_estimate(

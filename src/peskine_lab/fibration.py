@@ -28,6 +28,7 @@ from .orbits import BElement, project_to_B
 from .polynomial import interpolate_form, monomials_of_degree
 from .rng import Rng
 from .scan import (
+    affine_image_chunks,
     batched_contract1,
     batched_rank,
     family_ranks,
@@ -61,16 +62,9 @@ def omega_data(sigma: Trivector, flag: Flag) -> OmegaData:
 
     Raises when the form is degenerate (the caller should resample sigma).
     """
-    v6 = flag[1]
-    v1 = flag[0].basis[0]
-    pivots = v6.complement_pivots()
+    pivots = flag[1].complement_pivots()
     p = sigma.p
-    basis_vecs = np.zeros((4, sigma.n), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        basis_vecs[r, c] = 1
-    contracted = sigma.contract1(v1).mat
-    mat = basis_vecs @ contracted @ basis_vecs.T % p
-    form = SkewForm.from_matrix(mat, p)
+    form = SkewForm.from_matrix(sigma.contract1(flag[0].basis[0]).mat[np.ix_(pivots, pivots)], p)
     if form.rank() != 4:
         raise ValueError("descended two-form is degenerate; resample sigma")
     return OmegaData(flag=flag, complement_pivots=pivots, omega=form)
@@ -101,32 +95,32 @@ def sigma_prime_rank_scan(
     u7: Subspace,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized sweep of P(U7) minus P(V6).
+    """Vectorized sweep of P(U7) minus P(V6), as the affine chart d + V6.
 
-    Returns (points, full_ranks, prime_ranks): canonical representatives
-    in ambient coordinates, the rank of sigma(l, ., .) on the whole space,
-    and the rank of its restriction to U7perp (equal to the quotient rank).
+    Returns (points, full_ranks, prime_ranks): the p^6 representatives
+    d + t b6 (d the canonical complement row of V6 = <b6> in U7, t in
+    counter order), the rank of sigma(l, ., .) on the whole space, and the
+    rank of its restriction to U7perp (equal to the quotient rank).
 
-    Both forms are linear in the chart coordinates, so each rank comes
-    from `family_ranks` over one family.  The full rank is at most n - 2
-    (l lies in the kernel) and the restricted one at most 6 (l and v1 lie
-    in its radical), and these are exactly the caps of the bounds n - 4
-    and 4, so both ranks are exact.
+    Both forms are linear in the chart coordinates (t, 1) on the basis
+    (b6, d), so each rank comes from `family_ranks` over one family.  The
+    full rank is at most n - 2 (l lies in the kernel) and the restricted
+    one at most 6 (l and v1 lie in its radical), and these are exactly
+    the caps of the bounds n - 4 and 4, so both ranks are exact.
     """
     p, n = sigma.p, sigma.n
-    od = omega_data(sigma, flag)
-    b9 = u7_perp(od, u7).basis
-    full = linalg.mat_mul(u7.basis, sigma.tensor.reshape(n, n * n), p)
+    b9 = u7_perp(omega_data(sigma, flag), u7).basis
+    basis = np.vstack([flag[1].basis, complement_rows(u7, flag[1])])
+    full = linalg.mat_mul(basis, sigma.tensor.reshape(n, n * n), p)
     restricted = linalg.congruence(b9, full.reshape(7, n, n), p).reshape(7, -1)
-    ann6 = flag[1].annihilator()
+    # Rows (t, 1, d + t b6): the chart coordinates, then the point.
+    coords = np.hstack([np.eye(7, dtype=np.int64), basis])
 
     def work(block: np.ndarray):
-        pts = linalg.mat_mul(block, u7.basis, p)
-        off = linalg.mat_mul(pts, ann6.T, p).any(axis=1)
-        block = block[off]
-        return pts[off], family_ranks(full, block, n - 4, p), family_ranks(restricted, block, 4, p)
+        t = block[:, :7]
+        return block[:, 7:], family_ranks(full, t, n - 4, p), family_ranks(restricted, t, 4, p)
 
-    parts = run_chunked(work, projective_chunks(6, p), threads)
+    parts = run_chunked(work, affine_image_chunks(coords[:6], coords[6], p), threads)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -163,9 +157,10 @@ def thm21_fiber(
     if mode == "exhaustive":
         if p > 11:
             raise ValueError("exhaustive fiber scan is for enumeration primes")
-        grid = np.indices((p, p, p)).reshape(3, -1).T.astype(np.int64)
-        pts = (grid @ w + v) % p
-        hits = grid[rank_drop_mask(sigma, pts, sigma.n - 4)]
+        # Rows (a, v + a @ w): the chart coordinates, then the point.
+        coords = np.hstack([np.eye(4, 3, dtype=np.int64), np.vstack([w, v])])
+        rows = np.concatenate(list(affine_image_chunks(coords[:3], coords[3], p)))
+        hits = rows[rank_drop_mask(sigma, rows[:, 3:], sigma.n - 4), :3]
         return sorted(tuple(int(x) for x in row) for row in hits)
     if mode != "linear":
         raise ValueError(f"unknown mode {mode!r}")
@@ -190,9 +185,7 @@ def thm21_fiber(
         return [tuple(int(x) for x in particular)]
     if p ** len(hom) > 200_000:
         raise ValueError("fiber is positive-dimensional beyond the enumeration cap")
-    shape = (p,) * len(hom)
-    coeffs = np.indices(shape).reshape(len(hom), -1).T.astype(np.int64)
-    sols = (coeffs @ hom + particular) % p
+    sols = np.concatenate(list(affine_image_chunks(hom, particular, p)))
     return sorted(tuple(int(x) for x in row) for row in sols)
 
 
@@ -312,15 +305,10 @@ class QuadricPencil:
     degenerate: bool
 
     def value_at(self, c):
-        """(Q_A(c), Q_B(c)) as ints, or two arrays over the rows of a (B, 6) batch."""
+        """(Q_A(c), Q_B(c)) over the last axis: at one vector, or arrays over a (B, 6) batch."""
         p = self.p
         c = linalg.as_field(c, p)
-        values = tuple(
-            (linalg.mat_mul(c, q, p) * c % p).sum(axis=-1) % p for q in (self.q_a, self.q_b)
-        )
-        if c.ndim == 1:
-            return tuple(int(v) for v in values)
-        return values
+        return tuple((linalg.mat_mul(c, q, p) * c % p).sum(axis=-1) % p for q in (self.q_a, self.q_b))
 
     def member_rank(self, alpha: int, beta: int) -> int:
         mixed = (alpha * self.q_a + beta * self.q_b) % self.p
@@ -404,14 +392,11 @@ def fiber_profile(pencil: QuadricPencil) -> dict[str, int]:
     p = pencil.p
     sizes = {"points": 0, "rank0": 0, "rank1": 0, "rank2": 0}
     for block in projective_chunks(5, p):
-        va = np.einsum("bi,ij,bj->b", block, pencil.q_a, block) % p
-        vb = np.einsum("bi,ij,bj->b", block, pencil.q_b, block) % p
+        va, vb = pencil.value_at(block)
         hits = block[(va == 0) & (vb == 0)]
         if not len(hits):
             continue
-        grads = np.stack(
-            [hits @ pencil.q_a.T % p, hits @ pencil.q_b.T % p], axis=1
-        )
+        grads = np.stack([linalg.mat_mul(hits, q, p) for q in (pencil.q_a, pencil.q_b)], axis=1)
         ranks = batched_rank(grads, p)
         sizes["points"] += len(hits)
         for r in (0, 1, 2):
@@ -475,17 +460,13 @@ def dprime_rank2_test(sigma: Trivector, flag: Flag):
     p = sigma.p
     v1 = flag[0]
     v6 = flag[1]
-    pivots = v6.complement_pivots()
 
     def test_batch(points: np.ndarray) -> np.ndarray:
         out = np.zeros(len(points), dtype=bool)
         for idx, row in enumerate(points):
             t = row[:3]
             s = row[3:]
-            qcoords = np.zeros(4, dtype=np.int64)
-            qcoords[0] = 1
-            qcoords[1:] = t
-            direction = v6.lift_quotient(qcoords)
+            direction = v6.lift_quotient(np.concatenate([[1], t]))
             u7 = v6.join(Subspace.span_of(direction, n=sigma.n, p=p))
             rows = complement_rows(u7, v1)
             gen = (rows[0] + s @ np.array(rows[1:], dtype=np.int64)) % p

@@ -340,48 +340,31 @@ def _power_table(xs: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
-def _axis_transform(mat: np.ndarray, grid: np.ndarray, axis: int, p: int) -> np.ndarray:
-    """Apply `mat` along one axis of `grid` mod p, through `linalg.mat_mul`."""
-    moved = np.moveaxis(grid, axis, 0)
-    out = linalg.mat_mul(mat, moved.reshape(moved.shape[0], -1), p)
-    return np.moveaxis(out.reshape((mat.shape[0],) + moved.shape[1:]), 0, axis)
-
-
 def _grid_quartic_zeros(quartics: np.ndarray, base, dirs, p: int) -> np.ndarray:
     """Common-zero parameters of quartic forms on an affine grid, (H, m).
 
     The grid is base + t @ dirs over all t in F_p^m.  Each form restricts
     to a polynomial of degree <= 4 per t-coordinate, so its values on the
-    whole grid follow from 5^m interpolation nodes by per-axis Vandermonde
-    transforms; everything stays exact mod p at every admitted prime.
+    whole grid follow from its values at the 5^m nodes {0..4}^m
+    (`scan.affine_chunks(m, 5)`) by one (p x 5) Vandermonde transform per
+    axis.  The forms axis stays first; each transform acts on the leading
+    t-axis and appends its image last, so after m of them the values are
+    back in counter order, contiguous.  Exact at every admitted prime.
     """
     m = len(dirs)
     forms = quartics.shape[1]
     if m == 0:
         vals = _batched_quartic_eval(np.asarray(base, dtype=np.int64)[None, :], quartics, p)
         return np.zeros((1, 0), dtype=np.int64) if not vals.any() else np.zeros((0, 0), np.int64)
-    nodes = np.stack(
-        np.meshgrid(*([np.arange(5)] * m), indexing="ij"), axis=-1
-    ).reshape(-1, m)
-    pts = (nodes @ dirs + base) % p
-    grid = _batched_quartic_eval(pts, quartics, p).reshape((5,) * m + (forms,))
-    small_inv = linalg.inverse(_power_table(np.arange(5) % p, p), p)
-    for axis in range(m):
-        grid = _axis_transform(small_inv, grid, axis, p)
-    big = _power_table(np.arange(p), p)
-    for axis in range(m):
-        grid = _axis_transform(big, grid, axis, p)
-    flat = grid.reshape(-1, forms)
-    hit = ~flat.any(axis=1)
-    if not hit.any():
-        return np.zeros((0, m), dtype=np.int64)
-    idx = np.flatnonzero(hit)
-    out = np.empty((len(idx), m), dtype=np.int64)
-    rem = idx.copy()
-    for c in range(m - 1, -1, -1):
-        out[:, c] = rem % p
-        rem //= p
-    return out
+    nodes = np.concatenate(list(scan.affine_chunks(m, 5)))
+    pts = (linalg.mat_mul(nodes, dirs, p) + base) % p
+    grid = _batched_quartic_eval(pts, quartics, p).T
+    nodes_inv = linalg.inverse(_power_table(np.arange(5) % p, p), p)
+    to_line = linalg.mat_mul(_power_table(np.arange(p), p), nodes_inv, p).T
+    for _ in range(m):
+        grid = linalg.mat_mul(grid.reshape(forms, 5, -1).transpose(0, 2, 1), to_line, p)
+    hit = ~grid.reshape(forms, -1).any(axis=0)
+    return np.stack(np.unravel_index(np.flatnonzero(hit), (p,) * m), axis=1)
 
 
 def sample_peskine_points(
@@ -420,7 +403,7 @@ def sample_peskine_points(
             params = _grid_quartic_zeros(quartics, base, dirs, p)
             if not len(params):
                 continue
-            cand = (params @ dirs + base) % p
+            cand = (linalg.mat_mul(params, dirs, p) + base) % p
             for canon in scan.projective_rep(cand[scan.rank_drop_mask(sigma, cand, bound)], p):
                 if avoid is not None and avoid.contains_vector(canon):
                     continue

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .polynomial import Poly
 from .rng import Rng
-from .scan import family_pfaffian
+from .scan import family_pfaffian, family_ranks
 
 PAIRS_B = tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8) if (i, j) != (1, 2))
 
@@ -163,16 +163,29 @@ def o5_parametrization(p: int) -> list[Poly]:
     return [comp[pr] for pr in PAIRS_B]
 
 
+def _min_lift_rank(b: BElement) -> int:
+    """The least rank over the p lifts of b, capped at 6.
+
+    lift(s) = lift(0) + s E, E the lift of zero with (1,2)-entry 1, so one
+    `family_ranks` call with bound 4 ranks all p points (s, 1); the cap 6
+    is the largest rank of a 7 x 7 skew form, so the result is exact.
+    """
+    p = b.p
+    flat = np.stack([BElement.zero(p).lift(1), b.lift()]).reshape(2, 49)
+    line = np.column_stack([np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)])
+    return int(family_ranks(flat, line, 4, p).min())
+
+
 def o5_sufficient_member(b: BElement) -> bool:
     """The rank-based sufficient condition for the O5 stratum.
 
     True iff the induced element of wedge^2(A7/A2) has rank 2 and some lift
-    (scan over the p choices of the (1,2) slot) has rank 4.
+    (over the p choices of the (1,2) slot) has rank 4.
     """
     p = b.p
     if linalg.rank(b.mod_a2_block(), p) != 2:
         return False
-    return min(linalg.rank(b.lift(s), p) for s in range(p)) == 4
+    return _min_lift_rank(b) == 4
 
 
 @dataclass(frozen=True)
@@ -282,6 +295,6 @@ def o5_constructed_sample(rng: Rng, p: int) -> BElement:
         cand = project_to_B(total, p)
         if linalg.rank(cand.mod_a2_block(), p) != 2:
             continue
-        if min(linalg.rank(cand.lift(s), p) for s in range(p)) != 4:
+        if _min_lift_rank(cand) != 4:
             continue
         return cand

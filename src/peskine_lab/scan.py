@@ -4,8 +4,9 @@ The heavy checks walk every point of a projective space and decide, at
 each, whether a skew form linear in the point drops rank: the
 contraction sigma(u, ., .), or its restriction to a fixed subspace.
 Doing that one point at a time in Python is hopeless, so this module
-provides chunked point generators and vectorized mod-p kernels: batched
-contraction, one batched Gauss-Jordan elimination behind rank and
+provides one point enumerator, `affine_image_chunks` (every exhaustive
+walk is an affine image t @ dirs + base over F_p^d), and vectorized
+mod-p kernels: batched contraction, one batched Gauss-Jordan elimination behind rank and
 kernel, and one signed-perfect-matching Pfaffian kernel over gathered
 pair columns.  `family_ranks` is the one rank-drop test every scan
 uses, on any linear family of m x m skew forms (m even or odd): a
@@ -21,8 +22,8 @@ Results are exact at every admitted prime: products go through
 int64, and the Pfaffian kernel delays its reduction mod p only while
 `linalg.products_fit_int64` holds.
 
-Chunks are generated in a fixed deterministic order and combined in that
-order, so scans return identical results for any worker thread count.
+Blocks come in base-p counter order (last coordinate fastest) and are
+combined in that order, so results are the same for any thread count.
 """
 
 from __future__ import annotations
@@ -60,17 +61,55 @@ def thread_count(requested: int | None = None) -> int:
     return 1
 
 
+def _join(offsets: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
+    """offsets + tail mod p for reduced entries, broadcast: one add, one subtract of p
+    (where the sum is below p it wraps as uint64 and the unsigned minimum keeps it)."""
+    out = offsets + tail
+    wide = out.view(np.uint64)
+    np.minimum(wide, wide - np.uint64(p), out=wide)
+    return out
+
+
+def affine_image_chunks(
+    dirs: np.ndarray, base: np.ndarray, p: int, chunk: int = DEFAULT_CHUNK
+) -> Iterator[np.ndarray]:
+    """The p^d points t @ dirs + base mod p, in blocks of at most `chunk` rows.
+
+    `dirs` is (d, m) and `base` (m,); t runs over F_p^d in base-p counter
+    order (last coordinate fastest).  The image of the last k coordinates
+    (p^k <= chunk; `chunk` values of the last one, in runs, when p > chunk)
+    is one table, grown a coordinate at a time from the multiples of its
+    direction; each block joins it to one offset row per prefix, the same
+    enumeration on the other coordinates.  Joins, not products: no BLAS
+    threads spin on the many small slices.
+    """
+    dirs, base = linalg.as_field(dirs, p), linalg.as_field(base, p)
+    d, m = dirs.shape
+    k = min(d, 1)
+    while k < d and p ** (k + 1) <= chunk:
+        k += 1
+    whole = k == d and p**k <= chunk  # one block: the table starts from base
+    tail = (base if whole else np.zeros(m, dtype=np.int64))[None, :]
+    for row in dirs[d - k :]:
+        multiples = np.arange(min(p, chunk), dtype=np.int64)[:, None] * row % p
+        tail = _join(tail[:, None, :], multiples, p).reshape(-1, m)
+    if whole:
+        yield tail
+        return
+    per = chunk // len(tail)
+    prefixes = affine_image_chunks(dirs[: d - k], base, p, chunk) if k < d else [base[None, :]]
+    for offsets in prefixes:
+        for start in range(0, len(offsets), per):
+            block = offsets[start : start + per, None, :]
+            for run in range(0, p**k, len(tail)):
+                if run:  # the next `chunk` values of the last coordinate
+                    block = (block + tail[-1] + dirs[-1]) % p
+                yield _join(block, tail[: p**k - run], p).reshape(-1, m)
+
+
 def affine_chunks(d: int, p: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
     """All p^d points of F_p^d in base-p counter order, chunked."""
-    total = p**d
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        block = np.empty((stop - start, d), dtype=np.int64)
-        for c in range(d - 1, -1, -1):
-            block[:, c] = idx % p
-            idx = idx // p
-        yield block
+    return affine_image_chunks(np.eye(d, dtype=np.int64), np.zeros(d, dtype=np.int64), p, chunk)
 
 
 def projective_count(d: int, p: int) -> int:
@@ -81,35 +120,22 @@ def projective_count(d: int, p: int) -> int:
 def projective_chunks(d: int, p: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
     """Canonical representatives of P^d(F_p): first nonzero coordinate is 1.
 
-    Points come in pivot-major order (pivot 0 first), each pivot block in
-    base-p counter order on the free coordinates.
+    Points come in pivot-major order (pivot 0 first), each pivot block the
+    image e_pivot + t @ (e_pivot+1, ..., e_d), t in base-p counter order.
     """
+    eye = np.eye(d + 1, dtype=np.int64)
     for pivot in range(d + 1):
-        free = d - pivot
-        for tail in affine_chunks(free, p, chunk) if free else [np.zeros((1, 0), dtype=np.int64)]:
-            block = np.zeros((tail.shape[0], d + 1), dtype=np.int64)
-            block[:, pivot] = 1
-            if free:
-                block[:, pivot + 1 :] = tail
-            yield block
+        yield from affine_image_chunks(eye[pivot + 1 :], eye[pivot], p, chunk)
 
 
-def projective_rep(c: np.ndarray, p: int):
-    """Scale so the first nonzero coordinate is 1.
-
-    One vector gives a tuple; a (B, k) batch gives the (B, k) array of
-    scaled rows.
-    """
-    c = linalg.as_field(c, p)
-    rows = c.reshape(-1, c.shape[-1])
+def projective_rep(rows: np.ndarray, p: int) -> np.ndarray:
+    """Scale every row of a (B, k) batch so its first nonzero coordinate is 1."""
+    rows = linalg.as_field(rows, p)
     nonzero = rows != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("zero vector has no projective representative")
     lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
-    scaled = rows * _inverses(lead, p)[:, None] % p
-    if c.ndim == 1:
-        return tuple(int(v) for v in scaled[0])
-    return scaled
+    return rows * _inverses(lead, p)[:, None] % p
 
 
 def batched_contract1(sigma: Trivector, points: np.ndarray) -> np.ndarray:

@@ -83,10 +83,6 @@ class Subspace:
         self._check_compatible(other)
         return Subspace.from_rows(np.vstack([self.basis, other.basis]), self.n, self.p)
 
-    def annihilator(self) -> np.ndarray:
-        """Rows spanning {f : f . v = 0 for all v in self}."""
-        return linalg.kernel(self.basis, self.p)
-
     def coords_of(self, v) -> np.ndarray:
         """Coordinates of v in the rref basis; raises if v is outside."""
         v = linalg.as_field(v, self.p).reshape(-1)
@@ -153,22 +149,22 @@ def complement_rows(space: Subspace, sub: Subspace) -> list[np.ndarray]:
 def rref_bases(n: int, k: int, p: int):
     """Yield the rref bases of every k-dimensional subspace of F_p^n.
 
-    One (pivots, bases) block per Schubert cell, bases of shape (B, k, n):
-    cells in combinations order of their pivots, each cell's free entries
-    (row-major) in base-p counter order.  This is the order of
-    `all_subspaces`.
+    (pivots, bases) blocks, bases of shape (B, k, n): Schubert cells in
+    combinations order of their pivots, each cell's free entries
+    (row-major) in base-p counter order, one block per block of
+    `scan.affine_chunks`.  This is the order of `all_subspaces`.
     """
     from itertools import combinations
 
+    from .scan import affine_chunks  # scan imports trivector, which imports this module
+
     for piv in combinations(range(n), k):
-        free = [(r, c) for r in range(k) for c in range(n) if c > piv[r] and c not in piv]
-        idx = np.arange(p ** len(free), dtype=np.int64)
-        bases = np.zeros((len(idx), k, n), dtype=np.int64)
-        bases[:, range(k), piv] = 1
-        for r, c in reversed(free):
-            bases[:, r, c] = idx % p
-            idx //= p
-        yield piv, bases
+        free = [r * n + c for r in range(k) for c in range(n) if c > piv[r] and c not in piv]
+        for values in affine_chunks(len(free), p):
+            bases = np.zeros((len(values), k, n), dtype=np.int64)
+            bases[:, range(k), piv] = 1
+            bases.reshape(len(values), -1)[:, free] = values
+            yield piv, bases
 
 
 def all_subspaces(n: int, k: int, p: int):

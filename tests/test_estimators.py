@@ -101,25 +101,26 @@ def test_threshold_validation():
 
 
 def test_slice_points_stream(monkeypatch):
-    # p = 7, d = 6: 117,649 points in 4 chunks, drawn one at a time, equal
-    # to the whole slice built at once from the same embedding.
+    # p = 7, d = 6: 117,649 points in 7 blocks of 7^5 (the largest power of
+    # p within a chunk), drawn one at a time, equal to the whole slice built
+    # at once from the same embedding.
     p, d, width = 7, 6, 8
     drawn = []
-    affine_chunks = estimators.affine_chunks
+    affine_image_chunks = estimators.affine_image_chunks
 
     def counting_chunks(*args):
-        for block in affine_chunks(*args):
+        for block in affine_image_chunks(*args):
             drawn.append(len(block))
             yield block
 
-    monkeypatch.setattr(estimators, "affine_chunks", counting_chunks)
+    monkeypatch.setattr(estimators, "affine_image_chunks", counting_chunks)
     pred = LocusPredicate(kind="affine", n=width, p=p, test_batch=lambda b: b[:, 0] == 0)
     chunks = _slice_points(Rng(9), d, pred, width)
     assert drawn == []
     first = next(chunks)
     assert drawn == [len(first)]
     blocks = [first] + list(chunks)
-    assert len(blocks) == 4 and sum(drawn) == p**d
+    assert len(blocks) == 7 and sum(drawn) == p**d
 
     rng = Rng(9)
     mat = linalg.sample_full_rank(rng, d, width, p)

@@ -144,6 +144,28 @@ def test_sigma_prime_rank_scan_matches_scalar():
         assert prime[k] == sigma_prime_rank(samp.sigma, samp.flag, u7, l)
 
 
+def test_sigma_prime_rank_scan_covers_the_chart():
+    # Reference: P^6 mapped into U7, P(V6) dropped by the annihilator of V6.
+    # The chart d + V6 gives the same multiset of (class, full, prime).
+    rng = Rng(41)
+    p = 3
+    samp = nondegenerate_sample(rng, p)
+    u7 = sample_u7_over(rng, samp.flag)
+    pts, full, prime = sigma_prime_rank_scan(samp.sigma, samp.flag, u7)
+    ref = np.vstack(list(projective_chunks(6, p))) @ u7.basis % p
+    ref = ref[(ref @ linalg.kernel(samp.flag[1].basis, p).T % p).any(axis=1)]
+    b9 = u7_perp(omega_data(samp.sigma, samp.flag), u7).basis
+    mats = batched_contract1(samp.sigma, ref)
+    ref_full = batched_rank(mats, p)
+    ref_prime = batched_rank(linalg.congruence(b9, mats, p), p)
+
+    def triples(reps, a, b):
+        return sorted(zip(map(tuple, projective_rep(reps, p).tolist()), a.tolist(), b.tolist()))
+
+    assert len(pts) == p**6
+    assert triples(pts, full, prime) == triples(ref, ref_full, ref_prime)
+
+
 def sample_v4_over(rng, sigma, v3):
     p = sigma.p
     while True:
@@ -344,9 +366,6 @@ def test_quotient_u7_coords_roundtrip():
 
 
 def test_projective_rep():
-    assert projective_rep(np.array([0, 3, 6]), 7) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        projective_rep(np.zeros(4, dtype=np.int64), 7)
     batch = np.array([[0, 3, 6], [2, 0, 1], [0, 0, 5]])
     assert projective_rep(batch, 7).tolist() == [[0, 1, 2], [1, 0, 4], [0, 0, 1]]
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from peskine_lab.divisors import sample_divisor
 from peskine_lab.rng import Rng
 from peskine_lab.scan import (
     affine_chunks,
+    affine_image_chunks,
     batched_contract1,
     batched_kernel,
     batched_pfaffian_minors,
@@ -44,6 +46,39 @@ def test_affine_chunks_cover_everything():
 def test_affine_chunks_counter_order():
     pts = collect(affine_chunks(2, 3, chunk=100))
     assert pts[:4].tolist() == [[0, 0], [0, 1], [0, 2], [1, 0]]
+
+
+def affine_image_reference(dirs, base, p):
+    """t @ dirs + base mod p in Python ints, t over F_p^d in counter order."""
+    dirs = [[int(x) for x in row] for row in dirs]
+    return [
+        [(sum(ti * row[j] for ti, row in zip(t, dirs)) + int(b)) % p for j, b in enumerate(base)]
+        for t in product(range(p), repeat=len(dirs))
+    ]
+
+
+# d = 0; p^d not a multiple of chunk; chunk a power of p; chunk < p.
+@pytest.mark.parametrize(
+    "d,p,chunk", [(0, 5, 8), (3, 5, 7), (4, 3, 10), (3, 3, 27), (2, 7, 3), (1, 11, 4)]
+)
+def test_affine_image_chunks_match_product(d, p, chunk):
+    rng = Rng(100 * d + p)
+    dirs, base = rng.matrix(d, 4, p), rng.ints(4, p)
+    blocks = list(affine_image_chunks(dirs, base, p, chunk))
+    assert all(0 < len(b) <= chunk for b in blocks)
+    assert np.vstack(blocks).tolist() == affine_image_reference(dirs, base, p)
+
+
+def test_affine_image_chunks_exact_at_largest_prime():
+    # A coordinate of 2^31 - 1 values runs in blocks of 16, each an image
+    # of entries p - 1; the second block starts from the stepped offset.
+    p = 2**31 - 1
+    dirs = np.array([[p - 1, p - 1, 1]], dtype=np.int64)
+    base = np.array([p - 1, 0, p - 1], dtype=np.int64)
+    chunks = affine_image_chunks(dirs, base, p, chunk=16)
+    first, second = next(chunks), next(chunks)
+    want = [[(t * int(a) + int(b)) % p for a, b in zip(dirs[0], base)] for t in range(32)]
+    assert first.tolist() == want[:16] and second.tolist() == want[16:]
 
 
 def test_projective_count():
