@@ -57,7 +57,7 @@ from .orbits import (
     pf_mod_line,
     project_to_B,
 )
-from .polynomial import jacobian
+from .polynomial import Poly, jacobian
 from .report import CheckReport
 from .rng import Rng
 from .scan import (
@@ -131,20 +131,25 @@ def peskine_predicate(sigma: Trivector) -> LocusPredicate:
     )
 
 
+def _common_zeros(f1: Poly, f2: Poly, block: np.ndarray) -> np.ndarray:
+    """Rows where f1 and f2 both vanish; f2 is evaluated only where f1 does."""
+    on = f1.evaluate_batch(block) == 0
+    on[on] = f2.evaluate_batch(block[on]) == 0
+    return on
+
+
 def o2_predicate(p: int) -> LocusPredicate:
     f1, f2 = pencil_cubics(p)
-
-    def test(block: np.ndarray) -> np.ndarray:
-        return (f1.evaluate_batch(block) == 0) & (f2.evaluate_batch(block) == 0)
-
-    return LocusPredicate(kind="affine", n=20, p=p, test_batch=test, name="o2")
+    return LocusPredicate(
+        kind="affine", n=20, p=p, test_batch=lambda b: _common_zeros(f1, f2, b), name="o2"
+    )
 
 
 def sing_o2_predicate(p: int) -> LocusPredicate:
     f1, f2 = pencil_cubics(p)
 
     def test(block: np.ndarray) -> np.ndarray:
-        on = (f1.evaluate_batch(block) == 0) & (f2.evaluate_batch(block) == 0)
+        on = _common_zeros(f1, f2, block)
         out = np.zeros(len(block), dtype=bool)
         if on.any():
             out[on] = batched_rank(jacobian([f1, f2], block[on]), p) <= 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .polynomial import Poly, jacobian
-from .scan import affine_image_chunks, batched_rank, run_chunked
+from .scan import DEFAULT_CHUNK, affine_image_chunks, batched_rank, run_chunked
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 20
@@ -105,6 +105,12 @@ def slice_dim_estimate(
     free hits through the cone point.  Slice streams derive from labeled
     child generators of `rng`, making the full profile reproducible for
     a fixed seed regardless of worker count.
+
+    A level's embeddings are drawn first, then tested in full blocks:
+    slices of p^d <= DEFAULT_CHUNK points go DEFAULT_CHUNK // p^d whole
+    slices to a block, one predicate call per block, and a slice is hit
+    where any row of its run of p^d rows is; a larger slice streams its
+    own blocks.  No block exceeds DEFAULT_CHUNK rows, whatever the budget.
     """
     if not 0.0 < miss_threshold <= hit_threshold <= 1.0:
         raise ValueError("need 0 < miss_threshold <= hit_threshold <= 1")
@@ -122,30 +128,31 @@ def slice_dim_estimate(
     }
 
     def cone_test(points: np.ndarray) -> np.ndarray:
-        if pred.kind == "affine":
-            return np.asarray(pred.test_batch(points), dtype=bool)
         out = np.asarray(pred.test_batch(points), dtype=bool)
-        zero = ~points.any(axis=1)
-        return out | zero
+        return out if pred.kind == "affine" else out | ~points.any(axis=1)
 
     spent = 0
     profile: dict[int, int] = {}
     freqs: dict[int, float] = {}
     d_min = None
     for d in range(ambient_dim + 1):
-        cost = trials * p**d
-        if spent + cost > budget:
+        size = p**d
+        if spent + trials * size > budget:
             break
-        spent += cost
-        hits = 0
-        for t in range(trials):
-            srng = rng.child(f"slice-{d}-{t}")
-            chunk_hits = run_chunked(
-                lambda block: bool(cone_test(block).any()),
-                _slice_points(srng, d, pred, width),
-                threads,
+        spent += trials * size
+        streams = (rng.child(f"slice-{d}-{t}") for t in range(trials))
+        slices = [_slice_points(r, d, pred, width) for r in streams]
+        if size <= DEFAULT_CHUNK:
+            per = DEFAULT_CHUNK // size
+            groups = [slices[i : i + per] for i in range(0, trials, per)]
+            blocks = (np.concatenate([b for s in group for b in s]) for group in groups)
+            found = run_chunked(lambda b: cone_test(b).reshape(-1, size).any(axis=1), blocks, threads)
+            hits = int(sum(f.sum() for f in found))
+        else:
+            hits = sum(
+                any(run_chunked(lambda block: bool(cone_test(block).any()), s, threads))
+                for s in slices
             )
-            hits += int(any(chunk_hits))
         profile[d] = hits
         freqs[d] = hits / trials
         if freqs[d] >= hit_threshold:

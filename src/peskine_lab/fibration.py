@@ -150,7 +150,7 @@ def thm21_fiber(
     v = comp[0]
     w = v3.basis
     mv = sigma.contract1(v).mat
-    phis = w @ mv % p
+    phis = linalg.mat_mul(w, mv, p)
     if linalg.rank(phis, p) != 3:
         raise ValueError("contraction forms are dependent; resample V4")
 
@@ -469,7 +469,7 @@ def dprime_rank2_test(sigma: Trivector, flag: Flag):
             direction = v6.lift_quotient(np.concatenate([[1], t]))
             u7 = v6.join(Subspace.span_of(direction, n=sigma.n, p=p))
             rows = complement_rows(u7, v1)
-            gen = (rows[0] + s @ np.array(rows[1:], dtype=np.int64)) % p
+            gen = (rows[0] + linalg.mat_mul(s, np.array(rows[1:], dtype=np.int64), p)) % p
             u2 = v1.join(Subspace.span_of(gen, n=sigma.n, p=p))
             try:
                 resid = sigma_dprime(sigma, flag, u2, u7)

@@ -103,7 +103,7 @@ class Poly:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Values on a (B, nvars) batch of points."""
-        return self._values(np.ascontiguousarray(points.T, dtype=np.int64) % self.p)
+        return self._values(np.remainder(points.T, self.p, dtype=np.int64, order="C"))
 
     @cached_property
     def _partials(self) -> tuple["Poly", ...]:

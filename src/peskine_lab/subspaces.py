@@ -37,14 +37,6 @@ class Subspace:
         return cls(p=p, n=n, basis=linalg.freeze(red), pivots=piv)
 
     @classmethod
-    def zero(cls, n: int, p: int) -> "Subspace":
-        return cls.from_rows(np.zeros((0, n), dtype=np.int64), n, p)
-
-    @classmethod
-    def full(cls, n: int, p: int) -> "Subspace":
-        return cls.from_rows(np.eye(n, dtype=np.int64), n, p)
-
-    @classmethod
     def span_of(cls, *vectors, n: int, p: int) -> "Subspace":
         return cls.from_rows(np.array(vectors, dtype=np.int64), n, p)
 

@@ -165,10 +165,6 @@ class Trivector:
         return cls(p=p, n=n, coeffs=linalg.freeze(linalg.as_field(coeffs, p)))
 
     @classmethod
-    def zero(cls, n: int, p: int) -> "Trivector":
-        return cls.from_coeffs(np.zeros(len(triples(n)), dtype=np.int64), n, p)
-
-    @classmethod
     def random(cls, rng, n: int, p: int) -> "Trivector":
         return cls.from_coeffs(rng.ints(len(triples(n)), p), n, p)
 

@@ -1,11 +1,15 @@
 """Dimension estimator calibrated on loci whose dimension is known exactly."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from peskine_lab import estimators, linalg
+from peskine_lab.checks import o2_predicate, peskine_predicate, sing_o2_predicate
+from peskine_lab.divisors import sample_general
 from peskine_lab.estimators import (
     DimEstimate,
     LocusPredicate,
@@ -15,6 +19,7 @@ from peskine_lab.estimators import (
 )
 from peskine_lab.polynomial import Poly
 from peskine_lab.rng import Rng
+from peskine_lab.scan import DEFAULT_CHUNK
 
 
 def linear_locus(n, d, p, seed=100):
@@ -127,6 +132,94 @@ def test_slice_points_stream(monkeypatch):
     offset = rng.ints(width, p)
     tails = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
     assert np.array_equal(np.vstack(blocks), (tails @ mat + offset) % p)
+
+
+def reference_estimate(
+    pred, rng, trials, hit=estimators.DEFAULT_HIT, miss=estimators.DEFAULT_MISS,
+    budget=estimators.DEFAULT_BUDGET,
+):
+    """The ladder one trial at a time: each slice built whole and tested alone.
+
+    Returns (hit_profile, estimated_dim, ambiguous) as slice_dim_estimate
+    reports them.
+    """
+    p, width = pred.p, pred.width
+    ambient = width if pred.kind == "projective" else pred.n
+    spent, profile = 0, {}
+    for d in range(ambient + 1):
+        if spent + trials * p**d > budget:
+            break
+        spent += trials * p**d
+        profile[d] = 0
+        for t in range(trials):
+            points = np.vstack(list(_slice_points(rng.child(f"slice-{d}-{t}"), d, pred, width)))
+            mask = np.asarray(pred.test_batch(points), dtype=bool)
+            if pred.kind == "projective":
+                mask |= ~points.any(axis=1)
+            profile[d] += bool(mask.any())
+        if profile[d] >= hit * trials:
+            warm = d > 0 and profile[d - 1] >= miss * trials
+            return profile, ambient - d - (pred.kind == "projective"), warm
+    return profile, -1, any(profile.values())
+
+
+def spied(pred):
+    """The predicate with a test_batch that records the rows of every call."""
+    rows = []
+
+    def test_batch(points):
+        rows.append(len(points))
+        return pred.test_batch(points)
+
+    return dataclasses.replace(pred, test_batch=test_batch), rows
+
+
+def expected_calls(profile, p, trials):
+    """One call per DEFAULT_CHUNK // p^d whole slices on a small level, and
+    one per enumerator block of each slice (p^d / 7^5 of them at p = 7) on
+    a large one."""
+    calls = 0
+    for d in profile:
+        size = p**d
+        if size <= DEFAULT_CHUNK:
+            calls += math.ceil(trials / (DEFAULT_CHUNK // size))
+        else:
+            calls += trials * size // 7**5
+    return calls
+
+
+def large_slice_locus():
+    # A 2-dimensional linear locus in F_7^8: the ladder reaches level 6,
+    # whose slices have 7^6 = 117,649 > DEFAULT_CHUNK points; the budget
+    # stops it there.
+    return linear_locus(8, 2, 7, seed=41)
+
+
+# (label, predicate, trials, estimator keywords, levels visited); the
+# rank-drop case has two blocks at level 3 (95 slices of 343 to a block),
+# sing-o2 two at level 5 (10 slices of 3125).
+PACKED_CASES = [
+    ("rank-drop-n8-p7", lambda: peskine_predicate(sample_general(Rng(40), 8, 7)), 100, {}, 4),
+    ("o2-p5", lambda: o2_predicate(5), 8, {}, 3),
+    ("sing-o2-p5", lambda: sing_o2_predicate(5), 12, {}, 6),
+    ("linear-p7-d6", large_slice_locus, 4, {"budget": 4 * sum(7**d for d in range(7))}, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "label, make, trials, kw, levels", PACKED_CASES, ids=[c[0] for c in PACKED_CASES]
+)
+def test_packed_ladder_matches_per_trial_reference(label, make, trials, kw, levels):
+    pred, rows = spied(make())
+    est = slice_dim_estimate(pred, Rng(42), trials=trials, **kw)
+    profile, dim, ambiguous = reference_estimate(make(), Rng(42), trials, **kw)
+    assert (est.hit_profile, est.estimated_dim, est.ambiguous) == (profile, dim, ambiguous)
+    assert len(est.hit_profile) == levels
+    # Full blocks, never more than DEFAULT_CHUNK rows, and one call per
+    # block instead of one per trial.
+    assert max(rows) <= DEFAULT_CHUNK
+    assert len(rows) == expected_calls(est.hit_profile, pred.p, trials)
+    assert sum(rows) == trials * sum(pred.p**d for d in est.hit_profile)
 
 
 def test_image_dim_estimate_linear():

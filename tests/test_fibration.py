@@ -24,7 +24,15 @@ from peskine_lab.orbits import project_to_B
 from peskine_lab.rng import Rng
 from peskine_lab.scan import batched_contract1, batched_rank, projective_chunks, projective_rep
 from peskine_lab.subspaces import Flag, Subspace, complement_rows
-from peskine_lab.trivector import Trivector
+from peskine_lab.trivector import Trivector, triples
+
+
+def zero_trivector(n, p):
+    return Trivector.from_coeffs([0] * len(triples(n)), n, p)
+
+
+def full_space(n, p):
+    return Subspace.from_rows(np.eye(n, dtype=np.int64), n, p)
 
 
 def nondegenerate_sample(rng, p):
@@ -74,7 +82,7 @@ def test_omega_data_rank_and_degeneracy():
     assert od.p == 7
     assert od.omega.rank() == 4
 
-    zero = Trivector.zero(10, 7)
+    zero = zero_trivector(10, 7)
     with pytest.raises(ValueError):
         omega_data(zero, standard_flag("d1-6-10", 7))
 
@@ -118,7 +126,7 @@ def test_sigma_prime_rank_values_and_guards():
 
     with pytest.raises(ValueError):
         sigma_prime_rank(samp.sigma, samp.flag, u7, v6.basis[0])
-    off_u7 = complement_rows(Subspace.full(10, 7), u7)[0]
+    off_u7 = complement_rows(full_space(10, 7), u7)[0]
     with pytest.raises(ValueError):
         sigma_prime_rank(samp.sigma, samp.flag, u7, off_u7)
 
@@ -206,6 +214,53 @@ def test_thm21_fiber_guards():
     bv4 = sample_v4_over(Rng(97), big.sigma, big.flag[0])
     with pytest.raises(ValueError):
         thm21_fiber(big.sigma, big.flag, bv4, mode="exhaustive")
+
+
+def python_rank(rows, p):
+    """Rank mod p by Gauss-Jordan elimination in Python ints."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_thm21_fiber_linear_at_largest_prime():
+    # The linear fibre is exact at p = 2^31 - 1: at every returned chart
+    # point a, l = v + a @ w has a contraction of rank at most n - 4,
+    # ranked in Python ints.  A bounded number of V4s is tried, so a
+    # construction that always fails shows as no point at all.
+    p = 2**31 - 1
+    rng = Rng(110)
+    samp = sample_divisor(rng, "d3-3-10", p)
+    v3 = samp.flag[0]
+    tensor = samp.sigma.tensor.astype(object)
+    w = v3.basis.astype(object)
+    checked = 0
+    for _ in range(10):
+        v4 = v3.join(Subspace.span_of(rng.ints(samp.sigma.n, p), n=samp.sigma.n, p=p))
+        if v4.dim != 4:
+            continue
+        try:
+            hits = thm21_fiber(samp.sigma, samp.flag, v4, mode="linear")
+        except ValueError:
+            continue
+        v = complement_rows(v4, v3)[0].astype(object)
+        for a in hits:
+            l = (v + np.array(a, dtype=object) @ w) % p
+            contracted = np.tensordot(l, tensor, axes=1) % p
+            assert python_rank(contracted.tolist(), p) <= samp.sigma.n - 4
+            checked += 1
+    assert checked
 
 
 def test_prescribed_residue_is_exact():
@@ -360,7 +415,7 @@ def test_quotient_u7_coords_roundtrip():
     vecs = (batch @ rows + rng.ints(5, p)[:, None] * v1.basis[0]) % p
     assert np.array_equal(quotient_u7_coords(u7, v1, vecs), batch)
     assert all(np.array_equal(quotient_u7_coords(u7, v1, v), c) for v, c in zip(vecs, batch))
-    off_u7 = complement_rows(Subspace.full(10, p), u7)[0]
+    off_u7 = complement_rows(full_space(10, p), u7)[0]
     with pytest.raises(ValueError):
         quotient_u7_coords(u7, v1, off_u7)
 

@@ -32,6 +32,10 @@ from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows
 from peskine_lab.trivector import Trivector, triple_index, triples
 
 
+def zero_trivector(n, p):
+    return Trivector.from_coeffs([0] * len(triples(n)), n, p)
+
+
 def decomposable_sigma(n, p):
     """e0 ^ e1 ^ e2 + e3 ^ e4 ^ e5 in F_p^n."""
     coeffs = np.zeros(len(triples(n)), dtype=np.int64)
@@ -64,7 +68,7 @@ def test_peskine_points_decomposable_exact():
 
 def test_peskine_points_zero_sigma():
     # sigma = 0 has rank 0 everywhere: the whole of P^5 qualifies.
-    tri = Trivector.zero(6, 3)
+    tri = zero_trivector(6, 3)
     assert len(peskine_points(tri)) == projective_count(5, 3)
 
 
@@ -212,7 +216,7 @@ def test_k3_member_validation():
     eye = np.eye(10, dtype=np.int64)
 
     def setup(p):
-        tri = Trivector.zero(10, p)
+        tri = zero_trivector(10, p)
         flag = standard_flag("d1-6-10", p)
         u8 = Subspace.from_rows(eye[:8], 10, p)
         return tri, flag, u8
@@ -230,7 +234,7 @@ def test_k3_member_validation():
 
 def test_k3_member_zero_sigma():
     p = 3
-    tri = Trivector.zero(10, p)
+    tri = zero_trivector(10, p)
     flag = standard_flag("d1-6-10", p)
     u8 = flag[1].join(Subspace.from_rows(np.eye(10, dtype=np.int64)[6:8], 10, p))
     ok, u4 = k3_member(tri, flag, u8)
@@ -372,7 +376,7 @@ def test_k3_witness_search_witness_is_valid():
 
 def test_conic_fiber_zero_sigma_is_everything():
     p = 3
-    tri = Trivector.zero(10, p)
+    tri = zero_trivector(10, p)
     v4 = Subspace.from_rows(np.eye(10, dtype=np.int64)[:4], 10, p)
     v8 = Subspace.from_rows(np.eye(10, dtype=np.int64)[:8], 10, p)
     fibers = conic_fiber(tri, v4, v8)
@@ -381,7 +385,7 @@ def test_conic_fiber_zero_sigma_is_everything():
 
 def test_conic_fiber_validation():
     p = 3
-    tri = Trivector.zero(10, p)
+    tri = zero_trivector(10, p)
     v4 = Subspace.from_rows(np.eye(10, dtype=np.int64)[:4], 10, p)
     v5 = Subspace.from_rows(np.eye(10, dtype=np.int64)[:5], 10, p)
     with pytest.raises(ValueError):

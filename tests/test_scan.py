@@ -30,6 +30,10 @@ from peskine_lab.scan import (
 )
 from peskine_lab.trivector import Trivector, pfaffian, triples
 
+
+def zero_trivector(n, p):
+    return Trivector.from_coeffs([0] * len(triples(n)), n, p)
+
 ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
 
 
@@ -209,7 +213,7 @@ def test_batched_kernel_matches_kernel(seed, p, ranks):
 def _planted_sigma(kind, n, p, rng):
     """A trivector of the given kind, plus points planted on its rank-drop locus."""
     if kind == "zero":
-        return Trivector.zero(n, p), []
+        return zero_trivector(n, p), []
     if kind == "decomposable":
         # e0 ^ e1 ^ e2 moved by g: every contraction has rank <= 2, and the
         # image of span(e3, ...) contracts to zero.

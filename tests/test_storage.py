@@ -10,7 +10,11 @@ from peskine_lab.storage import (
     trivector_from_dict,
     trivector_to_dict,
 )
-from peskine_lab.trivector import Trivector
+from peskine_lab.trivector import Trivector, triples
+
+
+def zero_trivector(n, p):
+    return Trivector.from_coeffs([0] * len(triples(n)), n, p)
 
 
 def test_roundtrip(tmp_path, rng):
@@ -26,7 +30,7 @@ def test_roundtrip(tmp_path, rng):
 
 
 def test_zero_coefficients_omitted(rng):
-    tri = Trivector.zero(6, 7)
+    tri = zero_trivector(6, 7)
     assert trivector_to_dict(tri) == {"p": 7, "n": 6, "coeffs": []}
 
 

@@ -198,8 +198,9 @@ def test_add_scale_zero(rng):
     p = 7
     a = Trivector.random(rng, 6, p)
     negated = Trivector.from_coeffs(a.coeffs * (p - 1), 6, p)
-    assert Trivector.from_coeffs(a.coeffs + negated.coeffs, 6, p) == Trivector.zero(6, p)
-    assert not Trivector.zero(6, p).coeffs.any()
+    zero = Trivector.from_coeffs([0] * len(triples(6)), 6, p)
+    assert Trivector.from_coeffs(a.coeffs + negated.coeffs, 6, p) == zero
+    assert not zero.coeffs.any()
 
 
 def test_from_coeffs_roundtrip(rng):
