@@ -369,7 +369,7 @@ def _run_lem_3_4(cfg: CheckConfig):
         degree_ok = degree_ok and cubic.is_cubic()
         b6 = samp.flag[1].basis
         for block in projective_chunks(5, p):
-            pts = block @ b6 % p
+            pts = linalg.mat_mul(block, b6, p)
             member = rank_drop_mask(samp.sigma, pts, samp.sigma.n - 4)
             zero = cubic.evaluate_batch(block) == 0
             mismatches += int((member != zero).sum())
@@ -427,7 +427,8 @@ def _run_lem_3_6(cfg: CheckConfig):
 
         perp = u7_perp(od, u7)
         v1 = samp.flag[0].basis[0]
-        pairing = u7.basis @ samp.sigma.contract1(v1).mat @ perp.basis.T % p
+        form = linalg.mat_mul(u7.basis, samp.sigma.contract1(v1).mat, p)
+        pairing = linalg.mat_mul(form, perp.basis.T, p)
         perp_ok = perp_ok and perp.dim == 9 and perp.contains(u7) and not pairing.any()
 
     status = "PASS" if nondeg >= round(0.95 * seeds) and perp_ok else "FAIL"
@@ -845,7 +846,7 @@ def _run_gl_equivariance(cfg: CheckConfig):
                 break
         tau = sigma.gl_transform(g)
         total += 1
-        failures += int(peskine_member(sigma, u) != peskine_member(tau, g @ u % p))
+        failures += int(peskine_member(sigma, u) != peskine_member(tau, linalg.mat_mul(g, u, p)))
 
     for i in range(30):
         p = (7, 101)[i % 2]
@@ -860,7 +861,7 @@ def _run_gl_equivariance(cfg: CheckConfig):
             u6 = Subspace.from_rows(np.eye(10, dtype=np.int64)[:6], 10, p)
         else:
             sigma = sample_general(r, 10, p)
-            u6 = Subspace.from_rows(linalg.sample_full_rank(r, 6, 10, p), 10, p)
+            u6 = Subspace.from_rows(linalg.sample_full_rank([r], 6, 10, p)[0], 10, p)
         g = linalg.sample_gl(r, 10, p)
         total += 1
         before = dv_member(sigma, u6)
@@ -890,7 +891,7 @@ def _run_gl_equivariance(cfg: CheckConfig):
         tau = samp.sigma.gl_transform(g)
         total += 1
         before = birationality_probe(samp.sigma, samp.flag, l).count
-        after = birationality_probe(tau, samp.flag.transform(g), g @ l % p).count
+        after = birationality_probe(tau, samp.flag.transform(g), linalg.mat_mul(g, l, p)).count
         failures += int(before != after)
 
     status = "PASS" if failures == 0 else "FAIL"

@@ -133,15 +133,8 @@ def rank4_points(sigma: Trivector, threads: int | None = None) -> list[tuple[int
     """All points of P(F_p^n) where the contraction has rank <= 4.
 
     Scans canonical projective representatives in deterministic order
-    through `scan.rank_drop_mask`.
+    through `scan.locus_points`.
     """
     if sigma.n < 6:
         raise ValueError("scan needs ambient dimension at least 6")
-
-    def work(block: np.ndarray):
-        return [tuple(int(x) for x in u) for u in block[scan.rank_drop_mask(sigma, block, 4)]]
-
-    found: list[tuple[int, ...]] = []
-    for part in scan.run_chunked(work, scan.projective_chunks(sigma.n - 1, sigma.p), threads):
-        found.extend(part)
-    return found
+    return scan.locus_points(sigma, 4, threads)

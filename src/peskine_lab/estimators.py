@@ -70,16 +70,17 @@ class DimEstimate:
     params: dict = field(default_factory=dict)
 
 
-def _slice_points(rng, d: int, pred: LocusPredicate, width: int) -> Iterator[np.ndarray]:
-    """Image of all p^d parameters under a random affine-linear embedding.
-
-    The embedding is drawn at once (matrix, then offset); the image comes
-    lazily, one `affine_image_chunks` block at a time, so a slice is never
-    held whole.
-    """
-    p = pred.p
-    mat = linalg.sample_full_rank(rng, d, width, p) if d else np.zeros((0, width), np.int64)
-    return affine_image_chunks(mat, rng.ints(width, p), p)
+def _level_blocks(mats: np.ndarray, offsets: np.ndarray, p: int) -> Iterator[tuple]:
+    """Blocks (first trial, (B, g, width) rows) of the slices `offsets` + t @ `mats`:
+    one `affine_image_chunks` walks g = max(1, DEFAULT_CHUNK // p^d) slices
+    side by side, their directions stacked as (d, g * width)."""
+    trials, d, width = mats.shape
+    group = max(1, DEFAULT_CHUNK // p**d)
+    for start in range(0, trials, group):
+        dirs, base = mats[start : start + group], offsets[start : start + group]
+        stacked = dirs.transpose(1, 0, 2).reshape(d, len(dirs) * width)
+        for block in affine_image_chunks(stacked, base.reshape(-1), p, DEFAULT_CHUNK // group):
+            yield start, block.reshape(len(block), len(dirs), width)
 
 
 def slice_dim_estimate(
@@ -106,11 +107,12 @@ def slice_dim_estimate(
     child generators of `rng`, making the full profile reproducible for
     a fixed seed regardless of worker count.
 
-    A level's embeddings are drawn first, then tested in full blocks:
-    slices of p^d <= DEFAULT_CHUNK points go DEFAULT_CHUNK // p^d whole
-    slices to a block, one predicate call per block, and a slice is hit
-    where any row of its run of p^d rows is; a larger slice streams its
-    own blocks.  No block exceeds DEFAULT_CHUNK rows, whatever the budget.
+    A level is built whole: one `linalg.sample_full_rank` over its trial
+    streams draws every embedding matrix, then each stream its offset.
+    One loop tests every slice size: `_level_blocks` packs g whole small
+    slices into one block and streams a large one (g = 1) block by block,
+    lazily; a trial is hit where any of its rows is.  No block exceeds
+    DEFAULT_CHUNK rows, whatever the budget.
     """
     if not 0.0 < miss_threshold <= hit_threshold <= 1.0:
         raise ValueError("need 0 < miss_threshold <= hit_threshold <= 1")
@@ -127,9 +129,13 @@ def slice_dim_estimate(
         "n": pred.n,
     }
 
-    def cone_test(points: np.ndarray) -> np.ndarray:
-        out = np.asarray(pred.test_batch(points), dtype=bool)
-        return out if pred.kind == "affine" else out | ~points.any(axis=1)
+    def trial_hits(item: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+        start, block = item
+        rows = block.transpose(1, 0, 2).reshape(-1, width)
+        hit = np.asarray(pred.test_batch(rows), dtype=bool)
+        if pred.kind == "projective":
+            hit = hit | ~rows.any(axis=1)
+        return start, hit.reshape(block.shape[1], -1).any(axis=1)
 
     spent = 0
     profile: dict[int, int] = {}
@@ -140,21 +146,14 @@ def slice_dim_estimate(
         if spent + trials * size > budget:
             break
         spent += trials * size
-        streams = (rng.child(f"slice-{d}-{t}") for t in range(trials))
-        slices = [_slice_points(r, d, pred, width) for r in streams]
-        if size <= DEFAULT_CHUNK:
-            per = DEFAULT_CHUNK // size
-            groups = [slices[i : i + per] for i in range(0, trials, per)]
-            blocks = (np.concatenate([b for s in group for b in s]) for group in groups)
-            found = run_chunked(lambda b: cone_test(b).reshape(-1, size).any(axis=1), blocks, threads)
-            hits = int(sum(f.sum() for f in found))
-        else:
-            hits = sum(
-                any(run_chunked(lambda block: bool(cone_test(block).any()), s, threads))
-                for s in slices
-            )
-        profile[d] = hits
-        freqs[d] = hits / trials
+        streams = [rng.child(f"slice-{d}-{t}") for t in range(trials)]
+        mats = linalg.sample_full_rank(streams, d, width, p)
+        offsets = np.array([r.ints(width, p) for r in streams])
+        found = np.zeros(trials, dtype=bool)
+        for start, hit in run_chunked(trial_hits, _level_blocks(mats, offsets, p), threads):
+            found[start : start + len(hit)] |= hit
+        profile[d] = int(found.sum())
+        freqs[d] = profile[d] / trials
         if freqs[d] >= hit_threshold:
             d_min = d
             break

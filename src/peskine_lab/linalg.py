@@ -220,17 +220,22 @@ def inverse(mat, p: int) -> np.ndarray:
 
 
 def sample_gl(rng, n: int, p: int) -> np.ndarray:
-    """Uniform invertible n x n matrix, by rejection."""
-    while True:
-        g = rng.matrix(n, n, p)
-        if det(g, p) != 0:
-            return g
+    """Uniform invertible n x n matrix: the square case of `sample_full_rank`."""
+    return sample_full_rank([rng], n, n, p)[0]
 
 
-def sample_full_rank(rng, rows: int, cols: int, p: int) -> np.ndarray:
-    """Uniform rows x cols matrix of rank min(rows, cols), by rejection."""
-    target = min(rows, cols)
-    while True:
-        m = rng.matrix(rows, cols, p)
-        if rank(m, p) == target:
-            return m
+def sample_full_rank(streams, rows: int, cols: int, p: int) -> np.ndarray:
+    """(len(streams), rows, cols): per stream, a uniform matrix of rank min(rows, cols).
+
+    By rejection, one `scan.batched_rank` per round: only rank-deficient
+    candidates are redrawn, each from its own stream, so every stream
+    makes the draws of a rejection loop run on it alone."""
+    from .scan import batched_rank  # scan imports this module
+
+    out = np.zeros((len(streams), rows, cols), dtype=np.int64)
+    todo = np.arange(len(streams))
+    while len(todo):
+        for i in todo:
+            out[i] = streams[i].matrix(rows, cols, p)
+        todo = todo[batched_rank(out[todo], p) < min(rows, cols)]
+    return out

@@ -34,15 +34,7 @@ def peskine_points(sigma: Trivector, threads: int | None = None) -> list[tuple[i
 
     Exhaustive and deterministic; meant for the enumeration prime tier.
     """
-    n = sigma.n
-
-    def work(block: np.ndarray):
-        return [tuple(int(x) for x in u) for u in block[scan.rank_drop_mask(sigma, block, n - 4)]]
-
-    out: list[tuple[int, ...]] = []
-    for part in scan.run_chunked(work, scan.projective_chunks(n - 1, sigma.p), threads):
-        out.extend(part)
-    return out
+    return scan.locus_points(sigma, sigma.n - 4, threads)
 
 
 def dv_member(sigma: Trivector, u6: Subspace) -> bool:
@@ -293,7 +285,7 @@ def conic_fiber(sigma: Trivector, v4: Subspace, v8: Subspace) -> list[Subspace]:
     for plane in all_subspaces(4, 2, p):
         lift = np.zeros((2, 8), dtype=np.int64)
         lift[:, comp] = plane.basis
-        w6 = v4.join(Subspace.from_rows(lift @ b8 % p, sigma.n, p))
+        w6 = v4.join(Subspace.from_rows(linalg.mat_mul(lift, b8, p), sigma.n, p))
         if w6.dim == 6 and dv_member(sigma, w6):
             out.append(plane)
     return out
@@ -396,7 +388,7 @@ def sample_peskine_points(
     seen: set[bytes] = set()
     out: list[np.ndarray] = []
     for trial in range(max_patches):
-        patch = linalg.sample_full_rank(rng, 4, n, p)
+        patch = linalg.sample_full_rank([rng], 4, n, p)[0]
         for pivot in range(4):
             base = patch[pivot]
             dirs = patch[pivot + 1 :]

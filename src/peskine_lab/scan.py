@@ -14,9 +14,10 @@ cascade of principal Pfaffian minors discards most points cheaply, the
 survivors get the exact rank, and the result is the rank capped just
 above the bound, which is exact wherever that cap is a proven maximum.
 `rank_drop_mask` is its mask on the family of contractions of a
-trivector, and `family_pfaffian` its symbolic twin: a principal
-Pfaffian of the same family, expanded over the same matching table into
-a polynomial in the family's coordinates.
+trivector (`locus_points` lists the points of P^(n-1) it keeps), and
+`family_pfaffian` its symbolic twin: a principal Pfaffian of the same
+family, expanded over the same matching table into a polynomial in the
+family's coordinates.
 Results are exact at every admitted prime: products go through
 `linalg.mat_mul`, elementwise products of two reduced entries fit
 int64, and the Pfaffian kernel delays its reduction mod p only while
@@ -430,6 +431,17 @@ def rank_drop_mask(sigma: Trivector, points: np.ndarray, bound: int) -> np.ndarr
     """
     n = sigma.n
     return family_ranks(sigma.tensor.reshape(n, n * n), points, bound, sigma.p) <= bound
+
+
+def locus_points(sigma: Trivector, bound: int, threads: int | None = None) -> list[tuple]:
+    """Canonical representatives of the [u] in P(F_p^n) with rank sigma(u, ., .) <= bound,
+    by `rank_drop_mask` on every block of `projective_chunks`, in order."""
+
+    def work(block: np.ndarray) -> list[tuple[int, ...]]:
+        return [tuple(int(x) for x in u) for u in block[rank_drop_mask(sigma, block, bound)]]
+
+    parts = run_chunked(work, projective_chunks(sigma.n - 1, sigma.p), threads)
+    return [u for part in parts for u in part]
 
 
 def run_chunked(

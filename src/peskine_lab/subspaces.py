@@ -57,15 +57,19 @@ class Subspace:
     def __hash__(self) -> int:
         return hash((self.p, self.n, self.pivots, self.basis.tobytes()))
 
-    def contains_vector(self, v) -> bool:
+    def _reduce(self, v) -> np.ndarray:
+        """v minus v[pivots] @ basis: zero at every pivot, and zero iff v lies in self.
+
+        The rref basis is zero at the other pivots, so this is v reduced
+        against the basis rows one at a time, in one product.
+        """
         v = linalg.as_field(v, self.p).reshape(-1)
         if v.shape[0] != self.n:
             raise ValueError(f"vector has length {v.shape[0]}, ambient is {self.n}")
-        r = v.copy()
-        for row, c in zip(self.basis, self.pivots):
-            if r[c]:
-                r = (r - r[c] * row) % self.p
-        return not r.any()
+        return (v - linalg.mat_mul(v[list(self.pivots)], self.basis, self.p)) % self.p
+
+    def contains_vector(self, v) -> bool:
+        return not self._reduce(v).any()
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -78,10 +82,9 @@ class Subspace:
     def coords_of(self, v) -> np.ndarray:
         """Coordinates of v in the rref basis; raises if v is outside."""
         v = linalg.as_field(v, self.p).reshape(-1)
-        coords = v[list(self.pivots)]
-        if not np.array_equal(linalg.mat_mul(coords[None, :], self.basis, self.p)[0], v):
+        if self._reduce(v).any():
             raise ValueError("vector does not lie in the subspace")
-        return coords
+        return v[list(self.pivots)]
 
     def complement_pivots(self) -> tuple[int, ...]:
         """Standard coordinates spanning the canonical complement."""
@@ -94,12 +97,7 @@ class Subspace:
         non-pivot columns of the reduction are a full coordinate system on
         the quotient.
         """
-        v = linalg.as_field(v, self.p).reshape(-1)
-        r = v.copy()
-        for row, c in zip(self.basis, self.pivots):
-            if r[c]:
-                r = (r - r[c] * row) % self.p
-        return r[list(self.complement_pivots())]
+        return self._reduce(v)[list(self.complement_pivots())]
 
     def lift_quotient(self, coords) -> np.ndarray:
         """Standard-position lift: inverse of `quotient_coords` modulo self."""
@@ -124,18 +122,13 @@ class Subspace:
 def complement_rows(space: Subspace, sub: Subspace) -> list[np.ndarray]:
     """Rows of `space` extending a basis of `sub` to one of `space`.
 
-    Deterministic: walks the canonical basis of `space` in order and keeps
-    every row not already spanned.
+    Deterministic: every row of the canonical basis of `space`, in order,
+    that the basis of `sub` and the rows before it do not span.  These
+    are the pivot columns beyond sub.dim of one elimination of the two
+    bases stacked, transposed.
     """
-    rows = [r for r in sub.basis]
-    out = []
-    current = sub
-    for r in space.basis:
-        if not current.contains_vector(r):
-            out.append(r)
-            rows.append(r)
-            current = Subspace.from_rows(np.array(rows), space.n, space.p)
-    return out
+    pivots = linalg.rref(np.vstack([sub.basis, space.basis]).T, space.p)[1]
+    return [space.basis[c - sub.dim] for c in pivots if c >= sub.dim]
 
 
 def rref_bases(n: int, k: int, p: int):

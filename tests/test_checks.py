@@ -81,3 +81,11 @@ def test_config_overrides_flow_through():
     assert rep.params == {"pairs": 3}
     assert rep.status == "PASS"
     assert rep.metrics["exact"] == 3
+
+
+def test_lem_3_6_exact_at_largest_admitted_prime():
+    # At p = 2^31 - 1 the pairing u7 . M . perp^T sums products near 2^62;
+    # computed in raw int64 it wraps and the perp invariants read False.
+    result = run_check("lem-3.6", CheckConfig(p=2**31 - 1, trials=6))
+    assert result.metrics["perp_invariants"] is True
+    assert result.status == "PASS"

@@ -13,7 +13,6 @@ from peskine_lab.divisors import sample_general
 from peskine_lab.estimators import (
     DimEstimate,
     LocusPredicate,
-    _slice_points,
     image_dim_estimate,
     slice_dim_estimate,
 )
@@ -25,7 +24,7 @@ from peskine_lab.scan import DEFAULT_CHUNK
 def linear_locus(n, d, p, seed=100):
     """Affine predicate for a random linear subspace of known dimension d."""
     rng = Rng(seed)
-    normals = linalg.sample_full_rank(rng, n - d, n, p)
+    normals = linalg.sample_full_rank([rng], n - d, n, p)[0]
 
     def test_batch(points):
         return ~((points @ normals.T % p).any(axis=1))
@@ -105,12 +104,12 @@ def test_threshold_validation():
         slice_dim_estimate(pred, Rng(1), hit_threshold=0.3, miss_threshold=0.4)
 
 
-def test_slice_points_stream(monkeypatch):
-    # p = 7, d = 6: 117,649 points in 7 blocks of 7^5 (the largest power of
-    # p within a chunk), drawn one at a time, equal to the whole slice built
-    # at once from the same embedding.
-    p, d, width = 7, 6, 8
-    drawn = []
+def test_level_blocks_drawn_lazily(monkeypatch):
+    # p = 7 up to d = 6: one block per level below 6, then the 7^6 =
+    # 117,649 points of the level-6 slice in 7 blocks of 7^5.  At one
+    # thread, each block is drawn only after the predicate took the last.
+    p, width = 7, 8
+    drawn, seen = [], []
     affine_image_chunks = estimators.affine_image_chunks
 
     def counting_chunks(*args):
@@ -118,20 +117,28 @@ def test_slice_points_stream(monkeypatch):
             drawn.append(len(block))
             yield block
 
-    monkeypatch.setattr(estimators, "affine_image_chunks", counting_chunks)
-    pred = LocusPredicate(kind="affine", n=width, p=p, test_batch=lambda b: b[:, 0] == 0)
-    chunks = _slice_points(Rng(9), d, pred, width)
-    assert drawn == []
-    first = next(chunks)
-    assert drawn == [len(first)]
-    blocks = [first] + list(chunks)
-    assert len(blocks) == 7 and sum(drawn) == p**d
+    def test_batch(points):
+        seen.append(len(drawn))
+        return np.zeros(len(points), dtype=bool)
 
-    rng = Rng(9)
-    mat = linalg.sample_full_rank(rng, d, width, p)
+    monkeypatch.setattr(estimators, "affine_image_chunks", counting_chunks)
+    pred = LocusPredicate(kind="affine", n=width, p=p, test_batch=test_batch)
+    budget = sum(p**d for d in range(7))
+    est = slice_dim_estimate(pred, Rng(9), trials=1, budget=budget, threads=1)
+    assert list(est.hit_profile) == list(range(7))
+    assert drawn == [p**d for d in range(6)] + [p**5] * 7
+    assert seen == list(range(1, len(drawn) + 1))
+
+
+def reference_slice(rng, d, width, p):
+    """One slice built whole, one stream at a time: matrix by rejection, then offset."""
+    while True:
+        mat = rng.matrix(d, width, p)
+        if linalg.rank(mat, p) == d:
+            break
     offset = rng.ints(width, p)
-    tails = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
-    assert np.array_equal(np.vstack(blocks), (tails @ mat + offset) % p)
+    params = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    return (params.reshape(p**d, d) @ mat + offset) % p
 
 
 def reference_estimate(
@@ -152,7 +159,7 @@ def reference_estimate(
         spent += trials * p**d
         profile[d] = 0
         for t in range(trials):
-            points = np.vstack(list(_slice_points(rng.child(f"slice-{d}-{t}"), d, pred, width)))
+            points = reference_slice(rng.child(f"slice-{d}-{t}"), d, width, p)
             mask = np.asarray(pred.test_batch(points), dtype=bool)
             if pred.kind == "projective":
                 mask |= ~points.any(axis=1)

@@ -117,10 +117,50 @@ def test_sample_gl_invertible():
 
 
 def test_sample_full_rank():
-    rng = Rng(6)
-    for _ in range(10):
-        m = linalg.sample_full_rank(rng, 3, 8, 5)
-        assert linalg.rank(m, 5) == 3
+    mats = linalg.sample_full_rank([Rng(6).child(f"s-{i}") for i in range(10)], 3, 8, 5)
+    assert mats.shape == (10, 3, 8)
+    assert all(linalg.rank(m, 5) == 3 for m in mats)
+
+
+def rejection_loop(rng, rows, cols, p):
+    """Per-stream reference: redraw until full rank; returns (matrix, draws)."""
+    draws = 0
+    while True:
+        draws += 1
+        m = rng.matrix(rows, cols, p)
+        if linalg.rank(m, p) == min(rows, cols):
+            return m, draws
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (0, 4)])
+def test_sample_full_rank_matches_per_stream_loop(rows, cols):
+    # At p = 3 a 1 x 1 draw is zero a third of the time and a 2 x 2 one
+    # singular 11 times in 27, so several streams redraw; each must make
+    # exactly the draws of its own loop, and be left in the same state.
+    # A 0-row matrix (ladder level 0) draws nothing.
+    p, count = 3, 40
+    streams = [Rng(7).child(f"t-{i}") for i in range(count)]
+    refs = [Rng(7).child(f"t-{i}") for i in range(count)]
+    got = linalg.sample_full_rank(streams, rows, cols, p)
+    want = [rejection_loop(r, rows, cols, p) for r in refs]
+    assert np.array_equal(got, np.array([m for m, _ in want]).reshape(count, rows, cols))
+    assert [s.u64() for s in streams] == [r.u64() for r in refs]
+    if rows:
+        assert max(draws for _, draws in want) > 1
+
+
+def test_sample_gl_matches_det_loop():
+    def det_loop(rng, n, p):
+        while True:
+            g = rng.matrix(n, n, p)
+            if linalg.det(g, p) != 0:
+                return g
+
+    for seed in range(50):
+        n, p = 2 + seed % 4, (3, 5, 101)[seed % 3]
+        a, b = Rng(seed), Rng(seed)
+        assert np.array_equal(linalg.sample_gl(a, n, p), det_loop(b, n, p))
+        assert a.u64() == b.u64()
 
 
 ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]

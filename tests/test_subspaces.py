@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from peskine_lab import linalg
+from peskine_lab.rng import Rng
 from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows, rref_bases
 
 
@@ -20,7 +21,7 @@ def sample_subspace(rng, n, k, p):
     full-rank k x n matrix."""
     if k == 0:
         return zero_space(n, p)
-    return Subspace.from_rows(linalg.sample_full_rank(rng, k, n, p), n, p)
+    return Subspace.from_rows(linalg.sample_full_rank([rng], k, n, p)[0], n, p)
 
 
 def gaussian_binomial(n, k, p):
@@ -114,6 +115,55 @@ def test_complement_rows(rng):
     assert joined == space
 
 
+def greedy_complement_rows(space, sub):
+    """Reference: walk the basis of `space`, keep each row not yet spanned."""
+    rows, out, current = list(sub.basis), [], sub
+    for r in space.basis:
+        if not current.contains_vector(r):
+            out.append(r)
+            rows.append(r)
+            current = Subspace.from_rows(np.array(rows), space.n, space.p)
+    return out
+
+
+def loop_reduce(space, v):
+    """Reference: reduce v against the rref rows one at a time."""
+    r = np.array(v, dtype=np.int64) % space.p
+    for row, c in zip(space.basis, space.pivots):
+        if r[c]:
+            r = (r - r[c] * row % space.p) % space.p
+    return r
+
+
+@pytest.mark.parametrize("p", [3, 101, 2**31 - 1])
+def test_complement_rows_matches_greedy_loop(p):
+    rng = Rng(p % 1000)
+    n = 8
+    for trial in range(20):
+        space = sample_subspace(rng, n, 2 + trial % 6, p)
+        # sub: the span of a few random combinations of the rows of space
+        # (dependent ones included at p = 3), from the zero space to space.
+        coeffs = rng.matrix(trial % (space.dim + 1), space.dim, p)
+        sub = Subspace.from_rows(linalg.mat_mul(coeffs, space.basis, p), n, p)
+        got = complement_rows(space, sub)
+        want = greedy_complement_rows(space, sub)
+        assert len(got) == len(want) == space.dim - sub.dim
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("p", [3, 101, 2**31 - 1])
+def test_reduction_matches_row_loop(p):
+    rng = Rng(p % 997)
+    for trial in range(20):
+        space = sample_subspace(rng, 7, trial % 8, p)
+        inside = linalg.mat_mul(rng.ints(space.dim, p), space.basis, p)
+        for v in (rng.ints(7, p), inside, np.full(7, p - 1)):
+            r = loop_reduce(space, v)
+            assert space.contains_vector(v) == (not r.any())
+            assert np.array_equal(space.quotient_coords(v), r[list(space.complement_pivots())])
+        assert space.contains_vector(inside)
+
+
 def test_gaussian_binomial_small():
     # Lines in F_3^3: (3^3-1)/(3-1) = 13.
     assert gaussian_binomial(3, 1, 3) == 13
@@ -148,8 +198,6 @@ def test_all_subspaces_count(n, k, p):
 
 
 def test_sample_subspace_dim():
-    from peskine_lab.rng import Rng
-
     rng = Rng(77)
     for k in range(7):
         assert sample_subspace(rng, 6, k, 11).dim == k
