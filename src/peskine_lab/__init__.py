@@ -9,10 +9,10 @@ Layout:
     linalg     dense exact linear algebra mod p
     subspaces  row-space representatives, meets/joins, flags
     trivector  alternating 3-forms, contractions, Pfaffians
-    scan       batched exhaustive scans and the rank-drop mask
+    scan       batched exhaustive scans, the rank-drop mask, symbolic Pfaffians
     polynomial sparse multivariate polynomials mod p
     divisors   structured trivector samplers and flag recovery
-    loci       degeneracy loci: membership tests, interpolated equations
+    loci       degeneracy loci: membership tests, the quotient-Pfaffian cubic
     orbits     coordinate models for the small orbit closures
     fibration  the rank-4 fibration attached to a flagged trivector
     estimators dimension estimation by random slicing / Jacobians

@@ -60,14 +60,13 @@ class LocusPredicate:
 
 @dataclass(frozen=True)
 class DimEstimate:
-    """Outcome of the slice ladder; -1 means empty within budget."""
+    """Outcome of the slice ladder; -1 means no estimate (see the note)."""
 
     estimated_dim: int
     trials: int
     hit_profile: dict = field(compare=True)
     confidence_note: str = ""
     ambiguous: bool = False
-    params: dict = field(default_factory=dict)
 
 
 def _level_blocks(mats: np.ndarray, offsets: np.ndarray, p: int) -> Iterator[tuple]:
@@ -101,6 +100,10 @@ def slice_dim_estimate(
     it was already warm (fraction >= miss_threshold) since that pattern
     is what a misread codimension looks like.  Projective loci run on
     the affine cone (zero vector included) and the estimate drops by 1.
+    Without such a level the estimate is -1, and it reads "empty" (not
+    ambiguous) only when every level up to the ambient dimension was
+    scanned without a hit; a ladder with hits, or one the budget stopped
+    below the ambient dimension, is ambiguous: it gives no verdict.
 
     Slices are offset away from the origin, so homogeneous loci get no
     free hits through the cone point.  Slice streams derive from labeled
@@ -119,15 +122,6 @@ def slice_dim_estimate(
     p = pred.p
     width = pred.width
     ambient_dim = width if pred.kind == "projective" else pred.n
-    params = {
-        "trials": trials,
-        "hit_threshold": hit_threshold,
-        "miss_threshold": miss_threshold,
-        "budget": budget,
-        "p": p,
-        "kind": pred.kind,
-        "n": pred.n,
-    }
 
     def trial_hits(item: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
         start, block = item
@@ -141,9 +135,11 @@ def slice_dim_estimate(
     profile: dict[int, int] = {}
     freqs: dict[int, float] = {}
     d_min = None
+    stopped = None
     for d in range(ambient_dim + 1):
         size = p**d
         if spent + trials * size > budget:
+            stopped = d
             break
         spent += trials * size
         streams = [rng.child(f"slice-{d}-{t}") for t in range(trials)]
@@ -164,9 +160,16 @@ def slice_dim_estimate(
                 f"no slice level reached hit threshold {hit_threshold} within "
                 f"budget (profile {profile}); estimate withheld"
             )
-            return DimEstimate(-1, trials, profile, note, ambiguous=True, params=params)
+            return DimEstimate(-1, trials, profile, note, ambiguous=True)
+        if stopped is not None:
+            note = (
+                f"no hits up to level {stopped - 1}; the budget of {budget} tests "
+                f"stopped the ladder at level {stopped} of {ambient_dim} "
+                f"({spent} tests); estimate withheld"
+            )
+            return DimEstimate(-1, trials, profile, note, ambiguous=True)
         note = f"no hits at any slice level scanned within budget ({spent} tests)"
-        return DimEstimate(-1, trials, profile, note, ambiguous=False, params=params)
+        return DimEstimate(-1, trials, profile, note, ambiguous=False)
 
     warm = d_min > 0 and freqs[d_min - 1] >= miss_threshold
     est = ambient_dim - d_min - (1 if pred.kind == "projective" else 0)
@@ -177,7 +180,7 @@ def slice_dim_estimate(
     )
     if warm:
         note += "; level below the accepted one is warm, profile inconclusive"
-    return DimEstimate(est, trials, profile, note, ambiguous=warm, params=params)
+    return DimEstimate(est, trials, profile, note, ambiguous=warm)
 
 
 def image_dim_estimate(polys: list[Poly], rng, samples: int = 50) -> int:

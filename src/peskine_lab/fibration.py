@@ -10,8 +10,8 @@ omega on V10/V6, and perps under omega drive four constructions:
     in its radical (4 detects the rank-drop locus).
   * sigma_dprime: a 20-coordinate residue of sigma at a flagged pair
     U2 inside U7, landing in the orbit-model space of `orbits`.
-  * quadric_pencil: two interpolated quadrics on P(U7/V1) whose common
-    zeros catch the images of rank-drop points.
+  * quadric_pencil: two quotient-Pfaffian quadrics on P(U7/V1) whose
+    common zeros catch the images of rank-drop points.
   * thm21_fiber: the fiber of the projection-from-V3 construction,
     computable both exhaustively and by an affine-linear solve.
 """
@@ -25,23 +25,20 @@ import numpy as np
 
 from . import linalg
 from .orbits import BElement, project_to_B
-from .polynomial import interpolate_form, monomials_of_degree
-from .rng import Rng
 from .scan import (
     affine_image_chunks,
     batched_contract1,
     batched_rank,
+    family_quotient_pfaffian,
     family_ranks,
     projective_chunks,
     rank_drop_mask,
     run_chunked,
 )
 from .subspaces import Flag, Subspace, complement_rows
-from .trivector import SkewForm, Trivector, pfaffian
+from .trivector import SkewForm, Trivector
 
 logger = logging.getLogger(__name__)
-
-_QUADRIC_NODE_SEED = 0x9AD4C0DE
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,7 @@ def prescribed_dprime_sigma(
 
 @dataclass(frozen=True)
 class QuadricPencil:
-    """Two interpolated quadrics on P(U7/V1) and the data to map into it."""
+    """Two quotient-Pfaffian quadrics on P(U7/V1) and the data to map into it."""
 
     p: int
     q_a: np.ndarray = field(compare=False)
@@ -316,44 +313,34 @@ class QuadricPencil:
 
 
 def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
-    """Interpolate the two Pfaffian quadrics attached to U7.
+    """The two Pfaffian quadrics attached to U7.
 
     For each of the two canonical directions extending U7 inside its perp
     9-space, the value at [u] in P(U7/V1) is the Pfaffian of sigma(u, ., .)
-    on the 8-space U7 + direction, taken modulo the radical pair (u, v1).
-    That value is a homogeneous quadratic in the quotient coordinates,
-    recovered by `interpolate_form` with 10 surplus nonzero nodes.
+    on the 8-space W8 = U7 + direction, taken modulo the radical pair
+    (u, v1).  That value is a homogeneous quadratic in the quotient
+    coordinates c of u = c @ lift: `family_quotient_pfaffian` of the forms
+    on W8 at the lift rows, with the pair in W8-coordinates (the rref
+    basis of W8 reads a vector's coordinates off its pivot columns).
     """
-    from .loci import pfaffian_mod_radical
-
     p = sigma.p
     od = omega_data(sigma, flag)
     u9 = u7_perp(od, u7)
     dirs = complement_rows(u9, u7)
     if len(dirs) != 2:
         raise AssertionError("perp extension must add exactly two directions")
-    v1 = flag[0]
-    v1_vec = v1.basis[0]
-    lift_rows = np.array(complement_rows(u7, v1), dtype=np.int64)
+    lift_rows = np.array(complement_rows(u7, flag[0]), dtype=np.int64)
+    contractions = batched_contract1(sigma, lift_rows)
     inv2 = linalg.inv_mod(2, p)
 
     quadrics = []
-    for tag, direction in zip(("a", "b"), dirs):
+    for direction in dirs:
         w8 = u7.join(Subspace.span_of(direction, n=sigma.n, p=p))
-        b8 = w8.basis
-        y = w8.coords_of(v1_vec)
-
-        def value(c):
-            if not c.any():
-                return None
-            u = linalg.mat_mul(c, lift_rows, p)
-            m8 = linalg.congruence(b8, sigma.contract1(u).mat, p)
-            return pfaffian_mod_radical(m8, w8.coords_of(u), y, p)
-
-        rng = Rng(_QUADRIC_NODE_SEED).child(f"quadric-{tag}-{p}")
-        coeffs = interpolate_form(value, rng, 6, 2, 10, p)
+        family = linalg.congruence(w8.basis, contractions, p).reshape(len(lift_rows), -1)
+        xs = lift_rows[:, list(w8.pivots)]
+        form = family_quotient_pfaffian(family, xs, w8.coords_of(flag[0].basis[0]), p)
         q = np.zeros((6, 6), dtype=np.int64)
-        for (i, j), c in zip(monomials_of_degree(6, 2), coeffs):
+        for (i, j), c in form.terms:
             q[i, j] = q[j, i] = c if i == j else c * inv2 % p
         quadrics.append(q)
     q_a, q_b = quadrics

@@ -2,7 +2,7 @@
 
 The central locus is the set of points [u] where the contraction
 sigma(u, ., .) drops rank to n - 4; around it live the isotropic-6-space
-locus, an interpolated cubic on P(V6) computed from quotient Pfaffians,
+locus, the quotient-Pfaffian cubic on P(V6) expanded symbolically,
 an 8-space membership test with an exhaustive inner search for isotropic
 3-spaces, and the plane fibers sitting over its witnesses.
 """
@@ -15,10 +15,9 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg, scan
-from .polynomial import Poly, interpolate_form, jacobian, monomials_of_degree
-from .rng import Rng
+from .polynomial import Poly, jacobian, monomials_of_degree
 from .subspaces import Flag, Subspace, all_subspaces, rref_bases
-from .trivector import Trivector, pfaffian
+from .trivector import Trivector
 
 
 def peskine_member(sigma: Trivector, u) -> bool:
@@ -48,40 +47,9 @@ def dv_member(sigma: Trivector, u6: Subspace) -> bool:
     return True
 
 
-def pfaffian_mod_radical(mat: np.ndarray, x, y, p: int) -> int:
-    """Pfaffian of a skew form induced on the quotient by two radical vectors.
-
-    For a skew m x m matrix M (m even) whose radical contains the
-    independent vectors x and y, the m-2 dimensional quotient form has a
-    Pfaffian that is well defined once a volume is fixed; this uses the
-    convention that (x, y, complementary standard vectors) has unit
-    determinant.  Concretely: pick the first index pair (a, b) with
-    w = x_a y_b - x_b y_a nonzero; then the value is
-    sign * Pf(M restricted off {a, b}) / w, independent of the pair.
-    """
-    m = linalg.as_field(mat, p)
-    size = m.shape[0]
-    x = linalg.as_field(x, p).reshape(-1)
-    y = linalg.as_field(y, p).reshape(-1)
-    if size % 2:
-        raise ValueError("quotient pfaffian needs even ambient size")
-    if linalg.mat_mul(m, x, p).any() or linalg.mat_mul(m, y, p).any():
-        raise ValueError("x and y must lie in the radical of the form")
-    for a in range(size):
-        for b in range(a + 1, size):
-            w = (int(x[a]) * int(y[b]) - int(x[b]) * int(y[a])) % p
-            if w:
-                rest = [i for i in range(size) if i not in (a, b)]
-                inversions = sum(1 for s in rest if s > a) + sum(1 for s in rest if s > b)
-                sign = 1 if inversions % 2 == 0 else p - 1
-                sub = m[np.ix_(rest, rest)]
-                return int(sign * pfaffian(sub, p) % p * linalg.inv_mod(w, p) % p)
-    raise ValueError("x and y are not independent")
-
-
 @dataclass(frozen=True)
 class CubicForm:
-    """Degree-3 form in 6 variables, dense graded-lex coefficients."""
+    """Degree-3 form in 6 variables."""
 
     poly: Poly
 
@@ -90,14 +58,6 @@ class CubicForm:
             raise ValueError("cubic form lives in 6 variables")
         if self.poly.total_degree() > 3:
             raise ValueError("degree exceeds 3")
-
-    @classmethod
-    def from_coefficients(cls, coeffs, p: int) -> "CubicForm":
-        monos = monomials_of_degree(6, 3)
-        coeffs = linalg.as_field(coeffs, p).reshape(-1)
-        if coeffs.shape[0] != len(monos):
-            raise ValueError(f"expected {len(monos)} coefficients")
-        return cls(Poly.from_dict({m: int(c) for m, c in zip(monos, coeffs)}, 6, p))
 
     @property
     def p(self) -> int:
@@ -114,36 +74,20 @@ class CubicForm:
 
 
 def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> CubicForm:
-    """Interpolate the quotient-Pfaffian cubic on P(V6).
+    """The quotient-Pfaffian cubic on P(V6).
 
     For u in V6 off the distinguished line, sigma(u, ., .) has both u and
     v1 in its radical, so the quotient Pfaffian is a well-defined scalar;
-    as a function of the V6-coordinates of u it is a cubic.  The cubic is
-    recovered by `interpolate_form` at deterministic nodes, with 20
-    surplus nodes; a node is skipped where u and v1 are dependent.
+    as a function of the V6-coordinates c of u it is a cubic.  It is
+    `scan.family_quotient_pfaffian` of the contractions at the rows of
+    the V6 basis, with the radical pair (c @ b6, v1).
     """
-    p = sigma.p
-    v1 = flag[0].basis[0]
-    b6 = flag[1].basis
     if flag[0].dim != 1 or flag[1].dim != 6:
         raise ValueError("need a (1, 6) flag")
-
-    def value(c: np.ndarray) -> int | None:
-        return _quotient_pfaffian_at(sigma, linalg.mat_mul(c, b6, p), v1)
-
-    coeffs = interpolate_form(value, Rng(0xC0B1C).child(f"cubic-nodes-{p}"), 6, 3, 20, p)
-    return CubicForm.from_coefficients(coeffs, p)
-
-
-def _quotient_pfaffian_at(sigma: Trivector, u, v1) -> int | None:
-    """Quotient Pfaffian of sigma(u,.,.) by (u, v1); None when u, v1 are
-    dependent (the Pfaffian extends there by polynomial continuity)."""
-    p = sigma.p
-    u = linalg.as_field(u, p).reshape(-1)
-    v1 = linalg.as_field(v1, p).reshape(-1)
-    if Subspace.from_rows(np.vstack([u, v1]), sigma.n, p).dim < 2:
-        return None
-    return pfaffian_mod_radical(sigma.contract1(u).mat, u, v1, p)
+    p, n = sigma.p, sigma.n
+    b6 = flag[1].basis
+    family = linalg.mat_mul(b6, sigma.tensor.reshape(n, n * n), p)
+    return CubicForm(scan.family_quotient_pfaffian(family, b6, flag[0].basis[0], p))
 
 
 # Point-plane pairs per einsum in the K3 plane search (8 values each).

@@ -1,13 +1,14 @@
-"""Sparse multivariate polynomials over F_p, and the two jobs done on forms.
+"""Sparse multivariate polynomials over F_p.
 
 Monomials are stored as sorted tuples of variable indices with repetition
 (so x0^2 x3 is (0, 0, 3) and the constant monomial is ()).  Degrees stay
 tiny here (at most 4 in up to 20 variables), so a dict-backed sparse
 representation with exact arithmetic is plenty.
 
-Building a form from its values is `interpolate_form`, and
-differentiating one is `jacobian`, the batched Jacobian of a polynomial
-map; both serve every caller in the package.
+Forms are built symbolically (`scan.family_pfaffian` expands Pfaffians
+of linear families, and `Poly.divide_linear` takes exact quotients by a
+linear form); `jacobian`, the batched Jacobian of a polynomial map,
+differentiates them for every caller in the package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Callable
 
 import numpy as np
 
@@ -77,6 +77,35 @@ class Poly:
     def scale(self, c: int) -> "Poly":
         c %= self.p
         return Poly.from_dict({m: cc * c for m, cc in self.terms}, self.nvars, self.p)
+
+    def divide_linear(self, ell: "Poly") -> "Poly":
+        """The exact quotient self / ell by a nonzero linear form ell.
+
+        Eliminates the first variable x_j of ell, highest power of x_j
+        first: each monomial x_j m' left in the dividend puts c / l_j m'
+        into the quotient and subtracts c / l_j m' ell.  Raises ValueError
+        when ell is no linear form or leaves a remainder.
+        """
+        self._check(ell)
+        lin = {m[0]: c for m, c in ell.terms if len(m) == 1}
+        if not lin or len(lin) != len(ell.terms):
+            raise ValueError("divisor is not a nonzero linear form")
+        p, lead = self.p, min(lin)
+        inv = pow(lin[lead], -1, p)
+        rest = dict(self.terms)
+        quot: dict[tuple[int, ...], int] = {}
+        for power in range(self.total_degree(), 0, -1):
+            for mono in [m for m, c in rest.items() if c and m.count(lead) == power]:
+                q = rest[mono] * inv % p
+                cut = list(mono)
+                cut.remove(lead)
+                quot[tuple(cut)] = q
+                for k, c in lin.items():
+                    key = tuple(sorted(cut + [k]))
+                    rest[key] = (rest.get(key, 0) - q * c) % p
+        if any(rest.values()):
+            raise ValueError("the linear form does not divide the polynomial")
+        return Poly.from_dict(quot, self.nvars, p)
 
     def partial(self, i: int) -> "Poly":
         acc: dict[tuple[int, ...], int] = {}
@@ -155,50 +184,6 @@ def jacobian(polys: list[Poly], points: np.ndarray) -> np.ndarray:
         for i, g in enumerate(f._partials):
             out[:, r, i] = g._values(coords)
     return out
-
-
-def interpolate_form(
-    value: Callable[[np.ndarray], int | None],
-    rng,
-    nvars: int,
-    degree: int,
-    surplus: int,
-    p: int,
-) -> np.ndarray:
-    """Coefficients of a form of `degree` in `nvars` variables, from its values.
-
-    Nodes c are drawn one at a time by `rng.ints(nvars, p)`; `value(c)` is
-    the form's value at c, or None to skip the node.  One node per
-    monomial plus `surplus` more make the solve overdetermined, so the
-    surplus nodes check the fit.  Returns the coefficients in
-    `monomials_of_degree(nvars, degree)` order.  Raises ValueError when
-    the field is too small, when 40 draws per monomial do not give enough
-    nodes, or when the nodes are not in general position or their values
-    fit no such form.
-    """
-    monos = np.array(monomials_of_degree(nvars, degree), dtype=np.int64).reshape(-1, degree)
-    count = len(monos)
-    if p**nvars < 4 * count:
-        raise ValueError(f"field with p = {p} is too small for stable interpolation")
-    nodes, vals = [], []
-    for _ in range(40 * count):
-        c = rng.ints(nvars, p)
-        v = value(c)
-        if v is not None:
-            nodes.append(c)
-            vals.append(v)
-            if len(nodes) == count + surplus:
-                break
-    else:
-        raise ValueError("interpolation nodes kept degenerating")
-    nodes = np.array(nodes)
-    rows = np.ones((len(nodes), count), dtype=np.int64)
-    for k in range(degree):
-        rows = rows * nodes[:, monos[:, k]] % p
-    red, pivots = linalg.rref(np.column_stack([rows, np.array(vals, dtype=np.int64)]), p)
-    if pivots != tuple(range(count)):
-        raise ValueError("interpolation nodes are degenerate or their values fit no form")
-    return red[:, count]
 
 
 def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:

@@ -16,8 +16,10 @@ above the bound, which is exact wherever that cap is a proven maximum.
 `rank_drop_mask` is its mask on the family of contractions of a
 trivector (`locus_points` lists the points of P^(n-1) it keeps), and
 `family_pfaffian` its symbolic twin: a principal Pfaffian of the same
-family, expanded over the same matching table into a polynomial in the
-family's coordinates.
+family, expanded into a polynomial in the family's coordinates.
+`family_quotient_pfaffian` divides one such Pfaffian exactly by a linear
+form to get the Pfaffian modulo a radical pair, the one path behind the
+quotient-Pfaffian cubic and quadrics.
 Results are exact at every admitted prime: products go through
 `linalg.mat_mul`, elementwise products of two reduced entries fit
 int64, and the Pfaffian kernel delays its reduction mod p only while
@@ -395,32 +397,68 @@ def family_pfaffian(flat: np.ndarray, subset: tuple[int, ...], p: int) -> Poly:
     The symbolic twin of `family_ranks`: `flat` is the same (d, m * m)
     family, and the result is the form of degree len(subset) / 2 in d
     variables whose value at u is the Pfaffian of `u @ flat` reshaped to
-    (m, m), restricted to `subset`.  Every signed perfect matching of the
-    `_matching_terms` table multiplies out its pair columns, each a
-    linear form kept as a dict over its nonzero entries.  Same convention
-    as `trivector.pfaffian`: 1 on the empty subset, 0 on an odd one.
+    (m, m), restricted to `subset`.  Expansion along the first remaining
+    index, memoized on index sets as in `trivector.pfaffian`; each entry
+    is a linear form kept as a dict over its nonzero entries.  Same
+    convention: 1 on the empty subset, 0 on an odd one.
     """
     d = flat.shape[0]
     m = isqrt(flat.shape[1])
-    acc: dict[tuple[int, ...], int] = {}
     if len(subset) % 2:
-        return Poly.from_dict(acc, d, p)
-    forms = [
-        [(k, int(c)) for k, c in enumerate(flat[:, i * m + j] % p) if c]
+        return Poly.from_dict({}, d, p)
+    forms = {
+        (i, j): [(v, int(c)) for v, c in enumerate(flat[:, i * m + j] % p) if c]
         for i, j in combinations(subset, 2)
-    ]
-    for positive, cols in _matching_terms(len(subset)):
-        terms = {(): 1 if positive else -1}
-        for c in cols:
-            grown: dict[tuple[int, ...], int] = {}
-            for mono, a in terms.items():
-                for k, b in forms[c]:
-                    key = tuple(sorted(mono + (k,)))
-                    grown[key] = grown.get(key, 0) + a * b
-            terms = grown
-        for mono, a in terms.items():
-            acc[mono] = acc.get(mono, 0) + a
-    return Poly.from_dict(acc, d, p)
+    }
+    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
+
+    def rec(idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        cached = memo.get(idx)
+        if cached is not None:
+            return cached
+        acc: dict[tuple[int, ...], int] = {}
+        for k in range(1, len(idx)):
+            form = forms[idx[0], idx[k]]
+            if not form:
+                continue
+            sign = 1 if k % 2 else -1
+            for mono, a in rec(idx[1:k] + idx[k + 1 :]).items():
+                for v, c in form:
+                    key = tuple(sorted(mono + (v,)))
+                    acc[key] = (acc.get(key, 0) + sign * a * c) % p
+        memo[idx] = acc
+        return acc
+
+    return Poly.from_dict(rec(tuple(subset)), d, p)
+
+
+def family_quotient_pfaffian(flat: np.ndarray, xs: np.ndarray, y: np.ndarray, p: int) -> Poly:
+    """Pfaffian of a family modulo a radical pair, as a polynomial on the family.
+
+    `flat` is a (d, m * m) family with m even, as in `family_pfaffian`;
+    at u in F_p^d the form `u @ flat` has the independent vectors
+    x = u @ xs and y in its radical.  The quotient form on F_p^m / <x, y>
+    has a Pfaffian Q(u) once a volume is fixed: (x, y, complementary
+    standard vectors) has unit determinant.  With w_ab = x_a y_b - x_b y_a,
+    the Pfaffian of the form off {a, b} is sign * w_ab * Q for every pair
+    (a, b), sign the parity of the inversions that move a and b to the
+    front, a polynomial identity in u.  So Q is that Pfaffian divided by
+    w_ab exactly, for the first pair in `combinations` order where w_ab
+    is a nonzero linear form; a remainder raises ValueError.
+    """
+    d = flat.shape[0]
+    m = isqrt(flat.shape[1])
+    if m % 2:
+        raise ValueError("quotient pfaffian needs even ambient size")
+    xs, y = linalg.as_field(xs, p), linalg.as_field(y, p).reshape(-1)
+    for a, b in combinations(range(m), 2):
+        w = (xs[:, a] * y[b] - xs[:, b] * y[a]) % p
+        if w.any():
+            rest = tuple(i for i in range(m) if i not in (a, b))
+            sign = 1 if (a + b) % 2 else -1
+            pf = family_pfaffian(flat, rest, p).scale(sign)
+            return pf.divide_linear(Poly.from_dict({(k,): int(c) for k, c in enumerate(w)}, d, p))
+    raise ValueError("x and y are not independent")
 
 
 def rank_drop_mask(sigma: Trivector, points: np.ndarray, bound: int) -> np.ndarray:

@@ -67,16 +67,10 @@ class SkewForm:
         return Subspace.from_rows(linalg.kernel(self.mat, self.p), self.n, self.p)
 
     def restrict(self, s: Subspace) -> "SkewForm":
-        return restrict_skew(self, s)
-
-
-def restrict_skew(form: SkewForm, s: Subspace) -> SkewForm:
-    """The form pulled back to the rref basis rows of `s`."""
-    if s.n != form.n or s.p != form.p:
-        raise ValueError("subspace and form live on different spaces")
-    b = s.basis
-    mat = linalg.mat_mul(linalg.mat_mul(b, form.mat, form.p), b.T, form.p)
-    return SkewForm.from_matrix(mat, form.p)
+        """The form pulled back to the rref basis rows of `s`."""
+        if s.n != self.n or s.p != self.p:
+            raise ValueError("subspace and form live on different spaces")
+        return SkewForm.from_matrix(linalg.congruence(s.basis, self.mat, self.p), self.p)
 
 
 def pfaffian(mat, p: int) -> int:

@@ -89,3 +89,24 @@ def test_lem_3_6_exact_at_largest_admitted_prime():
     result = run_check("lem-3.6", CheckConfig(p=2**31 - 1, trials=6))
     assert result.metrics["perp_invariants"] is True
     assert result.status == "PASS"
+
+
+def test_lem_3_8_admits_a_deeper_point():
+    # At seed 15, p = 5 the third U7 chart of the second sigma holds a
+    # point of full rank 4 (below n - 4 = 6) whose restricted rank is 2.
+    # Read as "restricted rank exactly 4" it was one violation and a FAIL;
+    # a restriction cannot raise the rank, so it conforms.
+    result = run_check("lem-3.8", CheckConfig(seed=15, p=5, trials=3))
+    assert result.metrics["violations"] == 0
+    assert result.status == "PASS"
+
+
+def test_budget_stopped_estimate_is_not_a_failure():
+    # At p = 101 the sing_o2 ladder needs level 5, but 4 * 101^4 tests
+    # exceed the default budget, so it stops after level 3 with no hits:
+    # no verdict, not a wrong dimension.
+    result = run_check("lem-3.13", CheckConfig(p=101, trials=4))
+    sing = result.metrics["sing_o2_p101"]
+    assert sing["estimated_dim"] == -1 and sing["ambiguous"] is True
+    assert "stopped the ladder at level 4 of 20" in sing["note"]
+    assert result.status == "AMBIGUOUS"

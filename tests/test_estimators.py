@@ -69,16 +69,31 @@ def test_cubic_hypersurface_dim():
     assert not est.ambiguous
 
 
-def test_empty_locus():
-    pred = LocusPredicate(
-        kind="affine",
-        n=20,
-        p=5,
-        test_batch=lambda b: np.zeros(len(b), dtype=bool),
+def empty_locus(n):
+    return LocusPredicate(
+        kind="affine", n=n, p=5, test_batch=lambda b: np.zeros(len(b), dtype=bool)
     )
-    est = slice_dim_estimate(pred, Rng(18), trials=10, budget=10**6)
+
+
+def test_empty_locus():
+    # Every level up to the ambient dimension 6 scanned without a hit:
+    # empty, not ambiguous.
+    est = slice_dim_estimate(empty_locus(6), Rng(18), trials=10, budget=10**6)
     assert est.estimated_dim == -1
     assert not est.ambiguous
+    assert sorted(est.hit_profile) == list(range(7))
+
+
+def test_budget_stop_is_no_verdict():
+    # In F_5^20 the budget of 10^6 tests covers levels 0..7 (976,560
+    # tests), so the ladder stops below the ambient dimension: no hits
+    # there prove nothing, and the estimate is withheld.
+    est = slice_dim_estimate(empty_locus(20), Rng(18), trials=10, budget=10**6)
+    assert est.estimated_dim == -1
+    assert est.ambiguous
+    assert sorted(est.hit_profile) == list(range(8))
+    assert "stopped the ladder at level 8 of 20" in est.confidence_note
+    assert "budget of 1000000 tests" in est.confidence_note
 
 
 def test_projective_drop():
@@ -155,7 +170,7 @@ def reference_estimate(
     spent, profile = 0, {}
     for d in range(ambient + 1):
         if spent + trials * p**d > budget:
-            break
+            return profile, -1, True  # stopped below the ambient dimension
         spent += trials * p**d
         profile[d] = 0
         for t in range(trials):

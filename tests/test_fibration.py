@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from pfaffian_reference import pfaffian_mod_radical
 
 from peskine_lab import linalg
 from peskine_lab.checks import sample_d16_nondegenerate, sample_u7
@@ -19,7 +20,6 @@ from peskine_lab.fibration import (
     thm21_fiber,
     u7_perp,
 )
-from peskine_lab.loci import pfaffian_mod_radical
 from peskine_lab.orbits import project_to_B
 from peskine_lab.rng import Rng
 from peskine_lab.scan import batched_contract1, batched_rank, projective_chunks, projective_rep
@@ -334,7 +334,7 @@ def test_quadric_pencil_homogeneity_and_containment():
 
 def test_quadric_pencil_at_largest_prime():
     # Every product on the pencil path is exact at p = 2^31 - 1: the
-    # interpolated quadrics agree with the Pfaffian values in Python ints.
+    # quadrics agree with the scalar quotient Pfaffians in Python ints.
     p = 2**31 - 1
     samp = sample_d16_nondegenerate(Rng(107), p)
     u7 = sample_u7(Rng(108), samp.flag)

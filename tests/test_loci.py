@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from pfaffian_reference import pfaffian_mod_radical
 
 from peskine_lab import linalg, scan
 from peskine_lab.checks import sample_d16_nondegenerate
@@ -13,7 +14,6 @@ from peskine_lab.loci import (
     _batched_quartic_eval,
     _grid_quartic_zeros,
     _power_table,
-    _quotient_pfaffian_at,
     conic_fiber,
     cubic_from_pfaffian,
     dv_member,
@@ -22,10 +22,9 @@ from peskine_lab.loci import (
     lagrangian_planes,
     peskine_member,
     peskine_points,
-    pfaffian_mod_radical,
     sample_peskine_points,
 )
-from peskine_lab.polynomial import monomials_of_degree
+from peskine_lab.polynomial import Poly, monomials_of_degree
 from peskine_lab.rng import Rng
 from peskine_lab.scan import projective_count
 from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows
@@ -130,13 +129,13 @@ def test_pfaffian_mod_radical_errors():
 
 def test_cubicform_validation():
     monos = monomials_of_degree(6, 3)
-    coeffs = np.zeros(len(monos), dtype=np.int64)
-    coeffs[0] = 1
-    cf = CubicForm.from_coefficients(coeffs, 7)
+    cf = CubicForm(Poly.from_dict({monos[0]: 1}, 6, 7))
     assert cf.is_cubic()
     assert cf.poly.as_dict() == {monos[0]: 1}
-    with pytest.raises(ValueError):
-        CubicForm.from_coefficients(coeffs[:-1], 7)
+    with pytest.raises(ValueError, match="6 variables"):
+        CubicForm(Poly.from_dict({(0, 0, 0): 1}, 5, 7))
+    with pytest.raises(ValueError, match="degree exceeds 3"):
+        CubicForm(Poly.from_dict({(0, 0, 0, 1): 1}, 6, 7))
 
 
 def test_cubic_from_pfaffian_matches_pointwise():
@@ -159,8 +158,8 @@ def test_cubic_from_pfaffian_matches_pointwise():
 
 
 def test_cubic_from_pfaffian_at_largest_prime():
-    # The node images c @ b6 go through exact products at p = 2^31 - 1, so
-    # the interpolated cubic agrees with the quotient Pfaffians at fresh nodes.
+    # The family b6 @ sigma goes through exact products at p = 2^31 - 1, so
+    # the cubic agrees with the scalar quotient Pfaffians at random points.
     p = 2**31 - 1
     samp = sample_divisor(Rng(63), "d1-6-10", p)
     cubic = cubic_from_pfaffian(samp.sigma, samp.flag)
@@ -171,7 +170,8 @@ def test_cubic_from_pfaffian_at_largest_prime():
     for _ in range(3):
         c = rng.ints(6, p)
         u = (c.astype(object) @ b6 % p).astype(np.int64)
-        assert cubic.poly.evaluate(c) == _quotient_pfaffian_at(samp.sigma, u, v1)
+        want = pfaffian_mod_radical(samp.sigma.contract1(u).mat, u, v1, p)
+        assert cubic.poly.evaluate(c) == want
 
 
 def test_cubic_zero_set_is_rank_drop():
@@ -191,11 +191,8 @@ def test_cubic_zero_set_is_rank_drop():
 
 
 def test_cubic_singularity_probe_is_gradient():
-    monos = monomials_of_degree(6, 3)
-    coeffs = np.zeros(len(monos), dtype=np.int64)
     # x0^3 has gradient (3 x0^2, 0, ..., 0)
-    coeffs[monos.index((0, 0, 0))] = 1
-    cf = CubicForm.from_coefficients(coeffs, 7)
+    cf = CubicForm(Poly.from_dict({(0, 0, 0): 1}, 6, 7))
     grad = cf.gradient([2, 0, 0, 0, 0, 0])
     assert grad.tolist() == [3 * 4 % 7, 0, 0, 0, 0, 0]
 

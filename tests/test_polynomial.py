@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peskine_lab import linalg
-from peskine_lab.polynomial import Poly, interpolate_form, jacobian, monomials_of_degree
+from peskine_lab.polynomial import Poly, jacobian, monomials_of_degree
 from peskine_lab.rng import Rng
 
 ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
@@ -136,29 +136,26 @@ def test_monomials_of_degree():
 
 
 @pytest.mark.parametrize("p", [7, 2**31 - 1])
-def test_interpolate_form_recovers_a_form(p):
-    # A planted cubic in 4 variables comes back coefficient for coefficient;
-    # skipped nodes are not used.
+def test_divide_linear_round_trips(p):
+    # f * ell / ell = f for a random cubic f in 4 variables and linear
+    # forms ell with and without a first variable.
+    rng = Rng(5)
     monos = monomials_of_degree(4, 3)
-    want = Rng(5).ints(len(monos), p)
-    form = Poly.from_dict(dict(zip(monos, want.tolist())), 4, p)
-    seen = []
-
-    def value(c):
-        if c[0] % 2:
-            return None
-        seen.append(c)
-        return form.evaluate(c)
-
-    got = interpolate_form(value, Rng(6), 4, 3, 5, p)
-    assert got.tolist() == want.tolist()
-    assert len(seen) == len(monos) + 5
+    f = Poly.from_dict(dict(zip(monos, rng.ints(len(monos), p).tolist())), 4, p)
+    for coeffs in (rng.ints(4, p), [0, 0, 3, p - 1]):
+        ell = Poly.from_dict({(k,): int(c) for k, c in enumerate(coeffs)}, 4, p)
+        assert (f * ell).divide_linear(ell) == f
+    assert Poly.constant(0, 4, p).divide_linear(ell) == Poly.constant(0, 4, p)
 
 
-def test_interpolate_form_rejects_values_of_no_form():
-    # A quartic is no cubic: the surplus nodes find the misfit.
-    quartic = Poly.from_dict({(0, 0, 1, 1): 1}, 3, 7)
-    with pytest.raises(ValueError):
-        interpolate_form(quartic.evaluate, Rng(7), 3, 3, 10, 7)
-    with pytest.raises(ValueError, match="kept degenerating"):
-        interpolate_form(lambda c: None, Rng(8), 3, 3, 10, 7)
+def test_divide_linear_raises_on_a_remainder():
+    p = 7
+    x0, x1 = Poly.variable(0, 3, p), Poly.variable(1, 3, p)
+    with pytest.raises(ValueError, match="does not divide"):
+        (x0 * x1 + Poly.variable(2, 3, p)).divide_linear(x0 + x1)
+    with pytest.raises(ValueError, match="does not divide"):
+        Poly.constant(1, 3, p).divide_linear(x0)
+    with pytest.raises(ValueError, match="not a nonzero linear form"):
+        (x0 * x1).divide_linear(x0 * x0)
+    with pytest.raises(ValueError, match="not a nonzero linear form"):
+        x0.divide_linear(Poly.constant(0, 3, p))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from pfaffian_reference import pfaffian_mod_radical
 
 from peskine_lab import linalg
 from peskine_lab.divisors import sample_divisor
@@ -20,6 +21,7 @@ from peskine_lab.scan import (
     batched_pfaffian_minors,
     batched_rank,
     family_pfaffian,
+    family_quotient_pfaffian,
     family_ranks,
     inverse_table,
     projective_chunks,
@@ -321,6 +323,56 @@ def test_family_pfaffian_matches_pfaffian(seed, p, m, size):
     ]
     assert [poly.evaluate(u) for u in pts] == want
     assert poly.evaluate_batch(pts).tolist() == want
+
+
+def radical_family(rng, p, mixed):
+    """A family sigma(u, ., .) on F_p^8 for u in a 3-space S, with y in every radical.
+
+    In standard position y = e3 and S = <e5, e6, e7>, and sigma has no
+    e3 ^ e_i ^ e_j term for i in 5..7.  With `mixed`, a random GL(8)
+    moves everything, so the first pair with a nonzero w_ab is usually
+    (0, 1); in standard position it is (3, 5).
+    """
+    n = 8
+    coeffs = rng.ints(len(triples(n)), p)
+    for k, t in enumerate(triples(n)):
+        if 3 in t and set(t) & {5, 6, 7}:
+            coeffs[k] = 0
+    sigma = Trivector.from_coeffs(coeffs, n, p)
+    xs, y = np.eye(n, dtype=np.int64)[5:], np.eye(n, dtype=np.int64)[3]
+    if mixed:
+        g = linalg.sample_gl(rng, n, p)
+        sigma = sigma.gl_transform(g)
+        xs, y = linalg.mat_mul(xs, g.T, p), linalg.mat_mul(g, y, p)
+    return linalg.mat_mul(xs, sigma.tensor.reshape(n, n * n), p), xs, y
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_family_quotient_pfaffian_matches_scalar_reference(p, mixed):
+    """At every point u where u @ xs and y are independent, the symbolic
+    quotient Pfaffian (a quadric here) is the scalar reference's value."""
+    rng = Rng(p + mixed)
+    flat, xs, y = radical_family(rng, p, mixed)
+    poly = family_quotient_pfaffian(flat, xs, y, p)
+    assert all(len(mono) == 2 for mono, _ in poly.terms)
+    values = []
+    for u in rng.matrix(12, 3, p):
+        x = linalg.mat_mul(u, xs, p)
+        if linalg.rank(np.vstack([x, y]), p) < 2:
+            continue
+        want = pfaffian_mod_radical(linalg.mat_mul(u, flat, p).reshape(8, 8), x, y, p)
+        assert poly.evaluate(u) == want
+        values.append(want)
+    assert len(values) >= 8 and any(values)
+
+
+def test_family_quotient_pfaffian_rejects_a_dependent_pair():
+    flat, xs, y = radical_family(Rng(3), 7, False)
+    with pytest.raises(ValueError, match="not independent"):
+        family_quotient_pfaffian(flat, np.zeros_like(xs), y, 7)
+    with pytest.raises(ValueError, match="even ambient size"):
+        family_quotient_pfaffian(np.zeros((3, 49), dtype=np.int64), xs[:, :7], y[:7], 7)
 
 
 @pytest.mark.parametrize("threads", [1, 4])
