@@ -211,16 +211,21 @@ def _run_low_dim_peskine(cfg: CheckConfig):
     with thresholds at 0.45/0.40, placing every decision boundary at least
     0.13 away from the true frequency on both loci (n = 6 level-2
     frequency 0.25, level-3 frequency 0.86).
+
+    A withheld (ambiguous) estimate is no evidence against the claim: the
+    status is AMBIGUOUS when the quotas hold only with it counted good.
     """
     rng = Rng(cfg.seed).child("low-dim-peskine")
     seeds6 = cfg.trials if cfg.trials is not None else 20
     ladder = {"trials": 300, "hit_threshold": 0.45, "miss_threshold": 0.40}
     metrics: dict = {}
     ok_overall = True
+    could_pass = True
 
     for p in _primes(cfg, (7, 11)):
         expected = 2 * (p * p + p + 1)
         conforming = 0
+        withheld = 0
         counts: Counter = Counter()
         for i in range(seeds6):
             sigma = sample_general(rng.child(f"n6-{p}-{i}"), 6, p)
@@ -236,14 +241,17 @@ def _run_low_dim_peskine(cfg: CheckConfig):
                     **ladder,
                 )
                 good = est.estimated_dim == 2 and not est.ambiguous
+                withheld += int(est.ambiguous)
             conforming += int(good)
         metrics[f"n6_p{p}_counts"] = {str(k): v for k, v in sorted(counts.items())}
         metrics[f"n6_p{p}_conforming"] = conforming
         ok_overall = ok_overall and conforming >= seeds6 - 2
+        could_pass = could_pass and conforming + withheld >= seeds6 - 2
 
     p8 = cfg.p if cfg.p is not None else 7
     model_counts = {(p8 * p8 + p8 + 1) ** 2, p8**4 + p8**2 + 1}
     dim_ok = 0
+    withheld8 = 0
     conforming8 = 0
     counts8: Counter = Counter()
     for i in range(10):
@@ -259,13 +267,15 @@ def _run_low_dim_peskine(cfg: CheckConfig):
             **ladder,
         )
         dim_ok += int(est.estimated_dim == 4 and not est.ambiguous)
+        withheld8 += int(est.ambiguous)
     metrics["n8_counts"] = {str(k): v for k, v in sorted(counts8.items())}
     metrics["n8_conforming"] = conforming8
     metrics["n8_dim4"] = dim_ok
     ok_overall = ok_overall and dim_ok == 10 and conforming8 >= 8
+    could_pass = could_pass and dim_ok + withheld8 == 10 and conforming8 >= 8
 
     params = {"seeds_n6": seeds6, "seeds_n8": 10, "p_n8": p8}
-    status = "PASS" if ok_overall else "FAIL"
+    status = "PASS" if ok_overall else ("AMBIGUOUS" if could_pass else "FAIL")
     return list(_primes(cfg, (7, 11))), params, status, metrics
 
 
@@ -426,9 +436,7 @@ def _run_lem_3_6(cfg: CheckConfig):
         from .fibration import u7_perp
 
         perp = u7_perp(od, u7)
-        v1 = samp.flag[0].basis[0]
-        form = linalg.mat_mul(u7.basis, samp.sigma.contract1(v1).mat, p)
-        pairing = linalg.mat_mul(form, perp.basis.T, p)
+        pairing = samp.sigma.values(samp.flag[0].basis, u7.basis, perp.basis)
         perp_ok = perp_ok and perp.dim == 9 and perp.contains(u7) and not pairing.any()
 
     status = "PASS" if nondeg >= round(0.95 * seeds) and perp_ok else "FAIL"
@@ -620,7 +628,8 @@ def _run_lem_3_16(cfg: CheckConfig):
         pred, rng.child("estimate"), trials=trials, budget=cfg.budget, threads=cfg.threads
     )
     metrics = _estimate_fields(est)
-    metrics["within_bound_3"] = -1 <= est.estimated_dim <= 3
+    # A withheld estimate (estimated_dim -1 with the ambiguous flag) bounds nothing.
+    metrics["within_bound_3"] = not est.ambiguous and -1 <= est.estimated_dim <= 3
     return p, {"trials": trials}, "REPORT_ONLY", metrics
 
 

@@ -14,6 +14,9 @@ omega on V10/V6, and perps under omega drive four constructions:
     common zeros catch the images of rank-drop points.
   * thm21_fiber: the fiber of the projection-from-V3 construction,
     computable both exhaustively and by an affine-linear solve.
+
+Every restricted family of forms sigma(x, ., .) on a subspace, and every
+value of sigma these constructions read, is one `Trivector.values` table.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def omega_data(sigma: Trivector, flag: Flag) -> OmegaData:
     """
     pivots = flag[1].complement_pivots()
     p = sigma.p
-    form = SkewForm.from_matrix(sigma.contract1(flag[0].basis[0]).mat[np.ix_(pivots, pivots)], p)
+    comp = np.eye(sigma.n, dtype=np.int64)[list(pivots)]
+    form = SkewForm.from_matrix(sigma.values(flag[0].basis, comp, comp)[0], p)
     if form.rank() != 4:
         raise ValueError("descended two-form is degenerate; resample sigma")
     return OmegaData(flag=flag, complement_pivots=pivots, omega=form)
@@ -108,8 +112,8 @@ def sigma_prime_rank_scan(
     p, n = sigma.p, sigma.n
     b9 = u7_perp(omega_data(sigma, flag), u7).basis
     basis = np.vstack([flag[1].basis, complement_rows(u7, flag[1])])
-    full = linalg.mat_mul(basis, sigma.tensor.reshape(n, n * n), p)
-    restricted = linalg.congruence(b9, full.reshape(7, n, n), p).reshape(7, -1)
+    full = batched_contract1(sigma, basis).reshape(7, -1)
+    restricted = sigma.values(basis, b9, b9).reshape(7, -1)
     # Rows (t, 1, d + t b6): the chart coordinates, then the point.
     coords = np.hstack([np.eye(7, dtype=np.int64), basis])
 
@@ -146,8 +150,7 @@ def thm21_fiber(
         raise AssertionError("complement of V3 in V4 must be a single row")
     v = comp[0]
     w = v3.basis
-    mv = sigma.contract1(v).mat
-    phis = linalg.mat_mul(w, mv, p)
+    phis = sigma.values(v, w, np.eye(sigma.n, dtype=np.int64))[0]
     if linalg.rank(phis, p) != 3:
         raise ValueError("contraction forms are dependent; resample V4")
 
@@ -166,13 +169,9 @@ def thm21_fiber(
     if v7.dim != 7 or not v7.contains(v4):
         raise ValueError("annihilator construction failed; resample V4")
     b = np.array(complement_rows(v7, v4), dtype=np.int64)
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    a_mat = np.zeros((3, 3), dtype=np.int64)
-    c_vec = np.zeros(3, dtype=np.int64)
-    for row, (r, s) in enumerate(pairs):
-        c_vec[row] = sigma.eval3(v, b[r], b[s])
-        for i in range(3):
-            a_mat[row, i] = sigma.eval3(w[i], b[r], b[s])
+    # Row (r, s) of the system: sigma(v + a @ w, b_r, b_s) = 0.
+    vals = sigma.values(np.vstack([w, v]), b, b)[:, [0, 0, 1], [1, 2, 2]]
+    a_mat, c_vec = vals[:3].T, vals[3]
     try:
         particular = linalg.solve(a_mat, (-c_vec) % p, p)
     except ValueError:
@@ -233,8 +232,7 @@ def sigma_dprime(
         generator = linalg.as_field(generator, p).reshape(-1)
         if not u2.contains_vector(generator) or v1.contains_vector(generator):
             raise ValueError("generator must lie in U2 off V1")
-    mat = linalg.congruence(frame, sigma.contract1(generator).mat, p)
-    return project_to_B(mat, p)
+    return project_to_B(sigma.values(generator, frame, frame)[0], p)
 
 
 def prescribed_dprime_sigma(
@@ -330,13 +328,12 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
     if len(dirs) != 2:
         raise AssertionError("perp extension must add exactly two directions")
     lift_rows = np.array(complement_rows(u7, flag[0]), dtype=np.int64)
-    contractions = batched_contract1(sigma, lift_rows)
     inv2 = linalg.inv_mod(2, p)
 
     quadrics = []
     for direction in dirs:
         w8 = u7.join(Subspace.span_of(direction, n=sigma.n, p=p))
-        family = linalg.congruence(w8.basis, contractions, p).reshape(len(lift_rows), -1)
+        family = sigma.values(lift_rows, w8.basis, w8.basis).reshape(len(lift_rows), -1)
         xs = lift_rows[:, list(w8.pivots)]
         form = family_quotient_pfaffian(family, xs, w8.coords_of(flag[0].basis[0]), p)
         q = np.zeros((6, 6), dtype=np.int64)
@@ -428,7 +425,7 @@ def birationality_probe(
     b9 = u7_perp(omega_data(sigma, flag), u7).basis
     # The restricted forms along the line, linear in (t, 1).
     ends = np.vstack([v1.basis[0], l])
-    family = linalg.congruence(b9, batched_contract1(sigma, ends), p).reshape(2, -1)
+    family = sigma.values(ends, b9, b9).reshape(2, -1)
     line = np.column_stack([np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)])
     off = int((family_ranks(family, line, 4, p) <= 4).sum())
     resid = sigma_dprime(sigma, flag, u2, u7)

@@ -95,19 +95,6 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (hi * 0x10000 + lo) % p
 
 
-def congruence(b: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
-    """Exact b @ M @ b.T mod p for one (n, n) matrix M or a batch (..., n, n).
-
-    One `mat_mul` forms M b^T for the whole batch stacked row-wise, and
-    one more multiplies b into those results placed side by side.
-    """
-    m, n = b.shape
-    k = int(np.prod(mats.shape[:-2], dtype=np.int64))
-    right = mat_mul(mats.reshape(k * n, n), b.T, p).reshape(k, n, m)
-    out = mat_mul(b, right.transpose(1, 0, 2).reshape(n, k * m), p)
-    return out.reshape(m, k, m).transpose(1, 0, 2).reshape(mats.shape[:-2] + (m, m))
-
-
 def products_fit_int64(p: int, factors: int, terms: int) -> bool:
     """Whether `terms` signed products of `factors` entries in [0, p) sum in int64.
 

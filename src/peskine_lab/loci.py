@@ -4,19 +4,22 @@ The central locus is the set of points [u] where the contraction
 sigma(u, ., .) drops rank to n - 4; around it live the isotropic-6-space
 locus, the quotient-Pfaffian cubic on P(V6) expanded symbolically,
 an 8-space membership test with an exhaustive inner search for isotropic
-3-spaces, and the plane fibers sitting over its witnesses.
+3-spaces, and the plane fibers sitting over its witnesses.  Every
+vanishing condition of sigma on subspaces here is one `Trivector.values`
+table, and the plane searches share the cached `plane_table`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg, scan
+from .fibration import omega_data
 from .polynomial import Poly, jacobian, monomials_of_degree
-from .subspaces import Flag, Subspace, all_subspaces, rref_bases
+from .subspaces import Flag, Subspace, plane_table
 from .trivector import Trivector
 
 
@@ -40,11 +43,7 @@ def dv_member(sigma: Trivector, u6: Subspace) -> bool:
     """True iff sigma vanishes identically on the 6-space."""
     if u6.dim != 6:
         raise ValueError(f"expected a 6-dimensional subspace, got dim {u6.dim}")
-    b = u6.basis
-    for (i, j, k) in combinations(range(6), 3):
-        if sigma.eval3(b[i], b[j], b[k]):
-            return False
-    return True
+    return not sigma.values(u6.basis, u6.basis, u6.basis).any()
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,12 @@ def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> CubicForm:
 _PLANE_BLOCK = 1 << 16
 
 
+@lru_cache(maxsize=None)
+def _p6_points(p: int) -> np.ndarray:
+    """The canonical representatives of P^6(F_p), in `projective_chunks` order."""
+    return linalg.freeze(np.vstack(list(scan.projective_chunks(6, p))))
+
+
 def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspace | None]:
     """Two-condition membership for an 8-space over the (V1, V6) flag.
 
@@ -108,10 +113,11 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     visits every candidate.  The 8 forms sigma(., ., z) are skew, so t1
     always lies in A(t1) and sigma(t1, T, u8) = 0 holds for every such
     plane; T is isotropic iff the forms vanish on the plane itself.  The
-    kernels A(t1) of all candidate points come from one batched
-    elimination, and their planes are tested against one plane table per
-    dim A(t1) with an einsum.  The witness is the first point in canonical
-    order with an isotropic plane, and its first such plane in
+    forms are one `Trivector.values` table, the points one cached P^6
+    list, and the kernels A(t1) of all candidate points one batched
+    elimination; their planes are tested against the `plane_table` of
+    dim A(t1) - 1 with an einsum.  The witness is the first point in
+    canonical order with an isotropic plane, and its first such plane in
     `all_subspaces` order.  Practical only at p in {3, 5}.
     """
     p = sigma.p
@@ -124,18 +130,15 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     v1 = flag[0].basis[0]
     b8 = u8.basis
 
-    if sigma.contract1(v1).restrict(u8).mat.any():
+    if sigma.values(v1, b8, b8).any():
         return (False, None)
 
-    g = np.einsum("xi,yj,zk,ijk->xyz", b8, b8, b8, sigma.tensor) % p
-
     v1c = u8.coords_of(v1)
-    line = Subspace.from_rows(v1c, 8, p)
-    comp = list(line.complement_pivots())
-    forms = g[np.ix_(comp, comp)].transpose(2, 0, 1) % p
-    forms = np.ascontiguousarray(forms.reshape(8, 7, 7))
+    comp = list(Subspace.from_rows(v1c, 8, p).complement_pivots())
+    # forms[z]: sigma(., ., b8_z) on the complement rows of v1 in u8.
+    forms = np.ascontiguousarray(sigma.values(b8[comp], b8[comp], b8).transpose(2, 0, 1))
 
-    reps = np.vstack(list(scan.projective_chunks(6, p)))
+    reps = _p6_points(p)
     stacked = np.tensordot(reps, forms.transpose(1, 0, 2), axes=([1], [0])) % p
 
     cand = np.nonzero(7 - scan.batched_rank(stacked, p) >= 3)[0]
@@ -153,11 +156,10 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     # points of one dimension m of A(t1)/t1 share a plane table and are
     # tested in blocks, up to the first block with a hit.
     first = np.full(len(cand), -1)
-    tables = {}
     for kdim in sorted(set(kdims.tolist())):
         m = kdim - 1
         group = np.flatnonzero(kdims == kdim)
-        table = tables[m] = np.concatenate([planes for _, planes in rref_bases(m, 2, p)])
+        table = plane_table(m, p)
         step = max(1, _PLANE_BLOCK // len(table))
         for start in range(0, len(group), step):
             block = group[start : start + step]
@@ -174,17 +176,17 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     i = hits[0]
     m = kdims[i] - 1
     lift = np.zeros((3, 8), dtype=np.int64)
-    lift[:, comp] = np.vstack([t1s[i], tables[m][first[i]] @ comp_rows[i, :m] % p])
+    plane = linalg.mat_mul(plane_table(m, p)[first[i]], comp_rows[i, :m], p)
+    lift[:, comp] = np.vstack([t1s[i], plane])
     u4_rows = np.vstack([v1c[None, :], lift])
-    return (True, Subspace.from_rows(u4_rows @ b8 % p, sigma.n, p))
+    return (True, Subspace.from_rows(linalg.mat_mul(u4_rows, b8, p), sigma.n, p))
 
 
 def lagrangian_planes(omega: np.ndarray, p: int) -> list[Subspace]:
     """All omega-isotropic 2-planes of F_p^4 for a nondegenerate skew form."""
-    planes = list(all_subspaces(4, 2, p))
-    bases = np.array([s.basis for s in planes])
-    vals = (linalg.mat_mul(bases[:, 0], omega, p) * bases[:, 1] % p).sum(axis=1) % p
-    return [s for s, v in zip(planes, vals) if v == 0]
+    table = plane_table(4, p)
+    vals = (linalg.mat_mul(table[:, 0], omega, p) * table[:, 1] % p).sum(axis=1) % p
+    return [Subspace.from_rows(basis, 4, p) for basis in table[vals == 0]]
 
 
 def k3_witness_search(sigma: Trivector, flag: Flag) -> tuple[Subspace, Subspace] | None:
@@ -194,13 +196,9 @@ def k3_witness_search(sigma: Trivector, flag: Flag) -> tuple[Subspace, Subspace]
     """
     p = sigma.p
     v6 = flag[1]
-    v1 = flag[0].basis[0]
-    comp = list(v6.complement_pivots())
-    m = sigma.contract1(v1).mat
-    omega = m[np.ix_(comp, comp)] % p
-    if linalg.rank(omega, p) != 4:
-        raise ValueError("the induced form on the 4-dim quotient must be nondegenerate")
-    for plane in lagrangian_planes(omega, p):
+    od = omega_data(sigma, flag)
+    comp = list(od.complement_pivots)
+    for plane in lagrangian_planes(od.omega.mat, p):
         lift = np.zeros((2, sigma.n), dtype=np.int64)
         lift[:, comp] = plane.basis
         u8 = v6.join(Subspace.from_rows(lift, sigma.n, p))
@@ -215,24 +213,29 @@ def k3_witness_search(sigma: Trivector, flag: Flag) -> tuple[Subspace, Subspace]
 def conic_fiber(sigma: Trivector, v4: Subspace, v8: Subspace) -> list[Subspace]:
     """Planes T of v8/v4 with sigma vanishing on v4 + lift(T).
 
-    Exhausts all (p^2+1)(p^2+p+1) planes of the 4-dim quotient; a smooth
-    plane conic over F_p has exactly p+1 points, which is the expected
-    cardinality.
+    Exhausts all (p^2+1)(p^2+p+1) planes of the 4-dim quotient, in
+    `all_subspaces` order; a smooth plane conic over F_p has exactly p+1
+    points, which is the expected cardinality.  With L = lift(T), sigma
+    vanishes on v4 + L iff sigma(v4, v4, v4), sigma(v4, v4, L) and
+    sigma(v4, L, L) do (sigma(L, L, L) = 0 on a plane): one
+    `Trivector.values` table on a basis of v8 through v4, then one linear
+    and one bilinear test over the rows of the `plane_table`.
     """
     if v4.dim != 4 or v8.dim != 8 or not v8.contains(v4):
         raise ValueError("need a 4-space inside an 8-space")
     p = sigma.p
-    b8 = v8.basis
     v4_in_8 = Subspace.from_rows([v8.coords_of(r) for r in v4.basis], 8, p)
-    comp = list(v4_in_8.complement_pivots())
-    out = []
-    for plane in all_subspaces(4, 2, p):
-        lift = np.zeros((2, 8), dtype=np.int64)
-        lift[:, comp] = plane.basis
-        w6 = v4.join(Subspace.from_rows(linalg.mat_mul(lift, b8, p), sigma.n, p))
-        if w6.dim == 6 and dv_member(sigma, w6):
-            out.append(plane)
-    return out
+    rows = np.vstack([v4.basis, v8.basis[list(v4_in_8.complement_pivots())]])
+    vals = sigma.values(v4.basis, rows, rows)
+    if vals[:, :4, :4].any():
+        return []
+    table = plane_table(4, p)
+    # linear[q, a]: sigma(v4_i, v4_j, T_a) for all i, j; bilinear[q, i]: sigma(v4_i, T_0, T_1).
+    linear = linalg.mat_mul(table.reshape(-1, 4), vals[:, :4, 4:].reshape(16, 4).T, p)
+    left = linalg.mat_mul(table[:, 0], vals[:, 4:, 4:].transpose(1, 0, 2).reshape(4, 16), p)
+    bilinear = (left.reshape(-1, 4, 4) * table[:, 1, None, :] % p).sum(axis=2) % p
+    keep = ~linear.reshape(len(table), -1).any(axis=1) & ~bilinear.any(axis=1)
+    return [Subspace.from_rows(basis, 4, p) for basis in table[keep]]
 
 
 _QUARTIC_INDEX: dict[int, tuple[np.ndarray, ...]] = {}

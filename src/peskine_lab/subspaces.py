@@ -10,6 +10,7 @@ columns of W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,6 +151,16 @@ def rref_bases(n: int, k: int, p: int):
             bases[:, range(k), piv] = 1
             bases.reshape(len(values), -1)[:, free] = values
             yield piv, bases
+
+
+@lru_cache(maxsize=None)
+def plane_table(m: int, p: int) -> np.ndarray:
+    """(B, 2, m): the rref bases of every 2-plane of F_p^m, m >= 2.
+
+    The `rref_bases(m, 2, p)` blocks joined, so row q is the q-th plane of
+    `all_subspaces(m, 2, p)`.  Built once per (m, p) and read-only.
+    """
+    return linalg.freeze(np.concatenate([bases for _, bases in rref_bases(m, 2, p)]))
 
 
 def all_subspaces(n: int, k: int, p: int):

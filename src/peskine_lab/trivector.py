@@ -4,7 +4,9 @@ A trivector sigma is stored by its coefficients on the lexicographically
 ordered basis e_i ^ e_j ^ e_k, i < j < k. The central objects downstream
 are the one-fold contractions sigma(u, ., .), skew bilinear forms whose
 rank drops cut out all loci studied here, so this module also carries an
-exact Pfaffian and rank machinery for skew matrices.
+exact Pfaffian and rank machinery for skew matrices.  Every value of sigma
+on subspaces, and so every vanishing test and every restricted family of
+forms, is one `Trivector.values` table.
 """
 
 from __future__ import annotations
@@ -65,12 +67,6 @@ class SkewForm:
 
     def kernel(self) -> Subspace:
         return Subspace.from_rows(linalg.kernel(self.mat, self.p), self.n, self.p)
-
-    def restrict(self, s: Subspace) -> "SkewForm":
-        """The form pulled back to the rref basis rows of `s`."""
-        if s.n != self.n or s.p != self.p:
-            raise ValueError("subspace and form live on different spaces")
-        return SkewForm.from_matrix(linalg.congruence(s.basis, self.mat, self.p), self.p)
 
 
 def pfaffian(mat, p: int) -> int:
@@ -182,29 +178,28 @@ class Trivector:
         t.setflags(write=False)
         return t
 
-    def _contraction(self, u) -> np.ndarray:
-        """The reduced n x n matrix of sigma(u, ., .)."""
+    def values(self, a, b, c) -> np.ndarray:
+        """The table sigma(a_i, b_j, c_k), shape (len a, len b, len c).
+
+        Each argument is a batch of rows in F_p^n (one vector counts as one
+        row).  Three `linalg.mat_mul` calls with inner dimension n contract
+        the tensor with a, then b, then c, so the table is exact at every
+        admitted prime.  sigma vanishes on A x B x C iff the table is zero.
+        """
         n, p = self.n, self.p
-        flat = self.tensor.reshape(n, n * n)
-        return linalg.mat_mul(linalg.as_field(u, p), flat, p).reshape(n, n)
+        a, b, c = (linalg.as_field(x, p).reshape(-1, n) for x in (a, b, c))
+        first = linalg.mat_mul(a, self.tensor.reshape(n, n * n), p).reshape(len(a), n, n)
+        second = linalg.mat_mul(b, first.transpose(1, 0, 2).reshape(n, -1), p)
+        third = linalg.mat_mul(second.reshape(-1, n), c.T, p)
+        return third.reshape(len(b), len(a), len(c)).transpose(1, 0, 2)
 
     def eval3(self, u, v, w) -> int:
-        p = self.p
-        row = linalg.mat_mul(linalg.as_field(v, p), self._contraction(u), p)
-        return int(linalg.mat_mul(row, linalg.as_field(w, p), p))
+        return int(self.values(u, v, w)[0, 0, 0])
 
     def contract1(self, u) -> SkewForm:
         """The skew form sigma(u, ., .)."""
-        return SkewForm.from_matrix(self._contraction(u), self.p)
-
-    def contract2(self, u, v) -> np.ndarray:
-        """The covector sigma(u, v, .): the row c with
-        c @ w = sigma(u, v, w) = eval3(u, v, w) for every w.
-
-        With M = sigma(u, ., .) this is v @ M; the column M @ v would be
-        sigma(u, ., v) = -sigma(u, v, .).
-        """
-        return linalg.mat_mul(linalg.as_field(v, self.p), self.contract1(u).mat, self.p)
+        eye = np.eye(self.n, dtype=np.int64)
+        return SkewForm.from_matrix(self.values(u, eye, eye)[0], self.p)
 
     def gl_transform(self, g) -> "Trivector":
         """Pullback along g^{-1}: the result tau satisfies

@@ -84,8 +84,8 @@ def test_config_overrides_flow_through():
 
 
 def test_lem_3_6_exact_at_largest_admitted_prime():
-    # At p = 2^31 - 1 the pairing u7 . M . perp^T sums products near 2^62;
-    # computed in raw int64 it wraps and the perp invariants read False.
+    # At p = 2^31 - 1 the pairing sigma(v1, U7, perp) sums products near
+    # 2^62; computed in raw int64 it wraps and the perp invariants read False.
     result = run_check("lem-3.6", CheckConfig(p=2**31 - 1, trials=6))
     assert result.metrics["perp_invariants"] is True
     assert result.status == "PASS"
@@ -110,3 +110,21 @@ def test_budget_stopped_estimate_is_not_a_failure():
     assert sing["estimated_dim"] == -1 and sing["ambiguous"] is True
     assert "stopped the ladder at level 4 of 20" in sing["note"]
     assert result.status == "AMBIGUOUS"
+
+
+def test_withheld_slice_estimates_are_not_a_failure():
+    # With a budget of 10^4 tests every n = 8 ladder stops below the
+    # ambient dimension, and so do the n = 6 ones at p = 7: n8_dim4 and
+    # n6_p7_conforming read 0, but no estimate contradicts the claim.
+    result = run_check("low-dim-peskine", CheckConfig(budget=10**4, trials=2))
+    assert result.metrics["n8_dim4"] == 0 and result.metrics["n6_p7_conforming"] == 0
+    assert result.status == "AMBIGUOUS"
+
+
+def test_withheld_estimate_is_not_within_bound():
+    # At budget 1000 the lem-3.16 ladder is stopped before any level
+    # reaches the hit threshold: the estimate (-1) is withheld, so it
+    # bounds nothing.
+    result = run_check("lem-3.16", CheckConfig(budget=1000))
+    assert result.metrics["estimated_dim"] == -1 and result.metrics["ambiguous"] is True
+    assert result.metrics["within_bound_3"] is False

@@ -14,6 +14,7 @@ from peskine_lab.divisors import (
     zeroed_triples,
 )
 from peskine_lab.rng import Rng
+from peskine_lab.subspaces import Flag, Subspace
 from peskine_lab.trivector import Trivector, triple_index, triples
 
 
@@ -89,6 +90,21 @@ def test_verify_flag_rejects_wrong_flag():
     assert not verify_flag(samp.sigma, "d1-6-10", other.flag)
     # Wrong shape is rejected outright.
     assert not verify_flag(samp.sigma, "d3-3-10", standard_flag("d3-3-10", p))
+
+
+def test_verify_flag_rejects_wrong_d4_7_7_flag():
+    # sigma(U4, V7, V7) = 0 fails for another 4-space inside V7 and for
+    # another 7-space over U4.
+    rng = Rng(45)
+    p = 7
+    samp = sample_divisor(rng, "d4-7-7", p)
+    u4, v7 = samp.flag[0], samp.flag[1]
+    assert verify_flag(samp.sigma, "d4-7-7", samp.flag)
+    other_u4 = Subspace.from_rows(linalg.mat_mul(rng.matrix(4, 7, p), v7.basis, p), 10, p)
+    other_v7 = u4.join(Subspace.from_rows(rng.matrix(3, 10, p), 10, p))
+    for flag in (Flag((other_u4, v7)), Flag((u4, other_v7))):
+        assert flag.dims() == (4, 7)
+        assert not verify_flag(samp.sigma, "d4-7-7", flag)
 
 
 def test_recover_flag_d1_6_10():

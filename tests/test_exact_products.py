@@ -7,7 +7,13 @@ picks an exact path from the bound p^2 * inner, so outside linalg.py no
 module of peskine_lab forms such a product itself.
 
 The one exception is `loci.k3_member`: it rejects every p outside
-{3, 5} on entry, and at p <= 5 none of its sums comes near 2^63.
+{3, 5} on entry, and at p <= 5 none of its sums comes near 2^63.  Its
+two small tail products go through `mat_mul`; its point and plane
+search stays on `tensordot` and `einsum`.  Routed through `mat_mul`,
+that search left the wall time of the subspace-search benchmark
+unchanged but raised its CPU time from about 1.05 to 1.2-1.4 s per
+round (2-vCPU machine), because the float64 path of `mat_mul` runs
+OpenBLAS on a second thread.
 """
 
 import ast

@@ -69,7 +69,7 @@ def sigma_prime_rank(sigma, flag, u7, l):
     if not u7.contains_vector(l):
         raise ValueError("the probe vector must lie in U7")
     u9 = u7_perp(omega_data(sigma, flag), u7)
-    m = linalg.congruence(u9.basis, sigma.contract1(l).mat, p)
+    m = sigma.values(l, u9.basis, u9.basis)[0]
     rad = Subspace.from_rows(np.vstack([u9.coords_of(l), u9.coords_of(flag[0].basis[0])]), 9, p)
     assert rad.dim == 2
     comp = rad.complement_pivots()
@@ -144,7 +144,7 @@ def test_sigma_prime_rank_scan_matches_scalar():
     b9 = u7_perp(omega_data(samp.sigma, samp.flag), u7).basis
     mats = batched_contract1(samp.sigma, pts)
     assert full.tolist() == batched_rank(mats, p).tolist()
-    assert prime.tolist() == batched_rank(linalg.congruence(b9, mats, p), p).tolist()
+    assert prime.tolist() == batched_rank(samp.sigma.values(pts, b9, b9), p).tolist()
     assert set(full.tolist()) <= {0, 2, 4, 6, 8} and set(prime.tolist()) <= {0, 2, 4, 6}
     for k in range(0, len(pts), max(1, len(pts) // 7)):
         l = pts[k]
@@ -163,9 +163,8 @@ def test_sigma_prime_rank_scan_covers_the_chart():
     ref = np.vstack(list(projective_chunks(6, p))) @ u7.basis % p
     ref = ref[(ref @ linalg.kernel(samp.flag[1].basis, p).T % p).any(axis=1)]
     b9 = u7_perp(omega_data(samp.sigma, samp.flag), u7).basis
-    mats = batched_contract1(samp.sigma, ref)
-    ref_full = batched_rank(mats, p)
-    ref_prime = batched_rank(linalg.congruence(b9, mats, p), p)
+    ref_full = batched_rank(batched_contract1(samp.sigma, ref), p)
+    ref_prime = batched_rank(samp.sigma.values(ref, b9, b9), p)
 
     def triples(reps, a, b):
         return sorted(zip(map(tuple, projective_rep(reps, p).tolist()), a.tolist(), b.tolist()))

@@ -247,7 +247,7 @@ def reference_k3_member(sigma, flag, u8):
     p = sigma.p
     v1 = flag[0].basis[0]
     b8 = u8.basis
-    if sigma.contract1(v1).restrict(u8).mat.any():
+    if (np.einsum("i,yj,zk,ijk->yz", v1, b8, b8, sigma.tensor) % p).any():
         return (False, None)
     g = np.einsum("xi,yj,zk,ijk->xyz", b8, b8, b8, sigma.tensor) % p
     v1c = u8.coords_of(v1)
@@ -378,6 +378,68 @@ def test_conic_fiber_zero_sigma_is_everything():
     v8 = Subspace.from_rows(np.eye(10, dtype=np.int64)[:8], 10, p)
     fibers = conic_fiber(tri, v4, v8)
     assert len(fibers) == (p * p + 1) * (p * p + p + 1)
+
+
+def reference_conic_fiber(sigma, v4, v8):
+    """The per-plane conic fibre: one 6-space and one dv_member per plane of v8/v4."""
+    p = sigma.p
+    comp = list(Subspace.from_rows([v8.coords_of(r) for r in v4.basis], 8, p).complement_pivots())
+    out = []
+    for plane in all_subspaces(4, 2, p):
+        lift = np.zeros((2, 8), dtype=np.int64)
+        lift[:, comp] = plane.basis
+        w6 = v4.join(Subspace.from_rows(lift @ v8.basis % p, sigma.n, p))
+        if w6.dim == 6 and dv_member(sigma, w6):
+            out.append(plane)
+    return out
+
+
+def planted_conic_sigma(rng, p):
+    """A sigma with p + 1 conic-fibre planes over U4 = <e0..e3> in U8 = <e0..e7>.
+
+    sigma(U4, U4, U4) = 0; sigma(U4, U4, U8) is nonzero but only along e4,
+    so the linear condition keeps the planes of <e5, e6, e7>; of the
+    bilinear terms sigma(U4, C, C) only sigma(e0, e5, e6) is nonzero, so
+    of those the p + 1 planes through e7 remain.
+    """
+    coeffs = rng.ints(len(triples(10)), p)
+    for idx, (i, j, k) in enumerate(triples(10)):
+        in_u4 = sum(x < 4 for x in (i, j, k))
+        if k < 4 or (in_u4 == 2 and k < 8 and k != 4) or (in_u4 == 1 and k < 8):
+            coeffs[idx] = 0
+    coeffs[triple_index(10)[(0, 1, 4)]] = 1
+    coeffs[triple_index(10)[(0, 5, 6)]] = 1
+    return Trivector.from_coeffs(coeffs, 10, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_conic_fiber_matches_per_plane_reference(p):
+    eye = np.eye(10, dtype=np.int64)
+    rng = Rng(70 + p)
+    cases = []
+    # The fibres over the K3 witnesses of two sigmas at p = 3, one at p = 5.
+    for i in range(4):
+        samp = sample_d16_nondegenerate(rng.child(f"sigma-{i}"), p)
+        found = k3_witness_search(samp.sigma, samp.flag)
+        if found is not None:
+            cases.append((samp.sigma, found[1], found[0], None))
+        if len(cases) == (2 if p == 3 else 1):
+            break
+    assert cases
+    # A planted fibre, moved off standard position: sigma(U4, U4, U8) != 0.
+    g = linalg.sample_gl(rng, 10, p)
+    planted = planted_conic_sigma(rng, p)
+    u4 = Subspace.from_rows(eye[:4], 10, p).transform(g)
+    u8 = Subspace.from_rows(eye[:8], 10, p).transform(g)
+    moved = planted.gl_transform(g)
+    assert moved.values(u4.basis, u4.basis, u8.basis).any()
+    cases.append((moved, u4, u8, p + 1))
+    # sigma(U4, U4, U4) != 0: an empty fibre.
+    cases.append((Trivector.random(rng, 10, p), u4, u8, 0))
+    for sigma, v4, v8, count in cases:
+        got = conic_fiber(sigma, v4, v8)
+        assert got == reference_conic_fiber(sigma, v4, v8)
+        assert count is None or len(got) == count
 
 
 def test_conic_fiber_validation():

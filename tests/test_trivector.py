@@ -84,35 +84,41 @@ def test_skew_rank_even(rng):
 
 
 def test_skewform_apply_and_kernel(rng):
-    # The form applied to the rref basis (u, v) of a plane is the
-    # restriction [[0, w], [-w, 0]] with w = u M v.
+    # sigma(u, ., .) on the rref basis (x, y) of a plane is the values
+    # table [[0, w], [-w, 0]] with w = x M y, M the contraction at u.
     p = 7
+    tri = Trivector.random(rng, 6, p)
+    u = rng.ints(6, p)
+    plane = Subspace.from_rows(rng.matrix(2, 6, p), 6, p)
+    x, y = plane.basis
+    w = int(x @ tri.contract1(u).mat @ y % p)
+    assert tri.values(u, plane.basis, plane.basis)[0].tolist() == [[0, w], [(-w) % p, 0]]
     a = random_skew(rng, 6, p)
     form = SkewForm.from_matrix(a, p)
-    plane = Subspace.from_rows(rng.matrix(2, 6, p), 6, p)
-    u, v = plane.basis
-    w = int(u @ a @ v % p)
-    assert form.restrict(plane).mat.tolist() == [[0, w], [(-w) % p, 0]]
     ker = form.kernel()
     assert ker.dim == 6 - form.rank()
     assert not (ker.basis @ a % p).any()
 
 
 def test_skewform_apply_exact_at_largest_prime():
-    # Restricted to the plane of u = e0 and v = (0, 1, p - 1, p - 1, p - 1),
-    # the form's entry u M v is (p - 1) (1 + 3 (p - 1)) = 2 mod p in Python
-    # ints; the int64 sum u @ M @ v^T near 3 * 2^62 would wrap.
+    # With sigma(e0, e1, e_k) = p - 1 for k = 2..5, the contraction at e0
+    # on the plane of x = e1 and y = (0, 0, 1, p - 1, p - 1, p - 1) has the
+    # entry x M y = (p - 1) (1 + 3 (p - 1)) = 2 mod p in Python ints; the
+    # int64 sum of the four products near 2^62 would wrap.
     p = 2**31 - 1
-    m = np.zeros((5, 5), dtype=np.int64)
-    m[0, 1:] = p - 1
-    m[1:, 0] = 1
-    u = np.array([1, 0, 0, 0, 0])
-    v = np.array([0, 1, p - 1, p - 1, p - 1])
-    want = int(sum(int(u[i]) * int(m[i, j]) * int(v[j]) for i in range(5) for j in range(5)) % p)
+    idx = triple_index(6)
+    coeffs = np.zeros(len(triples(6)), dtype=np.int64)
+    for k in range(2, 6):
+        coeffs[idx[(0, 1, k)]] = p - 1
+    tri = Trivector.from_coeffs(coeffs, 6, p)
+    e0, x = np.eye(6, dtype=np.int64)[:2]
+    y = np.array([0, 0, 1, p - 1, p - 1, p - 1])
+    m = tri.tensor[0].astype(object)
+    want = int(sum(int(x[i]) * m[i, j] * int(y[j]) for i in range(6) for j in range(6)) % p)
     assert want == 2
-    plane = Subspace.from_rows(np.vstack([u, v]), 5, p)
-    assert np.array_equal(plane.basis, np.vstack([u, v]))
-    assert SkewForm.from_matrix(m, p).restrict(plane).mat[0, 1] == want
+    plane = Subspace.from_rows(np.vstack([x, y]), 6, p)
+    assert np.array_equal(plane.basis, np.vstack([x, y]))
+    assert tri.values(e0, plane.basis, plane.basis)[0, 0, 1] == want
 
 
 def test_trivector_coeff_antisymmetry(rng):
@@ -144,12 +150,41 @@ def test_contract1_matches_eval3(rng):
     assert int(v @ form.mat @ w % p) == tri.eval3(u, v, w)
 
 
-def test_contract2_matches_eval3(rng):
+def test_values_matches_eval3(rng):
+    # The covector sigma(u, v, .) is the values table against the standard
+    # basis, and every entry of a batched table is one eval3.
     p = 7
     tri = Trivector.random(rng, 6, p)
     u, v, w = (rng.ints(6, p) for _ in range(3))
-    row = tri.contract2(u, v)
+    row = tri.values(u, v, np.eye(6, dtype=np.int64))[0, 0]
     assert int(row @ w % p) == tri.eval3(u, v, w)
+    a, b, c = rng.matrix(2, 6, p), rng.matrix(3, 6, p), rng.matrix(2, 6, p)
+    table = tri.values(a, b, c)
+    assert table.shape == (2, 3, 2)
+    for (i, j, k), val in np.ndenumerate(table):
+        assert val == tri.eval3(a[i], b[j], c[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([3, 7, 101, 65521, 2**31 - 1]))
+def test_values_matches_python_ints(seed, p):
+    # Python-int reference: sigma(a_i, b_j, c_k) = sum T[x, y, z] a_ix b_jy c_kz,
+    # on batches of rows that include the all-(p - 1) and all-(p - 2) rows,
+    # for a random sigma and for the sigma with every coefficient p - 1.
+    rng = Rng(seed)
+    a = np.vstack([rng.matrix(2, 10, p), np.full((1, 10), p - 1)])
+    b = np.vstack([rng.matrix(3, 10, p), np.full((1, 10), p - 2)])
+    c = np.vstack([rng.matrix(1, 10, p), np.full((1, 10), p - 1)])
+    full = Trivector.from_coeffs([p - 1] * len(triples(10)), 10, p)
+    for tri in (Trivector.random(rng, 10, p), full):
+        rows = [x.astype(object) for x in (a, b, c)]
+        want = np.einsum("ix,jy,kz,xyz->ijk", *rows, tri.tensor.astype(object)) % p
+        got = tri.values(a, b, c)
+        assert got.shape == (3, 4, 2)
+        assert np.array_equal(got, want.astype(np.int64))
+        # One vector is one row: the slice of the batch.
+        assert np.array_equal(tri.values(a[1], b, c), got[1:2])
+        assert tri.eval3(a[2], b[3], c[0]) == got[2, 3, 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,7 +201,7 @@ def test_contractions_exact_at_admitted_primes(seed, p):
     row = v.astype(object) @ mat % p
     assert np.array_equal(tri.contract1(u).mat, mat.astype(np.int64))
     assert np.array_equal(batched_contract1(tri, u[None])[0], mat.astype(np.int64))
-    assert tri.contract2(u, v).tolist() == row.tolist()
+    assert tri.values(u, v, np.eye(6, dtype=np.int64))[0, 0].tolist() == row.tolist()
     assert tri.eval3(u, v, w) == int(row @ w.astype(object) % p)
 
 
