@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(verify)
     verify.add_argument("--out", default=None, help="write the aggregate JSON here")
 
-    scan = subs.add_parser("scan", help="enumerate a locus over projective space")
+    scan = subs.add_parser("scan", help="enumerate a locus of P^(n-1); scanned= counts all its points")
     scan.add_argument("--locus", choices=("peskine", "rank4"), required=True)
     _add_config_flags(scan, trials=False)
     scan.add_argument("--n", type=int, default=None, help="dimension (peskine locus)")

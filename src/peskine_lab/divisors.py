@@ -124,8 +124,8 @@ def recover_flag_d1_6_10(sigma: Trivector, v1) -> Flag:
 def rank4_points(sigma: Trivector, threads: int | None = None) -> list[tuple[int, ...]]:
     """All points of P(F_p^n) where the contraction has rank <= 4.
 
-    Scans canonical projective representatives in deterministic order
-    through `scan.locus_points`.
+    Canonical representatives in order, from `scan.locus_points`, which
+    tests only the kernels of sigma(w, ., .) over the w of a 5-space.
     """
     if sigma.n < 6:
         raise ValueError("scan needs ambient dimension at least 6")

@@ -34,7 +34,7 @@ def peskine_member(sigma: Trivector, u) -> bool:
 def peskine_points(sigma: Trivector, threads: int | None = None) -> list[tuple[int, ...]]:
     """Canonical representatives of the rank-drop locus in P(F_p^n).
 
-    Exhaustive and deterministic; meant for the enumeration prime tier.
+    Exact and deterministic (`scan.locus_points`); meant for the enumeration prime tier.
     """
     return scan.locus_points(sigma, sigma.n - 4, threads)
 
@@ -99,6 +99,11 @@ def _p6_points(p: int) -> np.ndarray:
     return linalg.freeze(np.vstack(list(scan.projective_chunks(6, p))))
 
 
+def _check_search_prime(p: int) -> None:
+    if p not in (3, 5):
+        raise ValueError("the exhaustive inner search is limited to p in {3, 5}")
+
+
 def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspace | None]:
     """Two-condition membership for an 8-space over the (V1, V6) flag.
 
@@ -121,8 +126,7 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     `all_subspaces` order.  Practical only at p in {3, 5}.
     """
     p = sigma.p
-    if p not in (3, 5):
-        raise ValueError("the exhaustive inner search is limited to p in {3, 5}")
+    _check_search_prime(p)
     if u8.dim != 8:
         raise ValueError(f"expected an 8-dimensional subspace, got dim {u8.dim}")
     if not u8.contains(flag[1]):
@@ -195,6 +199,7 @@ def k3_witness_search(sigma: Trivector, flag: Flag) -> tuple[Subspace, Subspace]
     Returns (U8, U4) for the first hit in canonical order, or None.
     """
     p = sigma.p
+    _check_search_prime(p)
     v6 = flag[1]
     od = omega_data(sigma, flag)
     comp = list(od.complement_pivots)

@@ -14,9 +14,9 @@ cascade of principal Pfaffian minors discards most points cheaply, the
 survivors get the exact rank, and the result is the rank capped just
 above the bound, which is exact wherever that cap is a proven maximum.
 `rank_drop_mask` is its mask on the family of contractions of a
-trivector (`locus_points` lists the points of P^(n-1) it keeps), and
-`family_pfaffian` its symbolic twin: a principal Pfaffian of the same
-family, expanded into a polynomial in the family's coordinates.
+trivector (`locus_points` lists the points of P^(n-1) it keeps, through
+the kernels of sigma(w, ., .) over P(W) when cheaper), and `family_pfaffian`
+its symbolic twin: a principal Pfaffian of the family as a polynomial.
 `family_quotient_pfaffian` divides one such Pfaffian exactly by a linear
 form to get the Pfaffian modulo a radical pair, the one path behind the
 quotient-Pfaffian cubic and quadrics.
@@ -473,13 +473,48 @@ def rank_drop_mask(sigma: Trivector, points: np.ndarray, bound: int) -> np.ndarr
 
 def locus_points(sigma: Trivector, bound: int, threads: int | None = None) -> list[tuple]:
     """Canonical representatives of the [u] in P(F_p^n) with rank sigma(u, ., .) <= bound,
-    by `rank_drop_mask` on every block of `projective_chunks`, in order."""
+    in `projective_chunks` order.
 
-    def work(block: np.ndarray) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in u) for u in block[rank_drop_mask(sigma, block, bound)]]
+    With b the even part of `bound` and W the span of the first b + 1
+    coordinates, the kernel at such a u (dimension >= n - b) meets W in some
+    w != 0, and by alternation u lies in ker sigma(w, ., .): only those P(ker)
+    are tested, by blocks of P(W), then sorted.  Where the price |P(W)| + sum
+    of |P(ker)| reaches |P^(n-1)| (sigma = 0, or b + 1 >= n) all of P^(n-1) is.
+    """
+    n, p, b = sigma.n, sigma.p, bound - bound % 2
 
-    parts = run_chunked(work, projective_chunks(sigma.n - 1, sigma.p), threads)
-    return [u for part in parts for u in part]
+    def test(rows: np.ndarray) -> np.ndarray:
+        return rows[rank_drop_mask(sigma, rows, bound)]
+
+    def contractions(block: np.ndarray) -> np.ndarray:
+        return batched_contract1(sigma, np.hstack([block, np.zeros((len(block), n - b - 1), np.int64)]))
+
+    def price(block: np.ndarray) -> int:
+        dims = np.bincount(n - batched_rank(contractions(block), p))
+        return len(block) + sum(int(c) * projective_count(k - 1, p) for k, c in enumerate(dims) if c)
+
+    def hits(block: np.ndarray) -> np.ndarray:
+        kers, dims = batched_kernel(contractions(block), p)
+        cands = np.vstack([  # every point of P(ker), one product per kernel dimension k
+            linalg.mat_mul(np.vstack(list(projective_chunks(k - 1, p))), basis, p).reshape(-1, n)
+            for k in sorted(set(dims.tolist()))
+            for basis in [kers[dims == k, :k].transpose(1, 0, 2).reshape(k, -1)]
+        ])
+        return test(_canonical_order(projective_rep(cands, p)))
+
+    worker, chunks = test, projective_chunks(n - 1, p)
+    if 0 <= b < n - 1:
+        cost, size = sum(run_chunked(price, projective_chunks(b, p), threads)), projective_count(b, p)
+        if cost < projective_count(n - 1, p):  # blocks of P(W) with about DEFAULT_CHUNK candidates
+            worker, chunks = hits, projective_chunks(b, p, max(1, DEFAULT_CHUNK * size // cost))
+    found = _canonical_order(np.vstack(run_chunked(worker, chunks, threads)))
+    return [tuple(u) for u in found.tolist()]
+
+
+def _canonical_order(rows: np.ndarray) -> np.ndarray:
+    """Distinct canonical representatives in `projective_chunks` order: pivot, then lexicographic."""
+    rows = rows[np.lexsort(np.vstack([rows.T[::-1], (rows != 0).argmax(axis=1)]))]
+    return np.vstack([rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]])
 
 
 def run_chunked(

@@ -10,7 +10,9 @@ delayed their reduction mod p; `determinism` and `lem-3.8-default` (the
 lem-3.8 check at its default config, p = 7) before the chart scan went
 through the rank-drop cascade; the remaining nine (prop-3.17 and
 low-dim-peskine at reduced configs) before the family Pfaffians, the
-form interpolation and the Jacobians each went down one path.  A key
+form interpolation and the Jacobians each went down one path; and
+`lem-3.8-unique-default` before the rank-drop locus was listed through
+its incidence variety, when one run took minutes.  A key
 ending in `-default` names the check without that suffix, and every
 registered check has a key.
 """
@@ -46,6 +48,10 @@ GOLDEN = {
     "lem-3.8-unique": (
         {"trials": 2},
         "3e78b79f948d9ae45357c0f5f7ca13bcebd8a6092de353c22cf02455c49dfef0",
+    ),
+    "lem-3.8-unique-default": (
+        {},
+        "12939da6f26fdbb26bcfc0f5fa2becab00de2716d2bfd4c8c4effccb6dc721fc",
     ),
     "determinism": ({}, "43b10513112a998b05e2a3478b589dca52600ce6779f66c83a0f603d02789f0a"),
     "lem-3.8-default": ({}, "2b22bbef6eb78f5191fce911df5ae465d2ab9996dce8de242c2107d6bc1e9947"),

@@ -7,7 +7,7 @@ import pytest
 from pfaffian_reference import pfaffian_mod_radical
 
 from peskine_lab import linalg, scan
-from peskine_lab.checks import sample_d16_nondegenerate
+from peskine_lab.checks import CheckConfig, run_check, sample_d16_nondegenerate
 from peskine_lab.divisors import sample_divisor, standard_flag
 from peskine_lab.loci import (
     CubicForm,
@@ -27,7 +27,7 @@ from peskine_lab.loci import (
 from peskine_lab.polynomial import Poly, monomials_of_degree
 from peskine_lab.rng import Rng
 from peskine_lab.scan import projective_count
-from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows
+from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows, plane_table
 from peskine_lab.trivector import Trivector, triple_index, triples
 
 
@@ -227,6 +227,13 @@ def test_k3_member_validation():
     tri7, flag7, u8_7 = setup(7)
     with pytest.raises(ValueError):
         k3_member(tri7, flag7, u8_7)  # exhaustive search needs p in {3, 5}
+
+
+def test_witness_search_rejects_the_prime_before_any_plane_table():
+    cached = plane_table.cache_info().currsize
+    with pytest.raises(ValueError, match=r"limited to p in \{3, 5\}"):
+        run_check("prop-3.1", CheckConfig(p=7, trials=1))
+    assert plane_table.cache_info().currsize == cached
 
 
 def test_k3_member_zero_sigma():

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from pfaffian_reference import pfaffian_mod_radical
 
-from peskine_lab import linalg
-from peskine_lab.divisors import sample_divisor
+from peskine_lab import linalg, scan
+from peskine_lab.divisors import rank4_points, sample_divisor
 from peskine_lab.rng import Rng
 from peskine_lab.scan import (
     affine_chunks,
@@ -24,6 +24,7 @@ from peskine_lab.scan import (
     family_quotient_pfaffian,
     family_ranks,
     inverse_table,
+    locus_points,
     projective_chunks,
     projective_count,
     rank_drop_mask,
@@ -401,3 +402,61 @@ def test_run_chunked_bounds_chunks_in_flight(threads):
     assert run_chunked(worker, chunks(), threads=threads) == [3 * i + 3 for i in range(40)]
     assert state["made"] == 40
     assert state["peak"] <= 2 * threads
+
+
+def full_walk(sigma, bound):
+    """`rank_drop_mask` on every block of `projective_chunks`, in order."""
+    return [
+        tuple(int(x) for x in u)
+        for block in projective_chunks(sigma.n - 1, sigma.p)
+        for u in block[rank_drop_mask(sigma, block, bound)]
+    ]
+
+
+# (kind, n, p, seed, bound): general sigma at n = 6 and 8, D^{1,6,10} with
+# bound 4, bound 6 at n = 10, a decomposable sigma, and the priced
+# fallbacks: sigma = 0 and bounds n - 1 and n.
+LOCUS_CASES = (
+    [("random", 6, p, seed, 2) for p in (3, 7, 11) for seed in (1, 2)]
+    + [("random", 8, p, seed, 4) for p in (3, 5) for seed in (1, 2)]
+    + [("d1-6-10", 10, 3, 1, 4), ("d1-6-10", 10, 3, 2, 4), ("d1-6-10", 10, 5, 1, 4)]
+    + [("random", 10, 3, 1, 6), ("decomposable", 6, 5, 1, 0), ("decomposable", 6, 5, 1, 2)]
+    + [("zero", 6, 3, 0, 2), ("random", 6, 3, 1, 5), ("random", 6, 3, 1, 6)]
+)
+
+
+@pytest.mark.parametrize("kind,n,p,seed,bound", LOCUS_CASES)
+def test_locus_points_match_the_full_walk(kind, n, p, seed, bound):
+    sigma = _planted_sigma(kind, n, p, Rng(seed))[0]
+    want = full_walk(sigma, bound)
+    assert locus_points(sigma, bound, threads=1) == want
+    assert locus_points(sigma, bound, threads=4) == want
+
+
+def _count_projective_rows(monkeypatch):
+    """Rows drawn from `scan.projective_chunks`, by projective dimension."""
+    drawn = {}
+    plain = scan.projective_chunks
+
+    def counting(d, p, *args):
+        for block in plain(d, p, *args):
+            drawn[d] = drawn.get(d, 0) + len(block)
+            yield block
+
+    monkeypatch.setattr(scan, "projective_chunks", counting)
+    return drawn
+
+
+def test_rank4_points_walks_the_incidence_variety(monkeypatch):
+    samp = sample_divisor(Rng(1), "d1-6-10", 5)
+    drawn = _count_projective_rows(monkeypatch)
+    points = rank4_points(samp.sigma)
+    assert tuple(samp.flag[0].basis[0]) in points
+    assert 9 not in drawn
+    assert sum(drawn.values()) < projective_count(9, 5) // 100
+
+
+def test_zero_sigma_takes_the_full_walk(monkeypatch):
+    drawn = _count_projective_rows(monkeypatch)
+    assert len(locus_points(zero_trivector(6, 3), 2)) == projective_count(5, 3)
+    assert drawn[5] == projective_count(5, 3) == 364
