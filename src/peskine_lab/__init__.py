@@ -24,6 +24,8 @@ Layout:
 
 from __future__ import annotations
 
+from . import linalg  # noqa: F401  (pins BLAS to one thread on import)
+
 __all__ = ["__version__"]
 
 __version__ = "0.1.0"

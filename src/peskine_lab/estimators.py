@@ -24,6 +24,7 @@ import numpy as np
 
 from . import linalg
 from .polynomial import Poly, jacobian
+from .rng import stream_ints
 from .scan import DEFAULT_CHUNK, affine_image_chunks, batched_rank, run_chunked
 
 DEFAULT_BUDGET = 10**8
@@ -111,7 +112,7 @@ def slice_dim_estimate(
     a fixed seed regardless of worker count.
 
     A level is built whole: one `linalg.sample_full_rank` over its trial
-    streams draws every embedding matrix, then each stream its offset.
+    streams draws every embedding matrix, then one `stream_ints` the offsets.
     One loop tests every slice size: `_level_blocks` packs g whole small
     slices into one block and streams a large one (g = 1) block by block,
     lazily; a trial is hit where any of its rows is.  No block exceeds
@@ -144,7 +145,7 @@ def slice_dim_estimate(
         spent += trials * size
         streams = [rng.child(f"slice-{d}-{t}") for t in range(trials)]
         mats = linalg.sample_full_rank(streams, d, width, p)
-        offsets = np.array([r.ints(width, p) for r in streams])
+        offsets = stream_ints(streams, width, p)
         found = np.zeros(trials, dtype=bool)
         for start, hit in run_chunked(trial_hits, _level_blocks(mats, offsets, p), threads):
             found[start : start + len(hit)] |= hit

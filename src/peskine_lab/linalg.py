@@ -4,7 +4,8 @@ Matrices are numpy int64 arrays with entries reduced to [0, p).  Supported
 primes are odd and below 2**31, so a product of two reduced entries never
 overflows int64, but a sum of four such products already can.  Every
 product-sum of unbounded length therefore goes through `mat_mul`, which
-picks float64, int64 or 16-bit limbs from the bound p^2 * inner.
+picks float64, int64 or 16-bit limbs from the bound p^2 * inner.  Importing
+this module sets numpy's bundled OpenBLAS (the float64 path) to one thread.
 
 Delayed reduction: a sum of `terms` signed products of `factors` reduced
 entries each is exact in int64 while (p - 1)^factors * terms < 2^63
@@ -23,11 +24,30 @@ Conventions:
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
+
+from .rng import stream_ints
 
 MAX_PRIME = 1 << 31
 _FLOAT_EXACT = 1 << 53
 _INT_EXACT = 1 << 63
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS, if numpy carries one, to one thread."""
+    home = Path(np.__file__).resolve().parent
+    for lib in [*home.parent.glob("numpy.libs/*openblas*"), *home.glob(".dylibs/*openblas*")]:
+        blas = ctypes.CDLL(str(lib))  # the handle numpy loaded it under
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if (setter := getattr(blas, name, None)) is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter(1)
+
+
+_one_blas_thread()
 
 
 def is_prime(n: int) -> bool:
@@ -214,15 +234,15 @@ def sample_gl(rng, n: int, p: int) -> np.ndarray:
 def sample_full_rank(streams, rows: int, cols: int, p: int) -> np.ndarray:
     """(len(streams), rows, cols): per stream, a uniform matrix of rank min(rows, cols).
 
-    By rejection, one `scan.batched_rank` per round: only rank-deficient
-    candidates are redrawn, each from its own stream, so every stream
-    makes the draws of a rejection loop run on it alone."""
+    By rejection, one `stream_ints` and one `scan.batched_rank` per round:
+    only rank-deficient candidates are redrawn, each from its own stream,
+    so every stream makes the draws of a rejection loop run on it alone."""
     from .scan import batched_rank  # scan imports this module
 
     out = np.zeros((len(streams), rows, cols), dtype=np.int64)
     todo = np.arange(len(streams))
     while len(todo):
-        for i in todo:
-            out[i] = streams[i].matrix(rows, cols, p)
+        draws = stream_ints([streams[i] for i in todo], rows * cols, p)
+        out[todo] = draws.reshape(len(todo), rows, cols)
         todo = todo[batched_rank(out[todo], p) < min(rows, cols)]
     return out

@@ -89,7 +89,7 @@ def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> CubicForm:
     return CubicForm(scan.family_quotient_pfaffian(family, b6, flag[0].basis[0], p))
 
 
-# Point-plane pairs per einsum in the K3 plane search (8 values each).
+# Point-plane pairs per block of the K3 plane search (8 x 7 values each).
 _PLANE_BLOCK = 1 << 16
 
 
@@ -121,9 +121,9 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     forms are one `Trivector.values` table, the points one cached P^6
     list, and the kernels A(t1) of all candidate points one batched
     elimination; their planes are tested against the `plane_table` of
-    dim A(t1) - 1 with an einsum.  The witness is the first point in
-    canonical order with an isotropic plane, and its first such plane in
-    `all_subspaces` order.  Practical only at p in {3, 5}.
+    dim A(t1) - 1, one `linalg.mat_mul` per side.  The witness is the
+    first point in canonical order with an isotropic plane, and its first
+    such plane in `all_subspaces` order.  Practical only at p in {3, 5}.
     """
     p = sigma.p
     _check_search_prime(p)
@@ -139,11 +139,11 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
 
     v1c = u8.coords_of(v1)
     comp = list(Subspace.from_rows(v1c, 8, p).complement_pivots())
-    # forms[z]: sigma(., ., b8_z) on the complement rows of v1 in u8.
-    forms = np.ascontiguousarray(sigma.values(b8[comp], b8[comp], b8).transpose(2, 0, 1))
+    # forms[a, 7z + b] = sigma(c_a, c_b, b8_z) on the complement rows c of v1 in u8.
+    forms = sigma.values(b8[comp], b8[comp], b8).transpose(0, 2, 1).reshape(7, 56)
 
     reps = _p6_points(p)
-    stacked = np.tensordot(reps, forms.transpose(1, 0, 2), axes=([1], [0])) % p
+    stacked = linalg.mat_mul(reps, forms, p).reshape(-1, 8, 7)
 
     cand = np.nonzero(7 - scan.batched_rank(stacked, p) >= 3)[0]
     t1s = reps[cand]
@@ -167,10 +167,11 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
         step = max(1, _PLANE_BLOCK // len(table))
         for start in range(0, len(group), step):
             block = group[start : start + step]
-            rows = comp_rows[block, None, :m]
-            restricted = (rows @ forms % p) @ rows.swapaxes(2, 3) % p
-            vals = np.einsum("qa,gcab,qb->gqc", table[:, 0], restricted, table[:, 1])
-            iso = ~(vals % p).any(axis=2)
+            rows = comp_rows[block, :m].transpose(1, 0, 2)
+            left = linalg.mat_mul(rows.reshape(-1, 7), forms, p).reshape(m, -1)
+            left = linalg.mat_mul(table[:, 0], left, p).reshape(len(table), -1, 8, 7)
+            right = linalg.mat_mul(table[:, 1], rows.reshape(m, -1), p).reshape(len(table), -1, 7)
+            iso = ~((left * right[:, :, None]).sum(axis=3) % p).any(axis=2).T
             first[block] = np.where(iso.any(axis=1), iso.argmax(axis=1), -1)
             if iso.any():
                 break

@@ -5,6 +5,10 @@ generator.  The same seed produces the same stream on every platform and
 under any thread count, which is what makes check reports reproducible.
 Child streams are derived from string labels so that independent samplers
 never share state.
+
+The k-th output at state s is mix(s + k * gamma), so `stream_ints` draws
+from many streams in one uint64 numpy pass, with the values, and the end
+states, of one `below` call per entry.
 """
 
 from __future__ import annotations
@@ -21,6 +25,27 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK
     z = (z ^ (z >> 27)) * _MIX2 & _MASK
     return z ^ (z >> 31)
+
+
+def stream_ints(streams: list["Rng"], count: int, n: int) -> np.ndarray:
+    """(len(streams), count): `count` uniform draws from [0, n) per stream.
+
+    One pass of `count` raw draws over distinct streams; one that rejected
+    some keeps its accepted draws, in order, and draws the rest again."""
+    if not 0 < n < 1 << 63:
+        raise ValueError(f"int64 draws need a bound in [1, 2^63), got {n}")
+    limit = _MASK - (_MASK + 1) % n
+    states = np.array([r._state for r in streams], dtype=np.uint64)
+    z = states[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> 30)) * _MIX1  # `_mix`: uint64 products wrap like `& _MASK`
+    z = (z ^ (z >> 27)) * _MIX2
+    raw = z ^ (z >> 31)
+    out = (raw % n).astype(np.int64)
+    for r, row, keep in zip(streams, out, raw <= limit):
+        r._state = (r._state + count * _GAMMA) & _MASK
+        if not keep.all():
+            row[:] = np.concatenate([row[keep], stream_ints([r], count - int(keep.sum()), n)[0]])
+    return out
 
 
 def _fnv1a(label: str) -> int:
@@ -51,8 +76,8 @@ class Rng:
                 return x % n
 
     def ints(self, count: int, n: int) -> np.ndarray:
-        """Array of `count` uniform draws from [0, n)."""
-        return np.array([self.below(n) for _ in range(count)], dtype=np.int64)
+        """Array of `count` uniform draws from [0, n), n < 2^63."""
+        return stream_ints([self], count, n)[0]
 
     def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
         return self.ints(rows * cols, p).reshape(rows, cols)

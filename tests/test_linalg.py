@@ -1,5 +1,8 @@
 """Exact linear algebra against known answers and numpy cross-checks."""
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +145,7 @@ def test_sample_full_rank_matches_per_stream_loop(rows, cols):
     streams = [Rng(7).child(f"t-{i}") for i in range(count)]
     refs = [Rng(7).child(f"t-{i}") for i in range(count)]
     got = linalg.sample_full_rank(streams, rows, cols, p)
+    assert got.shape == (count, rows, cols)
     want = [rejection_loop(r, rows, cols, p) for r in refs]
     assert np.array_equal(got, np.array([m for m, _ in want]).reshape(count, rows, cols))
     assert [s.u64() for s in streams] == [r.u64() for r in refs]
@@ -186,3 +190,18 @@ def test_mat_mul_long_inner_at_largest_prime():
     k = 70000
     full = np.full((1, k), p - 1, dtype=np.int64)
     assert linalg.mat_mul(full, full.T, p).tolist() == [[k % p]]
+
+
+def test_blas_runs_on_one_thread():
+    # Importing the package pins numpy's bundled OpenBLAS for the process.
+    import peskine_lab  # noqa: F401
+
+    home = Path(np.__file__).resolve().parent
+    libs = [*home.parent.glob("numpy.libs/*openblas*"), *home.glob(".dylibs/*openblas*")]
+    name = "scipy_openblas_get_num_threads64_"
+    getters = [getattr(b, name) for b in map(ctypes.CDLL, map(str, libs)) if hasattr(b, name)]
+    if not getters:
+        pytest.skip("numpy carries no scipy-openblas library")
+    for get in getters:
+        get.argtypes, get.restype = [], ctypes.c_int
+        assert get() == 1

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
-from peskine_lab.rng import Rng
+from peskine_lab.rng import Rng, stream_ints
+
+# 2^62 + 5 rejects about a quarter of its raw draws, so most runs of 80
+# draws take several passes.
+BOUNDS = (3, 5, 7, 101, 2**31 - 1, 2**62 + 5)
 
 
 def test_same_seed_same_stream():
@@ -47,3 +52,30 @@ def test_shuffle_permutes():
     rng.shuffle(shuffled)
     assert sorted(shuffled) == items
     assert shuffled != items
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+@pytest.mark.parametrize("count", [0, 1, 80])
+def test_ints_match_below_loop(n, count):
+    for seed in range(50):
+        a, b = Rng(seed), Rng(seed)
+        assert a.ints(count, n).tolist() == [b.below(n) for _ in range(count)]
+        assert a.u64() == b.u64()
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+def test_stream_ints_match_per_stream_below_loops(n):
+    streams = [Rng(11).child(f"s-{i}") for i in range(40)]
+    refs = [Rng(11).child(f"s-{i}") for i in range(40)]
+    got = stream_ints(streams, 80, n)
+    assert got.shape == (40, 80) and got.dtype == np.int64
+    assert got.tolist() == [[r.below(n) for _ in range(80)] for r in refs]
+    assert [s.u64() for s in streams] == [r.u64() for r in refs]
+
+
+@pytest.mark.parametrize("n", [0, 2**63, 2**64 + 1])
+def test_ints_reject_bounds_outside_int64(n):
+    with pytest.raises(ValueError):
+        Rng(1).ints(3, n)
+    with pytest.raises(ValueError):
+        stream_ints([Rng(1)], 3, n)
