@@ -141,7 +141,8 @@ def _common_zeros(f1: Poly, f2: Poly, block: np.ndarray) -> np.ndarray:
 def o2_predicate(p: int) -> LocusPredicate:
     f1, f2 = pencil_cubics(p)
     return LocusPredicate(
-        kind="affine", n=20, p=p, test_batch=lambda b: _common_zeros(f1, f2, b), name="o2"
+        kind="affine", n=20, p=p, test_batch=lambda b: _common_zeros(f1, f2, b), name="o2",
+        polys=(f1, f2),
     )
 
 
@@ -155,7 +156,7 @@ def sing_o2_predicate(p: int) -> LocusPredicate:
             out[on] = batched_rank(jacobian([f1, f2], block[on]), p) <= 1
         return out
 
-    return LocusPredicate(kind="affine", n=20, p=p, test_batch=test, name="sing-o2")
+    return LocusPredicate(kind="affine", n=20, p=p, test_batch=test, name="sing-o2", polys=(f1, f2))
 
 
 def _estimate_fields(est: DimEstimate) -> dict:

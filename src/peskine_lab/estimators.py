@@ -12,7 +12,9 @@ whose hit frequency clears a threshold.
 
 Frequencies, not proofs: the thresholds are calibrated so both error
 sides stay small at the enumeration primes, and estimates that land in
-the uncertain band come back flagged ambiguous instead of wrong.
+the uncertain band come back flagged ambiguous instead of wrong.  A
+predicate with `polys` vanishing on its locus (O2, Sing O2) is scanned
+through their restrictions to each slice, and tested only on common zeros.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import linalg
-from .polynomial import Poly, jacobian
+from .polynomial import Poly, jacobian, slice_monomials
 from .rng import stream_ints
-from .scan import DEFAULT_CHUNK, affine_image_chunks, batched_rank, run_chunked
+from .scan import DEFAULT_CHUNK, affine_chunks, affine_image_chunks, batched_rank, run_chunked
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 20
@@ -40,7 +42,9 @@ class LocusPredicate:
     kind "affine" tests vectors of length n; kind "projective" tests
     homogeneous vectors of length n + 1 (the test must be invariant under
     scaling).  test_batch maps an (B, width) int64 array to (B,) bools
-    and must be pure.
+    and must be pure: the full membership test.  `polys` (in `width`
+    variables) vanish wherever test_batch holds, and on a projective
+    predicate at the zero vector too; the ladder tests their common zeros.
     """
 
     kind: str
@@ -48,11 +52,16 @@ class LocusPredicate:
     p: int
     test_batch: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    polys: tuple[Poly, ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("affine", "projective"):
             raise ValueError(f"unknown ambient kind {self.kind!r}")
         linalg.check_prime(self.p)
+        for f in self.polys:
+            constant = self.kind == "projective" and f.as_dict().get(())
+            if (f.p, f.nvars) != (self.p, self.width) or constant:
+                raise ValueError(f"polys need p={self.p}, nvars={self.width}; projective: f(0) = 0")
 
     @property
     def width(self) -> int:
@@ -81,6 +90,31 @@ def _level_blocks(mats: np.ndarray, offsets: np.ndarray, p: int) -> Iterator[tup
         stacked = dirs.transpose(1, 0, 2).reshape(d, len(dirs) * width)
         for block in affine_image_chunks(stacked, base.reshape(-1), p, DEFAULT_CHUNK // group):
             yield start, block.reshape(len(block), len(dirs), width)
+
+
+def _members(pred: LocusPredicate, rows: np.ndarray) -> np.ndarray:
+    """test_batch on (B, width) rows; a projective predicate also keeps the cone point."""
+    hit = np.asarray(pred.test_batch(rows), dtype=bool)
+    return hit | ~rows.any(axis=1) if pred.kind == "projective" else hit
+
+
+def _restricted_hits(pred: LocusPredicate, mats: np.ndarray, offsets: np.ndarray) -> Callable:
+    """Worker on blocks t of F_p^d giving (0, per-trial hits): one `linalg.mat_mul` of t's
+    monomial values against every (poly, trial) row of `Poly.restrict` coefficients, then
+    test_batch on the image rows offset + t @ mat of the common zeros alone."""
+    p, (trials, d, _), degree = pred.p, mats.shape, max(f.total_degree() for f in pred.polys)
+    coeffs = np.vstack([f.restrict(offsets, mats, degree) for f in pred.polys]).T
+
+    def hits(t: np.ndarray) -> tuple[int, np.ndarray]:
+        vals = linalg.mat_mul(slice_monomials(t, degree, p), coeffs, p)
+        r, k = np.nonzero(~vals.reshape(len(t), len(pred.polys), trials).any(axis=1))
+        rows, found = offsets[k], np.zeros(trials, dtype=bool)
+        for j in range(d):
+            rows = (rows + t[r, j, None] * mats[k, j]) % p
+        found[k[_members(pred, rows)]] = True
+        return 0, found
+
+    return hits
 
 
 def slice_dim_estimate(
@@ -116,7 +150,8 @@ def slice_dim_estimate(
     One loop tests every slice size: `_level_blocks` packs g whole small
     slices into one block and streams a large one (g = 1) block by block,
     lazily; a trial is hit where any of its rows is.  No block exceeds
-    DEFAULT_CHUNK rows, whatever the budget.
+    DEFAULT_CHUNK rows, whatever the budget.  With polys, `_restricted_hits`
+    walks F_p^d once instead, DEFAULT_CHUNK // trials parameters to a block.
     """
     if not 0.0 < miss_threshold <= hit_threshold <= 1.0:
         raise ValueError("need 0 < miss_threshold <= hit_threshold <= 1")
@@ -126,10 +161,7 @@ def slice_dim_estimate(
 
     def trial_hits(item: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
         start, block = item
-        rows = block.transpose(1, 0, 2).reshape(-1, width)
-        hit = np.asarray(pred.test_batch(rows), dtype=bool)
-        if pred.kind == "projective":
-            hit = hit | ~rows.any(axis=1)
+        hit = _members(pred, block.transpose(1, 0, 2).reshape(-1, width))
         return start, hit.reshape(block.shape[1], -1).any(axis=1)
 
     spent = 0
@@ -146,8 +178,12 @@ def slice_dim_estimate(
         streams = [rng.child(f"slice-{d}-{t}") for t in range(trials)]
         mats = linalg.sample_full_rank(streams, d, width, p)
         offsets = stream_ints(streams, width, p)
+        worker, blocks = trial_hits, _level_blocks(mats, offsets, p)
+        if pred.polys:
+            worker = _restricted_hits(pred, mats, offsets)
+            blocks = affine_chunks(d, p, max(1, DEFAULT_CHUNK // trials))
         found = np.zeros(trials, dtype=bool)
-        for start, hit in run_chunked(trial_hits, _level_blocks(mats, offsets, p), threads):
+        for start, hit in run_chunked(worker, blocks, threads):
             found[start : start + len(hit)] |= hit
         profile[d] = int(found.sum())
         freqs[d] = profile[d] / trials

@@ -8,14 +8,15 @@ representation with exact arithmetic is plenty.
 Forms are built symbolically (`scan.family_pfaffian` expands Pfaffians
 of linear families, and `Poly.divide_linear` takes exact quotients by a
 linear form); `jacobian`, the batched Jacobian of a polynomial map,
-differentiates them for every caller in the package.
+differentiates them for every caller in the package, and `Poly.restrict`
+restricts them exactly to batches of affine slices for the slice ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -134,6 +135,26 @@ class Poly:
         """Values on a (B, nvars) batch of points."""
         return self._values(np.remainder(points.T, self.p, dtype=np.int64, order="C"))
 
+    def restrict(self, offsets: np.ndarray, mats: np.ndarray, degree: int = 0) -> np.ndarray:
+        """(T, M) coefficients of each f(offset_k + t @ mat_k) over `monomials_of_degree(d + 1, D)`
+        in y = (1, t), D = max(degree, total_degree()).  Each term, padded by y0 to D factors, is
+        an outer product of linear forms in y reduced after each factor; one `linalg.mat_mul`
+        sums the terms, one more collapses the products onto sorted monomials."""
+        p, (trials, d, _), big = self.p, mats.shape, max(degree, self.total_degree())
+        y0 = np.eye(d + 1, 1, dtype=np.int64)[None].repeat(trials, 0)  # x_nvars restricts to y0
+        lin = np.concatenate([np.concatenate([offsets[:, None], mats], axis=1) % p, y0], axis=2)
+        pad = [m + (self.nvars,) * (big - len(m)) for m, _ in self.terms]
+        idx = np.array(pad, dtype=np.int64).reshape(len(pad), big)
+        acc = np.ones((trials, 1, len(pad)), dtype=np.int64)
+        for k in range(big):
+            acc = acc[:, :, None] * lin[:, None, :, idx[:, k]] % p
+            acc = acc.reshape(trials, (d + 1) ** (k + 1), len(pad))
+        coefs = np.array([c for _, c in self.terms], dtype=np.int64)
+        sums = linalg.mat_mul(acc.reshape(trials * acc.shape[1], len(pad)), coefs, p)
+        monos = {m: c for c, m in enumerate(monomials_of_degree(d + 1, big))}
+        cols = [monos[tuple(sorted(ix))] for ix in product(range(d + 1), repeat=big)]
+        return linalg.mat_mul(sums.reshape(trials, -1), np.eye(len(monos), dtype=np.int64)[cols], p)
+
     @cached_property
     def _partials(self) -> tuple["Poly", ...]:
         return tuple(self.partial(i) for i in range(self.nvars))
@@ -189,3 +210,14 @@ def jacobian(polys: list[Poly], points: np.ndarray) -> np.ndarray:
 def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All monomials of exact total degree, in lexicographic index order."""
     return tuple(combinations_with_replacement(range(nvars), degree))
+
+
+def slice_monomials(t: np.ndarray, degree: int, p: int) -> np.ndarray:
+    """(R, M) values of `monomials_of_degree(d + 1, degree)` at y = (1, t) for a
+    reduced (R, d) block t: the basis of `Poly.restrict`, reduced after each factor."""
+    y = np.hstack([np.ones((len(t), 1), dtype=np.int64), t])
+    idx = np.array(monomials_of_degree(y.shape[1], degree), dtype=np.int64)
+    out = np.ones((len(t), len(idx)), dtype=np.int64)
+    for k in range(degree):
+        out = out * y[:, idx[:, k]] % p
+    return out

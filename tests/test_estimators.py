@@ -186,14 +186,15 @@ def reference_estimate(
 
 
 def spied(pred):
-    """The predicate with a test_batch that records the rows of every call."""
-    rows = []
+    """The predicate with a test_batch that records, per call, its row count
+    and whether every row is a common zero of the predicate's polys."""
+    calls = []
 
     def test_batch(points):
-        rows.append(len(points))
+        calls.append((len(points), not any(f.evaluate_batch(points).any() for f in pred.polys)))
         return pred.test_batch(points)
 
-    return dataclasses.replace(pred, test_batch=test_batch), rows
+    return dataclasses.replace(pred, test_batch=test_batch), calls
 
 
 def expected_calls(profile, p, trials):
@@ -218,8 +219,9 @@ def large_slice_locus():
 
 
 # (label, predicate, trials, estimator keywords, levels visited); the
-# rank-drop case has two blocks at level 3 (95 slices of 343 to a block),
-# sing-o2 two at level 5 (10 slices of 3125).
+# rank-drop case has two blocks at level 3 (95 slices of 343 to a block).
+# o2 and sing-o2 carry polys: their ladder walks F_5^d in blocks and calls
+# test_batch only on common zeros of f1 and f2.
 PACKED_CASES = [
     ("rank-drop-n8-p7", lambda: peskine_predicate(sample_general(Rng(40), 8, 7)), 100, {}, 4),
     ("o2-p5", lambda: o2_predicate(5), 8, {}, 3),
@@ -232,16 +234,73 @@ PACKED_CASES = [
     "label, make, trials, kw, levels", PACKED_CASES, ids=[c[0] for c in PACKED_CASES]
 )
 def test_packed_ladder_matches_per_trial_reference(label, make, trials, kw, levels):
-    pred, rows = spied(make())
+    pred, calls = spied(make())
     est = slice_dim_estimate(pred, Rng(42), trials=trials, **kw)
     profile, dim, ambiguous = reference_estimate(make(), Rng(42), trials, **kw)
     assert (est.hit_profile, est.estimated_dim, est.ambiguous) == (profile, dim, ambiguous)
     assert len(est.hit_profile) == levels
-    # Full blocks, never more than DEFAULT_CHUNK rows, and one call per
-    # block instead of one per trial.
+    rows = [n for n, _ in calls]
     assert max(rows) <= DEFAULT_CHUNK
+    if pred.polys:
+        # Only common zeros of the polys reach the full test.
+        assert all(zero for _, zero in calls)
+        return
+    # Full blocks, and one call per block instead of one per trial.
     assert len(rows) == expected_calls(est.hit_profile, pred.p, trials)
     assert sum(rows) == trials * sum(pred.p**d for d in est.hit_profile)
+
+
+def conic_quadric(p):
+    """x0 x1 - x2^2 in the 6 homogeneous coordinates of P^5."""
+    x = [Poly.variable(i, 6, p) for i in range(6)]
+    return x[0] * x[1] - x[2] * x[2]
+
+
+def projective_with_quadric(p, plane_only):
+    """A projective predicate in P^5 with the quadric in polys: the conic in
+    the plane x3 = x4 = x5 = 0, or (plane_only False) the empty locus, whose
+    hits are cone points alone."""
+    quad = conic_quadric(p)
+
+    def test_batch(points):
+        on = (quad.evaluate_batch(points) == 0) & ~points[:, 3:].any(axis=1)
+        return on if plane_only else np.zeros(len(points), dtype=bool)
+
+    return LocusPredicate(kind="projective", n=5, p=p, test_batch=test_batch, polys=(quad,))
+
+
+@pytest.mark.parametrize("make", [o2_predicate, sing_o2_predicate], ids=["o2", "sing-o2"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_polys_prefilter_keeps_the_estimate(make, p):
+    pred = make(p)
+    rows_only = dataclasses.replace(pred, polys=())
+    for seed in (61, 62, 63):
+        want = slice_dim_estimate(rows_only, Rng(seed), trials=12, threads=1)
+        for threads in (1, 4):
+            assert slice_dim_estimate(pred, Rng(seed), trials=12, threads=threads) == want
+
+
+@pytest.mark.parametrize("plane_only", [True, False], ids=["conic", "cone-point"])
+def test_polys_prefilter_keeps_the_cone_point(plane_only):
+    pred = projective_with_quadric(5, plane_only)
+    want = slice_dim_estimate(dataclasses.replace(pred, polys=()), Rng(64), trials=6)
+    assert slice_dim_estimate(pred, Rng(64), trials=6) == want
+    if not plane_only:
+        # Every level-6 slice is all of F_5^6, cone point included.
+        assert want.hit_profile[6] == 6
+
+
+def test_predicate_rejects_foreign_polys():
+    quad = conic_quadric(5)
+    with pytest.raises(ValueError, match="polys need"):
+        LocusPredicate(kind="affine", n=5, p=5, test_batch=lambda b: b[:, 0] == 0, polys=(quad,))
+    with pytest.raises(ValueError, match="polys need"):
+        LocusPredicate(kind="projective", n=5, p=7, test_batch=lambda b: b[:, 0] == 0, polys=(quad,))
+    with pytest.raises(ValueError, match="polys need"):
+        LocusPredicate(
+            kind="projective", n=5, p=5, test_batch=lambda b: b[:, 0] == 0,
+            polys=(quad + Poly.constant(1, 6, 5),),
+        )
 
 
 def test_image_dim_estimate_linear():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peskine_lab import linalg
-from peskine_lab.polynomial import Poly, jacobian, monomials_of_degree
+from peskine_lab.polynomial import Poly, jacobian, monomials_of_degree, slice_monomials
 from peskine_lab.rng import Rng
 
 ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
@@ -73,6 +73,33 @@ def test_evaluate_batch_exact_at_the_delay_bound(p):
     pts = np.vstack([np.full((1, 4), p - 1), Rng(p).matrix(5, 4, p)])
     assert f.evaluate_batch(pts).tolist() == [f.evaluate(x) for x in pts]
     assert f.evaluate_batch(pts)[0] == 15 * (p - 1) ** 4 % p
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 2**31 - 1])
+@pytest.mark.parametrize("d", [0, 1, 3, 5])
+def test_restrict_matches_evaluate_batch_on_the_slice(p, d):
+    # Polys of degree 0 to 4 in 5 variables, mixed-degree terms and a
+    # nonzero constant, restricted to three random slices and to the slice
+    # whose entries are all p - 1, against the values on the image points
+    # (computed in Python ints), at random t and at t = (p - 1, ..., p - 1).
+    rng = Rng(p + 10 * d)
+    offsets = np.vstack([rng.matrix(3, 5, p), np.full((1, 5), p - 1)])
+    mats = np.concatenate([rng.matrix(3 * d, 5, p).reshape(3, d, 5), np.full((1, d, 5), p - 1)])
+    t = np.vstack([rng.matrix(8, d, p), np.full((1, d), p - 1)])
+    images = [(t.astype(object) @ m.astype(object) + o) % p for o, m in zip(offsets, mats)]
+    for degree in range(5):
+        terms = {(): rng.below(p - 1) + 1}
+        for _ in range(6):
+            mono = tuple(int(i) for i in rng.ints(rng.below(degree + 1), 5))
+            terms[mono] = rng.below(p) or p - 1
+        f = Poly.from_dict(terms, nvars=5, p=p)
+        want = np.stack([f.evaluate_batch(x.astype(np.int64)) for x in images], axis=1)
+        for pad in (0, 4):  # own degree, and padded by y0 to degree 4
+            coeffs = f.restrict(offsets, mats, pad)
+            top = max(pad, f.total_degree())
+            assert coeffs.shape == (4, len(monomials_of_degree(d + 1, top)))
+            got = linalg.mat_mul(slice_monomials(t, top, p), coeffs.T, p)
+            assert got.tolist() == want.tolist()
 
 
 def test_add_mul_consistent_with_evaluation():
