@@ -38,6 +38,7 @@ from .fibration import (
     sigma_prime_rank_scan,
 )
 from .loci import (
+    check_search_prime,
     conic_fiber,
     cubic_from_pfaffian,
     dv_member,
@@ -636,7 +637,7 @@ def _run_lem_3_16(cfg: CheckConfig):
 
 def _run_prop_3_1(cfg: CheckConfig):
     """Isotropic-plane witness search for the K3 membership condition."""
-    p = cfg.p if cfg.p is not None else 3
+    p = check_search_prime(cfg.p if cfg.p is not None else 3)
     seeds = cfg.trials if cfg.trials is not None else 100
     rng = Rng(cfg.seed).child("prop-3.1")
     witnesses = 0
@@ -654,7 +655,7 @@ def _run_prop_3_2(cfg: CheckConfig):
     metrics: dict = {}
     good = 0
     found = 0
-    plans = ((3, 30), (5, 10)) if cfg.p is None else ((cfg.p, cfg.trials or 10),)
+    plans = ((3, 30), (5, 10)) if cfg.p is None else ((check_search_prime(cfg.p), cfg.trials or 10),)
     for p, seeds in plans:
         if cfg.trials is not None:
             seeds = cfg.trials

@@ -1,8 +1,8 @@
 """Command-line front end: samplers, named checks, scans, dimension estimates.
 
 Exit codes: 0 on success, 1 when a verification reports FAIL, 2 on usage
-errors (unknown check id, malformed input, bad flags), 3 when a scan or
-estimate would exceed the point budget.
+errors (unknown check id, malformed input, bad flags, a prime the command
+does not admit), 3 when a scan or estimate would exceed the point budget.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .checks import (
 from .divisors import KINDS, rank4_points, sample_divisor, sample_general
 from .estimators import LocusPredicate, slice_dim_estimate
 from .fibration import dprime_rank2_test
+from .linalg import UnsupportedPrime
 from .loci import peskine_points
 from .report import emit_report, report_from_dict, summary_table
 from .rng import Rng
@@ -103,9 +104,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.check_id not in REGISTRY:
-        known = ", ".join(REGISTRY)
-        print(f"unknown check id {args.check_id!r} (known: {known})", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown check id {args.check_id!r} (known: {', '.join(REGISTRY)})")
     cfg = _merged_config(args)
     rep = run_check(args.check_id, cfg)
     if args.out:
@@ -296,6 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, UnsupportedPrime) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

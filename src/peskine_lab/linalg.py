@@ -65,13 +65,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class UnsupportedPrime(ValueError):
+    """A modulus outside the primes a routine admits: a usage error."""
+
+
 def check_prime(p: int) -> int:
     """Validate a field modulus: odd prime with 3 <= p < 2**31."""
     if not isinstance(p, (int, np.integer)):
         raise TypeError(f"modulus must be an int, got {type(p).__name__}")
     p = int(p)
     if p < 3 or p >= MAX_PRIME or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime in [3, 2^31), got {p}")
+        raise UnsupportedPrime(f"modulus must be an odd prime in [3, 2^31), got {p}")
     return p
 
 

@@ -99,9 +99,10 @@ def _p6_points(p: int) -> np.ndarray:
     return linalg.freeze(np.vstack(list(scan.projective_chunks(6, p))))
 
 
-def _check_search_prime(p: int) -> None:
+def check_search_prime(p: int) -> int:
     if p not in (3, 5):
-        raise ValueError("the exhaustive inner search is limited to p in {3, 5}")
+        raise linalg.UnsupportedPrime("the exhaustive inner search is limited to p in {3, 5}")
+    return p
 
 
 def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspace | None]:
@@ -125,8 +126,7 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     first point in canonical order with an isotropic plane, and its first
     such plane in `all_subspaces` order.  Practical only at p in {3, 5}.
     """
-    p = sigma.p
-    _check_search_prime(p)
+    p = check_search_prime(sigma.p)
     if u8.dim != 8:
         raise ValueError(f"expected an 8-dimensional subspace, got dim {u8.dim}")
     if not u8.contains(flag[1]):
@@ -199,8 +199,7 @@ def k3_witness_search(sigma: Trivector, flag: Flag) -> tuple[Subspace, Subspace]
 
     Returns (U8, U4) for the first hit in canonical order, or None.
     """
-    p = sigma.p
-    _check_search_prime(p)
+    p = check_search_prime(sigma.p)
     v6 = flag[1]
     od = omega_data(sigma, flag)
     comp = list(od.complement_pivots)

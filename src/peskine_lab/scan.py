@@ -148,8 +148,8 @@ def batched_contract1(sigma: Trivector, points: np.ndarray) -> np.ndarray:
     return mats.reshape(points.shape[0], n, n)
 
 
-# Working dtypes of the elimination with their largest values.
-_WORK_DTYPES = ((np.int16, (1 << 15) - 1), (np.int32, (1 << 31) - 1), (np.int64, (1 << 63) - 1))
+# Unsigned working dtypes of the elimination with their largest values.
+_WORK_DTYPES = ((np.uint16, (1 << 16) - 1), (np.uint32, (1 << 32) - 1), (np.uint64, (1 << 64) - 1))
 
 
 def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,45 +161,48 @@ def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     row (such rows end up zero).  Sorting the rows by pivot_col gives the
     rref.  The pivot of each column is its first nonzero row not yet used.
 
-    Reduction is delayed: one elimination step subtracts at most (p - 1)^2
-    from an entry, so entries are reduced only when `room` more steps
-    could leave the working dtype, the narrowest of int16, int32 and
-    int64 that holds `cols` steps (int64 in any case).  The column searched
-    for a pivot and the pivot row are reduced at every step.
+    One (rows, cols, batch) copy is eliminated, so every column step runs
+    numpy loops of length batch over all matrices at once; a matrix with
+    no pivot in the column takes its inverse as 0 and adds zero rows.
+    Entries stay unsigned: a step adds mult[r] * (p - scaled pivot row) to
+    every row r, mult[r] the row's entry in the column (minus 1 at the
+    pivot row, which leaves the scaled pivot row there).  Reduction is
+    delayed and cheap (x - x // p * p): a step adds at most (p - 1)^2 to
+    an entry, so entries are reduced only when `room` more steps could
+    leave the working dtype, the narrowest of uint16, uint32 and uint64
+    that holds `cols` steps (uint64 in any case).  The column searched for
+    a pivot and the pivot row are reduced at every step.
     """
     batch, rows, cols = mats.shape
     step = (p - 1) ** 2
-    dtype, top = next((t, top) for t, top in _WORK_DTYPES if t is np.int64 or top - p >= cols * step)
-    a = (mats % p).astype(dtype)
-    room = (top - p) // step
-    since = 0
-    pivot_col = np.full((batch, rows), cols, dtype=np.int16)
+    dtype, top = next((t, top) for t, top in _WORK_DTYPES if t is np.uint64 or top - p >= cols * step)
+    a = (mats - mats // p * p).transpose(1, 2, 0).astype(dtype, order="C")
+    q, room, since = dtype(p), (top - p) // step, 0
+    pivot_col = np.full((rows, batch), cols, dtype=np.int16)
+    row_ids = np.arange(rows)[:, None]
+    offsets = np.arange(cols)[:, None] * batch + np.arange(batch)  # of a[0, c, b] in a.ravel()
     for c in range(cols):
-        col = a[:, :, c]
-        col %= p
-        candidates = (col != 0) & (pivot_col == cols)
-        b_idx = np.flatnonzero(candidates.any(axis=1))
-        if not len(b_idx):
+        col = a[:, c]
+        col -= col // q * q
+        # The pivot row of each matrix, `rows` where there is none.
+        pr = np.where((col != 0) & (pivot_col == cols), row_ids, rows).min(axis=0, initial=rows)
+        has = pr < rows
+        if not has.any():
             continue
         if since == room:
-            a %= p
+            a -= a // q * q
             since = 0
-        # Columns c onward of the matrices with a pivot here (a view when
-        # that is all of them); left of c the pivot row is zero mod p.
-        whole = len(b_idx) == batch
-        sub = a[:, :, c:] if whole else a[b_idx, :, c:]
-        pr = candidates[b_idx].argmax(axis=1)
-        k = np.arange(len(b_idx))
-        row = sub[k, pr, :] % p
-        scaled = row * _inverses(row[:, 0], p).astype(dtype)[:, None] % p
-        sub -= sub[:, :, :1] * scaled[:, None, :]
-        sub[k, pr, :] = scaled
-        if not whole:
-            a[b_idx, :, c:] = sub
-        pivot_col[b_idx, pr] = c
+        # Columns c onward of the pivot rows (clipped, and unused, where none).
+        row = a.ravel().take(pr * (cols * batch) + offsets[c:], mode="clip")
+        row -= row // q * q
+        neg = row * (q - _inverses(row[0] * has, p).astype(dtype))
+        neg -= neg // q * q
+        hit = row_ids == pr
+        a[:, c:] += np.where(hit, row[0] - has, col)[:, None, :] * neg
+        pivot_col[hit] = c
         since += 1
-    a %= p
-    return a.astype(np.int64), pivot_col
+    a -= a // q * q
+    return a.transpose(2, 0, 1).astype(np.int64, order="C"), np.ascontiguousarray(pivot_col.T)
 
 
 def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
@@ -240,19 +243,13 @@ def batched_kernel(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return kers, np.count_nonzero(free, axis=1)
 
 
-_INV_TABLES: dict[int, np.ndarray] = {}
 _INVERSE_TABLE_LIMIT = 1 << 16
 
 
+@lru_cache(maxsize=None)
 def inverse_table(p: int) -> np.ndarray:
-    """Table of inverses mod p (index 0 unused)."""
-    table = _INV_TABLES.get(p)
-    if table is None:
-        table = np.zeros(p, dtype=np.int64)
-        table[1:] = [pow(x, -1, p) for x in range(1, p)]
-        table.setflags(write=False)
-        _INV_TABLES[p] = table
-    return table
+    """Table of inverses mod p (index 0 unused), read-only."""
+    return linalg.freeze([0] + [pow(x, -1, p) for x in range(1, p)])
 
 
 def _inverses(vals: np.ndarray, p: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from peskine_lab import checks
 from peskine_lab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -96,6 +97,25 @@ def test_verify_unknown_id(capsys):
     code = main(["verify", "lem-0.0"])
     assert code == EXIT_USAGE
     assert "pfaffian-det" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check_id", ["prop-3.1", "prop-3.2"])
+@pytest.mark.parametrize("p", ["7", "2147483647"])
+def test_verify_refuses_a_prime_outside_the_search(check_id, p, capsys, monkeypatch):
+    # Refused on entry: no sample is drawn at that prime.
+    def no_sample(*args):
+        raise AssertionError("sampled before the prime was checked")
+
+    monkeypatch.setattr(checks, "sample_d16_nondegenerate", no_sample)
+    code = main(["verify", check_id, "--p", p, "--trials", "1"])
+    assert code == EXIT_USAGE
+    assert "the exhaustive inner search is limited to p in {3, 5}" in capsys.readouterr().err
+
+
+def test_sample_refuses_a_modulus_that_is_not_prime(capsys):
+    code = main(["sample", "--kind", "general", "--n", "6", "--p", "9", "--seed", "5"])
+    assert code == EXIT_USAGE
+    assert "odd prime" in capsys.readouterr().err
 
 
 def test_verify_writes_aggregate(tmp_path, capsys):

@@ -3,10 +3,11 @@
 import threading
 import time
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from pfaffian_reference import pfaffian_mod_radical
 
@@ -211,6 +212,104 @@ def test_batched_kernel_matches_kernel(seed, p, ranks):
         assert not ker[dim:].any()
     # The 7 x 8 transposes are wide; batched_rank eliminates along their rows.
     assert batched_rank(mats.transpose(0, 2, 1), p).tolist() == (7 - dims).tolist()
+
+
+def reference_gauss_jordan(mat: np.ndarray, p: int) -> tuple[list, list]:
+    """Gauss-Jordan of one matrix with Python ints, in the layout of
+    `scan._gauss_jordan`: the pivot of column c is its first nonzero row
+    that is not yet a pivot row; rows never used as pivots end up zero."""
+    rows, cols = mat.shape
+    a = [[int(x) % p for x in row] for row in mat]
+    pivot_col = [cols] * rows
+    for c in range(cols):
+        r = next((r for r in range(rows) if pivot_col[r] == cols and a[r][c]), None)
+        if r is None:
+            continue
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for s in range(rows):
+            if s != r:
+                f = a[s][c]
+                a[s] = [(x - f * y) % p for x, y in zip(a[s], a[r])]
+        pivot_col[r] = c
+    return a, pivot_col
+
+
+def _edge_primes(cols: int) -> list[int]:
+    """For the uint16 and uint32 working dtypes, the largest prime p with
+    cols * (p - 1)^2 + p within the dtype (its `cols` steps just fit) and
+    the next prime (one dtype wider)."""
+    out = []
+    for top in ((1 << 16) - 1, (1 << 32) - 1):
+        p = isqrt(top // cols) + 1
+        while not (linalg.is_prime(p) and cols * (p - 1) ** 2 + p <= top):
+            p -= 1
+        q = p + 1
+        while not linalg.is_prime(q):
+            q += 1
+        out += [p, q]
+    return out
+
+
+@st.composite
+def elimination_batches(draw):
+    """A (batch, rows, cols) int64 batch and a prime: tall and wide shapes,
+    empty batches, unreduced entries, low-rank, all-zero matrices and
+    all-zero columns."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    edges = _edge_primes(cols) if cols else []
+    p = draw(st.sampled_from([3, 5, 7, 11, 101, 65521, 2**31 - 1] + edges))
+    batch = draw(st.integers(0, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["uniform", "extreme", "low-rank"]))
+    if kind == "uniform":  # unreduced entries in [-p, 2p)
+        mats = gen.integers(-p, 2 * p, size=(batch, rows, cols))
+    elif kind == "extreme":
+        mats = gen.choice(np.array([0, 1, p - 1, p, -1]), size=(batch, rows, cols))
+    else:  # rows are small combinations of r random rows
+        r = draw(st.integers(0, 4))
+        mats = gen.integers(0, 3, size=(batch, rows, r)) @ gen.integers(0, p, size=(batch, r, cols))
+    mats[gen.random(batch) < 0.2] = 0
+    mats[:, :, gen.random(cols) < 0.2] = 0
+    return mats.astype(np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_batches())
+@example((np.zeros((0, 3, 3), dtype=np.int64), 5))
+@example((np.zeros((1, 4, 4), dtype=np.int64), 7))
+def test_gauss_jordan_matches_scalar_reference(case):
+    mats, p = case
+    red, pivot_col = scan._gauss_jordan(mats, p)
+    assert red.dtype == np.int64 and pivot_col.dtype == np.int16
+    assert red.shape == mats.shape and pivot_col.shape == mats.shape[:2]
+    for mat, got, got_cols in zip(mats, red, pivot_col):
+        want, want_cols = reference_gauss_jordan(mat, p)
+        assert got.tolist() == want
+        assert got_cols.tolist() == want_cols
+
+
+def largest_growth(cols: int, p: int) -> np.ndarray:
+    """A cols x cols matrix whose last entry gains (p - 1)^2 at each of the
+    first cols - 1 steps, the most an entry can gain before its own column
+    is reduced: rows e_c + e_last for c < cols - 1 are the pivots, and the
+    last row is all p - 1."""
+    mat = np.full((cols, cols), p - 1, dtype=np.int64)
+    mat[:-1] = 0
+    mat[np.arange(cols - 1), np.arange(cols - 1)] = 1
+    mat[:-1, -1] = 1
+    return mat
+
+
+@pytest.mark.parametrize("cols", range(1, 13))
+def test_gauss_jordan_exact_at_largest_growth(cols):
+    # The edge primes fill uint16 and uint32 to the limit; at 2^31 - 1 a
+    # uint64 run holds four steps, so the mid-run reduction fires.
+    for p in _edge_primes(cols) + [2**31 - 1]:
+        mats = np.stack([largest_growth(cols, p), largest_growth(cols, p).T])
+        red, pivot_col = scan._gauss_jordan(mats, p)
+        for mat, got, got_cols in zip(mats, red, pivot_col):
+            assert (got.tolist(), got_cols.tolist()) == reference_gauss_jordan(mat, p), p
 
 
 def _planted_sigma(kind, n, p, rng):
