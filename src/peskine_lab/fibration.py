@@ -10,6 +10,11 @@ omega on V10/V6, and perps under omega drive four constructions:
     in its radical (4 detects the rank-drop locus).
   * sigma_dprime: a 20-coordinate residue of sigma at a flagged pair
     U2 inside U7, landing in the orbit-model space of `orbits`.
+    Lemma: its mod-A2 rank is the rank of sigma(u0, ., .) on U7, in any
+    basis.  Write U7 = V6 + <d>: sigma(v1, V6, .) = 0 and
+    sigma(v1, d, d) = 0 give sigma(v1, U7, U7) = 0, so U2 = <v1, u0> lies
+    in the radical of that form, and the mod-A2 block is the form on
+    U7/U2 in the frame's last five rows.
   * quadric_pencil: two quotient-Pfaffian quadrics on P(U7/V1) whose
     common zeros catch the images of rank-drop points.
   * thm21_fiber: the fiber of the projection-from-V3 construction,
@@ -190,48 +195,39 @@ def sigma_dprime(
     flag: Flag,
     u2: Subspace,
     u7: Subspace,
-    frame: np.ndarray | None = None,
-    generator: np.ndarray | None = None,
+    frame: np.ndarray,
+    generator: np.ndarray,
 ) -> BElement:
     """The 20-coordinate residue of sigma at V1 < U2 < U7.
 
     The ambient 7-space is U7perp/U2 with frame order (two directions off
     U7, then five directions of U7 off U2); the model quotient kills the
     wedge of the first two, matching `orbits`.  Entries are
-    sigma(u0, frame_i, frame_j) for the canonical (or given) generator u0
-    of U2 off V1; rescaling u0 rescales the output.  Entries are
-    independent of U2-shifts of the frame rows.
+    sigma(u0, frame_i, frame_j) for the generator u0 of U2 off V1;
+    rescaling u0 rescales the output.  Entries are independent of
+    U2-shifts of the frame rows.  Frame and generator are required.
     """
     p = sigma.p
     v1 = flag[0]
     if u2.dim != 2 or not u2.contains(v1) or not u7.contains(u2):
         raise ValueError("need V1 < U2 < U7 with dim U2 = 2")
-    od = omega_data(sigma, flag)
-    u9 = u7_perp(od, u7)
-    if frame is None:
-        top = complement_rows(u9, u7)
-        mid = complement_rows(u7, u2)
-        frame = np.array(top + mid, dtype=np.int64)
-    else:
-        frame = linalg.as_field(frame, p)
-        if frame.shape != (7, sigma.n):
-            raise ValueError("frame must provide seven ambient rows")
-        for r in frame:
-            if not u9.contains_vector(r):
-                raise ValueError("frame rows must lie in the perp 9-space")
-        if u7.join(Subspace.from_rows(frame[:2], sigma.n, p)).dim != 9:
-            raise ValueError("first two frame rows must span the off-U7 part")
-        for r in frame[2:]:
-            if not u7.contains_vector(r):
-                raise ValueError("last five frame rows must lie in U7")
-        if u2.join(Subspace.from_rows(frame[2:], sigma.n, p)).dim != 7:
-            raise ValueError("last five frame rows must complement U2 in U7")
-    if generator is None:
-        generator = complement_rows(u2, v1)[0]
-    else:
-        generator = linalg.as_field(generator, p).reshape(-1)
-        if not u2.contains_vector(generator) or v1.contains_vector(generator):
-            raise ValueError("generator must lie in U2 off V1")
+    u9 = u7_perp(omega_data(sigma, flag), u7)
+    frame = linalg.as_field(frame, p)
+    if frame.shape != (7, sigma.n):
+        raise ValueError("frame must provide seven ambient rows")
+    for r in frame:
+        if not u9.contains_vector(r):
+            raise ValueError("frame rows must lie in the perp 9-space")
+    if u7.join(Subspace.from_rows(frame[:2], sigma.n, p)).dim != 9:
+        raise ValueError("first two frame rows must span the off-U7 part")
+    for r in frame[2:]:
+        if not u7.contains_vector(r):
+            raise ValueError("last five frame rows must lie in U7")
+    if u2.join(Subspace.from_rows(frame[2:], sigma.n, p)).dim != 7:
+        raise ValueError("last five frame rows must complement U2 in U7")
+    generator = linalg.as_field(generator, p).reshape(-1)
+    if not u2.contains_vector(generator) or v1.contains_vector(generator):
+        raise ValueError("generator must lie in U2 off V1")
     return project_to_B(sigma.values(generator, frame, frame)[0], p)
 
 
@@ -409,27 +405,29 @@ def birationality_probe(
     sigma(l + t v1, ., .) restricted to U7perp (the quotient rank of
     Lemma 3.8) dropping below the generic value 6 (a closed condition:
     on a line fully inside the locus, isolated points fall to rank 2
-    while the rest sit at rank 4, and both belong).  The point [v1] itself is counted via
-    the residue criterion: its mod-A2 rank dropping to 2 or below is
-    exactly the case where the whole line sits in the locus.
+    while the rest sit at rank 4, and both belong).  The point [v1] itself
+    is counted via the residue criterion: its mod-A2 rank dropping to 2
+    or below is exactly the case where the whole line sits in the locus.
+    By the module docstring's lemma that rank is the rank of
+    sigma(l, ., .) on U7, which must contain U2 = <v1, l>.
     """
     p = sigma.p
     l = linalg.as_field(l, p).reshape(-1)
-    v1 = flag[0]
-    v6 = flag[1]
+    v1, v6 = flag
     u2 = v1.join(Subspace.span_of(l, n=sigma.n, p=p))
     if u2.dim != 2:
         raise ValueError("probe point coincides with the flagged line")
     if u7 is None:
         u7 = v6.join(Subspace.span_of(l, n=sigma.n, p=p))
+    elif not u7.contains(u2):
+        raise ValueError("need V1 < U2 < U7 with dim U2 = 2")
     b9 = u7_perp(omega_data(sigma, flag), u7).basis
     # The restricted forms along the line, linear in (t, 1).
     ends = np.vstack([v1.basis[0], l])
     family = sigma.values(ends, b9, b9).reshape(2, -1)
     line = np.column_stack([np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)])
     off = int((family_ranks(family, line, 4, p) <= 4).sum())
-    resid = sigma_dprime(sigma, flag, u2, u7)
-    v1_deg = linalg.rank(resid.mod_a2_block(), p) <= 2
+    v1_deg = linalg.rank(sigma.values(l, u7.basis, u7.basis)[0], p) <= 2
     return LineProbe(count=off + int(v1_deg), off_v6_degenerate=off, v1_degenerate=v1_deg)
 
 
@@ -438,28 +436,21 @@ def dprime_rank2_test(sigma: Trivector, flag: Flag):
 
     Chart: t in F^3 picks U7 = V6 + <c0 + t1 c1 + t2 c2 + t3 c3> through
     the canonical complement directions of V6; s in F^5 picks the U2
-    generator through the canonical complement of V1 in U7.  Tests whether
-    the residue's mod-A2 rank is at most 2.
+    generator u0 through the canonical complement of V1 in U7.  Tests
+    whether the residue's mod-A2 rank is at most 2: by the module
+    docstring's lemma, the rank of sigma(u0, ., .) on U7.
     """
     p = sigma.p
-    v1 = flag[0]
-    v6 = flag[1]
+    v1, v6 = flag
 
     def test_batch(points: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(points), dtype=bool)
+        forms = np.zeros((len(points), 7, 7), dtype=np.int64)
         for idx, row in enumerate(points):
-            t = row[:3]
-            s = row[3:]
-            direction = v6.lift_quotient(np.concatenate([[1], t]))
+            direction = v6.lift_quotient(np.concatenate([[1], row[:3]]))
             u7 = v6.join(Subspace.span_of(direction, n=sigma.n, p=p))
-            rows = complement_rows(u7, v1)
-            gen = (rows[0] + linalg.mat_mul(s, np.array(rows[1:], dtype=np.int64), p)) % p
-            u2 = v1.join(Subspace.span_of(gen, n=sigma.n, p=p))
-            try:
-                resid = sigma_dprime(sigma, flag, u2, u7)
-            except ValueError:
-                continue
-            out[idx] = linalg.rank(resid.mod_a2_block(), p) <= 2
-        return out
+            rows = np.array(complement_rows(u7, v1), dtype=np.int64)
+            gen = (rows[0] + linalg.mat_mul(row[3:], rows[1:], p)) % p
+            forms[idx] = sigma.values(gen, u7.basis, u7.basis)[0]
+        return batched_rank(forms, p) <= 2
 
     return test_batch

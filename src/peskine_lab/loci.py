@@ -243,39 +243,6 @@ def conic_fiber(sigma: Trivector, v4: Subspace, v8: Subspace) -> list[Subspace]:
     return [Subspace.from_rows(basis, 4, p) for basis in table[keep]]
 
 
-_QUARTIC_INDEX: dict[int, tuple[np.ndarray, ...]] = {}
-
-
-def _quartic_gather_arrays(n: int) -> tuple[np.ndarray, ...]:
-    from itertools import combinations_with_replacement
-
-    cached = _QUARTIC_INDEX.get(n)
-    if cached is None:
-        pairs = list(combinations_with_replacement(range(n), 2))
-        pair_index = {pq: i for i, pq in enumerate(pairs)}
-        monos = monomials_of_degree(n, 4)
-        i2 = np.array([a for a, _ in pairs], dtype=np.int64)
-        j2 = np.array([b for _, b in pairs], dtype=np.int64)
-        i4 = np.array([pair_index[m[:2]] for m in monos], dtype=np.int64)
-        j4 = np.array([pair_index[m[2:]] for m in monos], dtype=np.int64)
-        cached = (i2, j2, i4, j4)
-        _QUARTIC_INDEX[n] = cached
-    return cached
-
-
-def _batched_quartic_eval(points: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """Values of quartic forms at a batch of points, shape (B, forms).
-
-    Splits each monomial into two quadratic gathers, each product reduced
-    mod p, and sums the monomial values against the coefficients through
-    `linalg.mat_mul`, which is exact for every admitted prime.
-    """
-    i2, j2, i4, j4 = _quartic_gather_arrays(points.shape[1])
-    x2 = points[:, i2] * points[:, j2] % p
-    prod = x2[:, i4] * x2[:, j4] % p
-    return linalg.mat_mul(prod, coeffs, p)
-
-
 def _power_table(xs: np.ndarray, p: int) -> np.ndarray:
     """Rows [1, x, x^2, x^3, x^4] mod p for x in `xs` (reduced), by iterated products."""
     table = np.ones((len(xs), 5), dtype=np.int64)
@@ -284,31 +251,34 @@ def _power_table(xs: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
-def _grid_quartic_zeros(quartics: np.ndarray, base, dirs, p: int) -> np.ndarray:
+def _grid_quartic_zeros(polys: list[Poly], base, dirs, p: int) -> np.ndarray:
     """Common-zero parameters of quartic forms on an affine grid, (H, m).
 
-    The grid is base + t @ dirs over all t in F_p^m.  Each form restricts
-    to a polynomial of degree <= 4 per t-coordinate, so its values on the
-    whole grid follow from its values at the 5^m nodes {0..4}^m
-    (`scan.affine_chunks(m, 5)`) by one (p x 5) Vandermonde transform per
-    axis.  The forms axis stays first; each transform acts on the leading
-    t-axis and appends its image last, so after m of them the values are
-    back in counter order, contiguous.  Exact at every admitted prime.
+    The grid is base + t @ dirs over all t in F_p^m.  `Poly.restrict`
+    gives each form's coefficients in t, scattered into a (forms, 5^m)
+    table by the exponent of each t-coordinate (t_1 most significant).
+    One (5 x p) power-table transform per axis turns exponents into
+    values; each acts on the leading axis and appends its image last.
+    The last axis is transformed for the first form only, and the others
+    are read at its zeros, in counter order.  Exact at every admitted
+    prime.
     """
-    m = len(dirs)
-    forms = quartics.shape[1]
+    m, forms = len(dirs), len(polys)
+    coefs = np.stack([f.restrict(base[None], dirs[None], 4)[0] for f in polys])
     if m == 0:
-        vals = _batched_quartic_eval(np.asarray(base, dtype=np.int64)[None, :], quartics, p)
-        return np.zeros((1, 0), dtype=np.int64) if not vals.any() else np.zeros((0, 0), np.int64)
-    nodes = np.concatenate(list(scan.affine_chunks(m, 5)))
-    pts = (linalg.mat_mul(nodes, dirs, p) + base) % p
-    grid = _batched_quartic_eval(pts, quartics, p).T
-    nodes_inv = linalg.inverse(_power_table(np.arange(5) % p, p), p)
-    to_line = linalg.mat_mul(_power_table(np.arange(p), p), nodes_inv, p).T
-    for _ in range(m):
-        grid = linalg.mat_mul(grid.reshape(forms, 5, -1).transpose(0, 2, 1), to_line, p)
-    hit = ~grid.reshape(forms, -1).any(axis=0)
-    return np.stack(np.unravel_index(np.flatnonzero(hit), (p,) * m), axis=1)
+        return np.zeros((int(not coefs.any()), 0), dtype=np.int64)
+    # Monomial (i_1 <= .. <= i_4) in y = (1, t) sits at exponent sum_k [i_k > 0] 5^(m - i_k).
+    weights = np.concatenate([[0], 5 ** np.arange(m - 1, -1, -1)])
+    grid = np.zeros((forms, 5**m), dtype=np.int64)
+    grid[:, weights[np.array(monomials_of_degree(m + 1, 4), dtype=np.int64)].sum(axis=1)] = coefs
+    powers = _power_table(np.arange(p), p)
+    for _ in range(m - 1):
+        grid = linalg.mat_mul(grid.reshape(forms, 5, -1).transpose(0, 2, 1), powers.T, p)
+    # (forms, p^(m-1), 5): values in t_1..t_(m-1) against exponents of t_m.
+    last = grid.reshape(forms, 5, -1).transpose(0, 2, 1)
+    row, x = np.nonzero(linalg.mat_mul(last[0], powers.T, p) == 0)
+    keep = ~((last[1:, row] * powers[x] % p).sum(axis=2) % p).any(axis=0)
+    return np.stack(np.unravel_index(row[keep] * p + x[keep], (p,) * m), axis=1)
 
 
 def sample_peskine_points(
@@ -322,21 +292,18 @@ def sample_peskine_points(
 
     Scans the projectivization of random 4-dimensional subspaces: two
     principal Pfaffian minors of the contraction, expanded by
-    `scan.family_pfaffian` into quartics in the point (one dense column
-    per minor, in `monomials_of_degree(n, 4)` order), are evaluated on
-    each pivot chart's affine grid through Vandermonde factorization, and
-    the common zeros get exact rank confirmation.  Points inside `avoid`
-    are skipped.  Deduplicates canonical representatives; raises if the
-    patch budget runs out first.
+    `scan.family_pfaffian` into quartics in the point, are evaluated on
+    each pivot chart's affine grid (`_grid_quartic_zeros`: restriction to
+    the chart, then one power table per axis), and the common zeros get
+    exact rank confirmation.  Points inside `avoid` are skipped.
+    Deduplicates canonical representatives; raises if the patch budget
+    runs out first.
     """
     p, n = sigma.p, sigma.n
     bound = n - 4
     subsets = (tuple(range(bound + 2)), tuple(range(n - bound - 2, n)))
     flat = sigma.tensor.reshape(n, n * n)
-    minors = [scan.family_pfaffian(flat, subset, p).as_dict() for subset in subsets]
-    quartics = np.array(
-        [[minor.get(m, 0) for minor in minors] for m in monomials_of_degree(n, 4)], dtype=np.int64
-    )
+    minors = [scan.family_pfaffian(flat, subset, p) for subset in subsets]
     seen: set[bytes] = set()
     out: list[np.ndarray] = []
     for trial in range(max_patches):
@@ -344,7 +311,7 @@ def sample_peskine_points(
         for pivot in range(4):
             base = patch[pivot]
             dirs = patch[pivot + 1 :]
-            params = _grid_quartic_zeros(quartics, base, dirs, p)
+            params = _grid_quartic_zeros(minors, base, dirs, p)
             if not len(params):
                 continue
             cand = (linalg.mat_mul(params, dirs, p) + base) % p

@@ -128,3 +128,12 @@ def test_withheld_estimate_is_not_within_bound():
     result = run_check("lem-3.16", CheckConfig(budget=1000))
     assert result.metrics["estimated_dim"] == -1 and result.metrics["ambiguous"] is True
     assert result.metrics["within_bound_3"] is False
+
+
+def test_prop_3_17_runs_at_the_smallest_prime():
+    # Node interpolation at t = 0..4 made the quartic grid singular mod 3,
+    # so the check stopped with "matrix is singular mod p".  The counts at
+    # p = 3 are a small-field reading, so no status is asserted.
+    result = run_check("prop-3.17", CheckConfig(p=3, trials=2))
+    assert result.p == 3
+    assert sum(result.metrics["count_hist"].values()) == 2

@@ -188,3 +188,11 @@ def test_estimate_dim_smoke(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "locus=o2" in out and "estimated_dim=" in out
+
+
+def test_estimate_dim_dprime_rank2(capsys):
+    code = main(
+        ["estimate-dim", "--locus", "dprime-rank2", "--p", "5", "--trials", "4", "--seed", "1"]
+    )
+    assert code == EXIT_OK
+    assert "estimated_dim=" in capsys.readouterr().out

@@ -20,6 +20,7 @@ from peskine_lab.fibration import (
     thm21_fiber,
     u7_perp,
 )
+from peskine_lab.loci import sample_peskine_points
 from peskine_lab.orbits import project_to_B
 from peskine_lab.rng import Rng
 from peskine_lab.scan import batched_contract1, batched_rank, projective_chunks, projective_rep
@@ -426,17 +427,41 @@ def test_projective_rep():
         projective_rep(np.vstack([batch, np.zeros((1, 3), dtype=np.int64)]), 7)
 
 
+def residue_rank2(sigma, flag, u2, u7):
+    """The residue route: mod-A2 rank <= 2 of sigma_dprime in the canonical frame."""
+    u9 = u7_perp(omega_data(sigma, flag), u7)
+    frame = np.array(complement_rows(u9, u7) + complement_rows(u7, u2), dtype=np.int64)
+    generator = complement_rows(u2, flag[0])[0]
+    resid = sigma_dprime(sigma, flag, u2, u7, frame=frame, generator=generator)
+    return linalg.rank(resid.mod_a2_block(), sigma.p) <= 2
+
+
+def chart_pair(flag, row, p):
+    """(U2, U7) at one row (t, s) of the `dprime_rank2_test` chart."""
+    v1, v6 = flag
+    direction = v6.lift_quotient(np.concatenate([[1], row[:3]]))
+    u7 = v6.join(Subspace.span_of(direction, n=v6.n, p=p))
+    rows = np.array(complement_rows(u7, v1), dtype=np.int64)
+    gen = (rows[0] + row[3:] @ rows[1:]) % p
+    return v1.join(Subspace.span_of(gen, n=v6.n, p=p)), u7
+
+
+def planted_rank2_line(p, seed):
+    """The prescribed configuration of a rank-2 residue target: a degenerate probe line."""
+    xmat = np.zeros((7, 7), dtype=np.int64)
+    xmat[2, 3], xmat[3, 2] = 1, p - 1
+    line_rng = Rng(seed)
+    for col in range(2, 7):
+        xmat[0, col] = line_rng.below(p)
+        xmat[col, 0] = (-xmat[0, col]) % p
+    return prescribed_dprime_sigma(xmat, p)
+
+
 def test_birationality_probe_on_planted_line():
     # A rank-2 residue target makes the whole probe line degenerate:
     # all p off-divisor points answer and so does [v1].
     p = 7
-    xmat = np.zeros((7, 7), dtype=np.int64)
-    xmat[2, 3], xmat[3, 2] = 1, p - 1
-    line_rng = Rng(105)
-    for col in range(2, 7):
-        xmat[0, col] = line_rng.below(p)
-        xmat[col, 0] = (-xmat[0, col]) % p
-    sigma, flag, _, u7, _, gen = prescribed_dprime_sigma(xmat, p)
+    sigma, flag, _, u7, _, gen = planted_rank2_line(p, 105)
     probe = birationality_probe(sigma, flag, gen, u7=u7)
     assert probe.v1_degenerate
     assert probe.off_v6_degenerate == p
@@ -457,3 +482,43 @@ def test_dprime_rank2_test_batch():
     assert out[0]  # chart origin is the standard position, rank 2 by design
     again = pred(chart)
     assert np.array_equal(out, again)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_dprime_rank2_test_matches_the_residue_route(p):
+    # The mod-A2 rank is the rank of sigma(u0, ., .) on U7, whatever the
+    # frame: compare with the residue in the canonical frame on random
+    # chart rows, and at the planted rank-2 origin.
+    rng = Rng(300 + p)
+    hits = 0
+    for k in range(3):
+        samp = sample_d16_nondegenerate(rng.child(f"sigma-{k}"), p)
+        rows = rng.matrix(60, 8, p)
+        got = dprime_rank2_test(samp.sigma, samp.flag)(rows)
+        want = [residue_rank2(samp.sigma, samp.flag, *chart_pair(samp.flag, row, p)) for row in rows]
+        assert got.tolist() == want
+        hits += int(got.sum())
+    assert p > 7 or hits, "rank-2 pairs should turn up among random rows at small p"
+    sigma, flag, u2, u7, _, _ = planted_rank2_line(p, 105)
+    origin = np.zeros((1, 8), dtype=np.int64)
+    assert chart_pair(flag, origin[0], p)[0] == u2
+    assert dprime_rank2_test(sigma, flag)(origin).tolist() == [True]
+    assert residue_rank2(sigma, flag, u2, u7)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_birationality_probe_matches_the_residue_route(p):
+    rng = Rng(310 + p)
+    samp = sample_d16_nondegenerate(rng.child("sigma"), p)
+    v1, v6 = samp.flag
+    for l in sample_peskine_points(samp.sigma, rng.child("points"), 6, avoid=v6):
+        u2 = v1.join(Subspace.span_of(l, n=10, p=p))
+        u7 = v6.join(Subspace.span_of(l, n=10, p=p))
+        probe = birationality_probe(samp.sigma, samp.flag, l)
+        assert probe.v1_degenerate == residue_rank2(samp.sigma, samp.flag, u2, u7)
+    sigma, flag, u2, u7, _, gen = planted_rank2_line(p, 105)
+    assert birationality_probe(sigma, flag, gen, u7=u7).v1_degenerate
+    assert residue_rank2(sigma, flag, u2, u7)
+    missing_u2 = flag[1].join(Subspace.span_of(gen + 1, n=10, p=p))  # a U7 through V6 without U2
+    with pytest.raises(ValueError):
+        birationality_probe(sigma, flag, gen, u7=missing_u2)

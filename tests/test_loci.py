@@ -11,7 +11,6 @@ from peskine_lab.checks import CheckConfig, run_check, sample_d16_nondegenerate
 from peskine_lab.divisors import sample_divisor, standard_flag
 from peskine_lab.loci import (
     CubicForm,
-    _batched_quartic_eval,
     _grid_quartic_zeros,
     _power_table,
     conic_fiber,
@@ -461,22 +460,6 @@ def test_conic_fiber_validation():
         conic_fiber(tri, v4, shifted8)
 
 
-@pytest.mark.parametrize("p", [65521, 2**31 - 1])
-def test_batched_quartic_eval_exact_at_large_primes(p):
-    # (p - 1)^4 passes 2^63 above p = 55108; x9^4 at x = p - 1 is 1.
-    monos = monomials_of_degree(10, 4)
-    coeffs = np.zeros((len(monos), 2), dtype=np.int64)
-    coeffs[monos.index((9, 9, 9, 9)), 0] = 1
-    coeffs[:, 1] = Rng(p).ints(len(monos), p)
-    points = np.vstack([np.full((1, 10), p - 1), Rng(7).matrix(3, 10, p)])
-    points[0, :9] = 0
-    got = _batched_quartic_eval(points, coeffs, p)
-    assert got[0, 0] == 1
-    for x, row in zip(points, got):
-        want = sum(int(c) * math.prod(int(x[i]) for i in m) for m, c in zip(monos, coeffs[:, 1])) % p
-        assert row[1] == want
-
-
 def test_power_table_exact_at_65521():
     # Unreduced x^4 wraps int64 above p = 55108.
     p = 65521
@@ -485,31 +468,41 @@ def test_power_table_exact_at_65521():
     assert table[12345].tolist() == [pow(12345, k, p) for k in range(5)]
 
 
-@pytest.mark.parametrize("p", [7, 65521])
+@pytest.mark.parametrize("p", [3, 7, 65521])
 def test_grid_quartic_zeros_on_a_line_matches_pointwise(p):
     # The line (t, 1, 0, 0) on x0^4 - x1^4 meets the gcd(4, p - 1) fourth
-    # roots of unity, t = p - 1 among them; random quartics on random
-    # lines at p = 7 check the rest of the grid.
-    monos = monomials_of_degree(4, 4)
-    planted = np.zeros((len(monos), 1), dtype=np.int64)
-    planted[monos.index((0, 0, 0, 0)), 0] = 1
-    planted[monos.index((1, 1, 1, 1)), 0] = p - 1
+    # roots of unity, t = p - 1 among them.  Random quartic pairs on
+    # random grids of every dimension m (m <= 1 at 65521), every other
+    # pair made to vanish at one grid point, must give the common zeros
+    # of `Poly.evaluate_batch` over the whole grid, in counter order.
+    planted = Poly.from_dict({(0, 0, 0, 0): 1, (1, 1, 1, 1): -1}, 4, p)
     base, dirs = np.array([0, 1, 0, 0]), np.array([[1, 0, 0, 0]])
-    roots = _grid_quartic_zeros(planted, base, dirs, p)[:, 0]
+    roots = _grid_quartic_zeros([planted], base, dirs, p)[:, 0]
     assert len(roots) == math.gcd(4, p - 1) and roots[-1] == p - 1
-    cases = [(planted, base, dirs)]
-    if p == 7:
-        rng = Rng(8)
-        cases += [(rng.matrix(len(monos), 1, p), rng.ints(4, p), rng.matrix(1, 4, p)) for _ in range(20)]
-    ts = np.arange(p)
-    hits = 0
-    for quartics, base, dirs in cases:
-        got = _grid_quartic_zeros(quartics, base, dirs, p)
-        vals = _batched_quartic_eval((ts[:, None] * dirs[0] + base) % p, quartics, p)
-        want = ts[~vals.any(axis=1)]
-        assert got[:, 0].tolist() == want.tolist()
-        hits += len(want)
-    assert p != 7 or hits > len(roots), "the random quartics should have zeros on some line"
+
+    def vanish_at(f, x):
+        j = int(np.flatnonzero(x)[0])
+        c = int(f.evaluate_batch(x[None])[0]) * pow(int(x[j]), -4, p)
+        return f - Poly.from_dict({(j,) * 4: c}, 4, p)
+
+    rng = Rng(8)
+    monos = monomials_of_degree(4, 4)
+    for m in range(4 if p < 100 else 2):
+        ts = np.concatenate(list(scan.affine_chunks(m, p)))
+        hits = 0
+        for case in range(6):
+            pair = [Poly.from_dict(dict(zip(monos, rng.ints(len(monos), p).tolist())), 4, p) for _ in "ab"]
+            base, dirs = rng.ints(4, p), rng.matrix(m, 4, p)
+            pts = (ts @ dirs + base) % p
+            x = pts[rng.below(len(pts))]
+            if case % 2 == 0 and x.any():
+                pair = [vanish_at(f, x) for f in pair]
+            got = _grid_quartic_zeros(pair, base, dirs, p)
+            zero = (pair[0].evaluate_batch(pts) == 0) & (pair[1].evaluate_batch(pts) == 0)
+            assert got.shape == (int(zero.sum()), m)
+            assert got.tolist() == ts[zero].tolist()
+            hits += len(got)
+        assert hits, f"no common zero on any grid of dimension {m}"
 
 
 def test_sample_peskine_points_members():
