@@ -22,6 +22,7 @@ from . import linalg
 from .divisors import (
     DivisorSample,
     rank4_points,
+    recover_flag_d1_6_10,
     sample_divisor,
     sample_general,
     verify_flag,
@@ -29,6 +30,7 @@ from .divisors import (
 from .estimators import DimEstimate, LocusPredicate, image_dim_estimate, slice_dim_estimate
 from .fibration import (
     birationality_probe,
+    dprime_rank2_test,
     fiber_profile,
     omega_data,
     prescribed_dprime_sigma,
@@ -36,6 +38,8 @@ from .fibration import (
     quotient_u7_coords,
     sigma_dprime,
     sigma_prime_rank_scan,
+    thm21_fiber,
+    u7_perp,
 )
 from .loci import (
     check_search_prime,
@@ -72,6 +76,8 @@ from .subspaces import Flag, Subspace
 from .trivector import Trivector, triples
 
 DEFAULT_SEED = 20260815
+_MAX_SAMPLE_TRIES = 60  # draws `sample_d16_nondegenerate` makes before it gives up
+_MAX_V4_TRIES = 50  # draws `_sample_v4` makes before it gives up
 
 
 @dataclass(frozen=True)
@@ -94,20 +100,20 @@ def _primes(cfg: CheckConfig, default: tuple[int, ...]) -> tuple[int, ...]:
     return (cfg.p,) if cfg.p is not None else default
 
 
-def sample_d16_nondegenerate(rng: Rng, p: int, max_tries: int = 60) -> DivisorSample:
+def sample_d16_nondegenerate(rng: Rng, p: int) -> DivisorSample:
     """D1_6_10 sample whose descended two-form is nondegenerate.
 
     Degenerate draws are discarded (frequency about 1/p, so noticeable at
     the enumeration primes); the fibration layer needs rank 4.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_SAMPLE_TRIES):
         samp = sample_divisor(rng, "d1-6-10", p)
         try:
             omega_data(samp.sigma, samp.flag)
         except ValueError:
             continue
         return samp
-    raise ValueError(f"no nondegenerate sample in {max_tries} tries at p = {p}")
+    raise ValueError(f"no nondegenerate sample in {_MAX_SAMPLE_TRIES} tries at p = {p}")
 
 
 def sample_u7(rng: Rng, flag: Flag) -> Subspace:
@@ -127,9 +133,7 @@ def peskine_predicate(sigma: Trivector) -> LocusPredicate:
     def test(block: np.ndarray) -> np.ndarray:
         return rank_drop_mask(sigma, block, bound)
 
-    return LocusPredicate(
-        kind="projective", n=sigma.n - 1, p=sigma.p, test_batch=test, name=f"rank-drop-n{sigma.n}"
-    )
+    return LocusPredicate(kind="projective", n=sigma.n - 1, p=sigma.p, test_batch=test)
 
 
 def _common_zeros(f1: Poly, f2: Poly, block: np.ndarray) -> np.ndarray:
@@ -142,8 +146,7 @@ def _common_zeros(f1: Poly, f2: Poly, block: np.ndarray) -> np.ndarray:
 def o2_predicate(p: int) -> LocusPredicate:
     f1, f2 = pencil_cubics(p)
     return LocusPredicate(
-        kind="affine", n=20, p=p, test_batch=lambda b: _common_zeros(f1, f2, b), name="o2",
-        polys=(f1, f2),
+        kind="affine", n=20, p=p, test_batch=lambda b: _common_zeros(f1, f2, b), polys=(f1, f2)
     )
 
 
@@ -157,7 +160,12 @@ def sing_o2_predicate(p: int) -> LocusPredicate:
             out[on] = batched_rank(jacobian([f1, f2], block[on]), p) <= 1
         return out
 
-    return LocusPredicate(kind="affine", n=20, p=p, test_batch=test, name="sing-o2", polys=(f1, f2))
+    return LocusPredicate(kind="affine", n=20, p=p, test_batch=test, polys=(f1, f2))
+
+
+def dprime_rank2_predicate(sigma: Trivector, flag: Flag) -> LocusPredicate:
+    """Pairs U2 < U7 on the 8-coordinate chart whose residue has mod-A2 rank <= 2."""
+    return LocusPredicate(kind="affine", n=8, p=sigma.p, test_batch=dprime_rank2_test(sigma, flag))
 
 
 def _estimate_fields(est: DimEstimate) -> dict:
@@ -281,12 +289,10 @@ def _run_low_dim_peskine(cfg: CheckConfig):
     return list(_primes(cfg, (7, 11))), params, status, metrics
 
 
-def _sample_v4(rng: Rng, sigma: Trivector, v3: Subspace, max_tries: int = 50) -> Subspace:
+def _sample_v4(rng: Rng, sigma: Trivector, v3: Subspace) -> Subspace:
     """4-space over V3 whose three contraction forms are independent."""
-    from .fibration import thm21_fiber
-
     p = sigma.p
-    for _ in range(max_tries):
+    for _ in range(_MAX_V4_TRIES):
         vec = rng.ints(sigma.n, p)
         v4 = v3.join(Subspace.span_of(vec, n=sigma.n, p=p))
         if v4.dim != 4:
@@ -316,8 +322,6 @@ def _run_thm21(cfg: CheckConfig):
     The enumeration prime drives mode agreement and affine-linearity of
     every fiber; the genericity prime carries the single-point statistic.
     """
-    from .fibration import thm21_fiber
-
     rng = Rng(cfg.seed).child("thm-2.1")
     n_sigma = 5
     n_v4 = cfg.trials if cfg.trials is not None else 20
@@ -433,11 +437,8 @@ def _run_lem_3_6(cfg: CheckConfig):
 
     perp_ok = True
     for k, samp in enumerate(keep):
-        od = omega_data(samp.sigma, samp.flag)
         u7 = sample_u7(rng.child(f"u7-{k}"), samp.flag)
-        from .fibration import u7_perp
-
-        perp = u7_perp(od, u7)
+        perp = u7_perp(samp.sigma, samp.flag, u7)
         pairing = samp.sigma.values(samp.flag[0].basis, u7.basis, perp.basis)
         perp_ok = perp_ok and perp.dim == 9 and perp.contains(u7) and not pairing.any()
 
@@ -464,8 +465,6 @@ def _run_lem_3_8(cfg: CheckConfig):
     scanned = 0
     members = 0
     recovery_ok = True
-    from .divisors import recover_flag_d1_6_10
-
     for i in range(n_sigma):
         samp = sample_d16_nondegenerate(rng.child(f"sigma-{i}"), p)
         recovered = recover_flag_d1_6_10(samp.sigma, samp.flag[0].basis[0])
@@ -617,17 +616,12 @@ def _run_lem_3_16(cfg: CheckConfig):
     trials = cfg.trials if cfg.trials is not None else 12
     rng = Rng(cfg.seed).child("lem-3.16")
     samp = sample_d16_nondegenerate(rng.child("sigma"), p)
-    from .fibration import dprime_rank2_test
-
-    pred = LocusPredicate(
-        kind="affine",
-        n=8,
-        p=p,
-        test_batch=dprime_rank2_test(samp.sigma, samp.flag),
-        name="dprime-rank2",
-    )
     est = slice_dim_estimate(
-        pred, rng.child("estimate"), trials=trials, budget=cfg.budget, threads=cfg.threads
+        dprime_rank2_predicate(samp.sigma, samp.flag),
+        rng.child("estimate"),
+        trials=trials,
+        budget=cfg.budget,
+        threads=cfg.threads,
     )
     metrics = _estimate_fields(est)
     # A withheld estimate (estimated_dim -1 with the ambiguous flag) bounds nothing.

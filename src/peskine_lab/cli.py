@@ -15,6 +15,7 @@ from pathlib import Path
 from .checks import (
     REGISTRY,
     CheckConfig,
+    dprime_rank2_predicate,
     o2_predicate,
     peskine_predicate,
     run_check,
@@ -23,7 +24,6 @@ from .checks import (
 )
 from .divisors import KINDS, rank4_points, sample_divisor, sample_general
 from .estimators import LocusPredicate, slice_dim_estimate
-from .fibration import dprime_rank2_test
 from .linalg import UnsupportedPrime
 from .loci import peskine_points
 from .report import emit_report, report_from_dict, summary_table
@@ -172,13 +172,7 @@ def _estimate_predicate(args, cfg: CheckConfig) -> LocusPredicate:
     if args.locus == "dprime-rank2":
         rng = Rng(cfg.seed).child("cli-estimate-d16")
         samp = sample_d16_nondegenerate(rng, p)
-        return LocusPredicate(
-            kind="affine",
-            n=8,
-            p=p,
-            test_batch=dprime_rank2_test(samp.sigma, samp.flag),
-            name="dprime-rank2",
-        )
+        return dprime_rank2_predicate(samp.sigma, samp.flag)
     if args.infile:
         tri = _load_input_trivector(args.infile)
         if args.p is not None and args.p != tri.p:

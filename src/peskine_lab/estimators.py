@@ -51,7 +51,6 @@ class LocusPredicate:
     n: int
     p: int
     test_batch: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
     polys: tuple[Poly, ...] = ()
 
     def __post_init__(self):

@@ -1,8 +1,10 @@
 """Fibration machinery over a (V1, V6) divisor flag.
 
-Everything here lives downstream of one nondegenerate two-form: for a
-trivector with sigma(v1, V6, .) = 0 the contraction at v1 descends to
-omega on V10/V6, and perps under omega drive four constructions:
+Everything here lives downstream of one two-form: for a trivector with
+sigma(v1, V6, .) = 0 the contraction at v1 descends to omega on V10/V6.
+For a 7-space U7 = V6 + <d>, its perp U7perp = ker sigma(v1, U7, .) is
+the preimage of <d>-perp under omega, a 9-space containing U7 whenever d
+is off omega's radical; it drives four constructions:
 
   * sigma_prime_rank_scan: over the chart P(U7) minus P(V6), the rank of
     sigma(l, ., .), at most n - 2 since l lies in its kernel, and of its
@@ -44,54 +46,43 @@ from .scan import (
     run_chunked,
 )
 from .subspaces import Flag, Subspace, complement_rows
-from .trivector import SkewForm, Trivector
+from .trivector import SkewForm, Trivector, triple_index, triples
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class OmegaData:
-    """The descended two-form of a (V1, V6) flag on the 4-dim quotient."""
+def omega_data(sigma: Trivector, flag: Flag) -> SkewForm:
+    """omega = sigma(v1, ., .) on V10/V6, in the canonical complement of V6.
 
-    flag: Flag
-    complement_pivots: tuple[int, ...]
-    omega: SkewForm
-
-    @property
-    def p(self) -> int:
-        return self.omega.p
-
-
-def omega_data(sigma: Trivector, flag: Flag) -> OmegaData:
-    """Build omega = sigma(v1, ., .) on V10/V6 in canonical quotient coords.
-
-    Raises when the form is degenerate (the caller should resample sigma).
+    Index i of omega stands for the standard basis vector at V6's i-th
+    non-pivot column.  The form is well defined as sigma(v1, V6, .) = 0,
+    and `u7_perp` is the preimage of an omega-perp.  Raises when the form
+    is degenerate (the caller should resample sigma).
     """
-    pivots = flag[1].complement_pivots()
-    p = sigma.p
-    comp = np.eye(sigma.n, dtype=np.int64)[list(pivots)]
-    form = SkewForm.from_matrix(sigma.values(flag[0].basis, comp, comp)[0], p)
+    comp = np.eye(sigma.n, dtype=np.int64)[list(flag[1].complement_pivots())]
+    form = SkewForm.from_matrix(sigma.values(flag[0].basis, comp, comp)[0], sigma.p)
     if form.rank() != 4:
         raise ValueError("descended two-form is degenerate; resample sigma")
-    return OmegaData(flag=flag, complement_pivots=pivots, omega=form)
+    return form
 
 
-def u7_perp(od: OmegaData, u7: Subspace) -> Subspace:
-    """The 9-dim perp of U7: preimage of (U7/V6)-perp under omega, plus V6."""
-    v6 = od.flag[1]
+def u7_perp(sigma: Trivector, flag: Flag, u7: Subspace) -> Subspace:
+    """U7perp = ker sigma(v1, U7, .), the 9-space of x with sigma(v1, U7, x) = 0.
+
+    One kernel of the 7 x n table of sigma(v1, u, .) over the basis of U7.
+    Since sigma(v1, V6, .) = 0, only U7's direction d off V6 gives a nonzero
+    row, so the kernel is the preimage under V10 -> V10/V6 of the
+    omega-perp of d's class: 9-dimensional exactly when that class is off
+    omega's radical, which it always is for a nondegenerate omega.
+    """
+    v1, v6 = flag
     if u7.dim != 7 or not u7.contains(v6):
         raise ValueError("need a 7-dim space containing the divisor 6-space")
-    p = od.p
-    qrows = np.array([v6.quotient_coords(r) for r in u7.basis], dtype=np.int64)
-    red, _ = linalg.rref(qrows, p)
-    if red.shape[0] != 1:
-        raise ValueError("U7 does not project to a line in the quotient")
-    line = red[0]
-    perp_rows = linalg.kernel(linalg.mat_mul(line, od.omega.mat, p).reshape(1, 4), p)
-    lifted = np.array([v6.lift_quotient(r) for r in perp_rows], dtype=np.int64)
-    out = v6.join(Subspace.from_rows(lifted, u7.n, p))
+    n, p = sigma.n, sigma.p
+    table = sigma.values(v1.basis, u7.basis, np.eye(n, dtype=np.int64))[0]
+    out = Subspace.from_rows(linalg.kernel(table, p), n, p)
     if out.dim != 9:
-        raise AssertionError("perp construction produced a wrong dimension")
+        raise ValueError("U7/V6 lies in the radical of omega; U7perp is not 9-dimensional")
     return out
 
 
@@ -115,7 +106,7 @@ def sigma_prime_rank_scan(
     the caps of the bounds n - 4 and 4, so both ranks are exact.
     """
     p, n = sigma.p, sigma.n
-    b9 = u7_perp(omega_data(sigma, flag), u7).basis
+    b9 = u7_perp(sigma, flag, u7).basis
     basis = np.vstack([flag[1].basis, complement_rows(u7, flag[1])])
     full = batched_contract1(sigma, basis).reshape(7, -1)
     restricted = sigma.values(basis, b9, b9).reshape(7, -1)
@@ -211,13 +202,11 @@ def sigma_dprime(
     v1 = flag[0]
     if u2.dim != 2 or not u2.contains(v1) or not u7.contains(u2):
         raise ValueError("need V1 < U2 < U7 with dim U2 = 2")
-    u9 = u7_perp(omega_data(sigma, flag), u7)
     frame = linalg.as_field(frame, p)
     if frame.shape != (7, sigma.n):
         raise ValueError("frame must provide seven ambient rows")
-    for r in frame:
-        if not u9.contains_vector(r):
-            raise ValueError("frame rows must lie in the perp 9-space")
+    if sigma.values(v1.basis, u7.basis, frame).any():
+        raise ValueError("frame rows must lie in U7perp")
     if u7.join(Subspace.from_rows(frame[:2], sigma.n, p)).dim != 9:
         raise ValueError("first two frame rows must span the off-U7 part")
     for r in frame[2:]:
@@ -245,8 +234,6 @@ def prescribed_dprime_sigma(
     xmat = linalg.as_field(xmat, p)
     if xmat.shape != (7, 7) or ((xmat + xmat.T) % p).any():
         raise ValueError("need a skew 7x7 target matrix")
-    from .trivector import triple_index, triples
-
     n = 10
     dirs = (7, 8, 2, 3, 4, 5, 6)
     index = triple_index(n)
@@ -265,34 +252,22 @@ def prescribed_dprime_sigma(
             coeffs[index[(0, a, bb)]] = (coeffs[index[(0, a, bb)]] + sign * val) % p
     sigma = Trivector.from_coeffs(coeffs, n, p)
 
-    def span(rows_idx):
-        rows = np.zeros((len(rows_idx), n), dtype=np.int64)
-        for r, i in enumerate(rows_idx):
-            rows[r, i] = 1
-        return Subspace.from_rows(rows, n, p)
-
-    v1 = span([1])
-    v6 = span([1, 2, 3, 4, 5, 6])
-    u2 = span([0, 1])
-    u7 = span([0, 1, 2, 3, 4, 5, 6])
+    eye = np.eye(n, dtype=np.int64)
+    v1, v6, u2, u7 = (
+        Subspace.from_rows(eye[rows], n, p) for rows in ([1], [1, 2, 3, 4, 5, 6], [0, 1], list(range(7)))
+    )
     flag = Flag((v1, v6))
-    frame = np.zeros((7, n), dtype=np.int64)
-    for r, d in enumerate(dirs):
-        frame[r, d] = 1
-    generator = np.zeros(n, dtype=np.int64)
-    generator[0] = 1
+    frame, generator = eye[list(dirs)], eye[0]
     return sigma, flag, u2, u7, frame, generator
 
 
 @dataclass(frozen=True)
 class QuadricPencil:
-    """Two quotient-Pfaffian quadrics on P(U7/V1) and the data to map into it."""
+    """Two quotient-Pfaffian quadrics on P(U7/V1)."""
 
     p: int
     q_a: np.ndarray = field(compare=False)
     q_b: np.ndarray = field(compare=False)
-    u7: Subspace = field(compare=False)
-    base_point: tuple[int, ...]
     degenerate: bool
 
     def value_at(self, c):
@@ -318,9 +293,7 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
     basis of W8 reads a vector's coordinates off its pivot columns).
     """
     p = sigma.p
-    od = omega_data(sigma, flag)
-    u9 = u7_perp(od, u7)
-    dirs = complement_rows(u9, u7)
+    dirs = complement_rows(u7_perp(sigma, flag, u7), u7)
     if len(dirs) != 2:
         raise AssertionError("perp extension must add exactly two directions")
     lift_rows = np.array(complement_rows(u7, flag[0]), dtype=np.int64)
@@ -340,13 +313,7 @@ def quadric_pencil(sigma: Trivector, flag: Flag, u7: Subspace) -> QuadricPencil:
     degenerate = not (q_a.any() or q_b.any())
     if degenerate:
         logger.warning("both quadrics vanished identically; degenerate pencil")
-    v6 = flag[1]
-    qrows = np.array([v6.quotient_coords(r) for r in u7.basis], dtype=np.int64)
-    red, _ = linalg.rref(qrows, p)
-    base = tuple(int(x) for x in red[0])
-    return QuadricPencil(
-        p=p, q_a=q_a, q_b=q_b, u7=u7, base_point=base, degenerate=degenerate
-    )
+    return QuadricPencil(p=p, q_a=q_a, q_b=q_b, degenerate=degenerate)
 
 
 def quotient_u7_coords(u7: Subspace, v1: Subspace, vec) -> np.ndarray:
@@ -421,7 +388,7 @@ def birationality_probe(
         u7 = v6.join(Subspace.span_of(l, n=sigma.n, p=p))
     elif not u7.contains(u2):
         raise ValueError("need V1 < U2 < U7 with dim U2 = 2")
-    b9 = u7_perp(omega_data(sigma, flag), u7).basis
+    b9 = u7_perp(sigma, flag, u7).basis
     # The restricted forms along the line, linear in (t, 1).
     ends = np.vstack([v1.basis[0], l])
     family = sigma.values(ends, b9, b9).reshape(2, -1)

@@ -201,14 +201,11 @@ def k3_witness_search(sigma: Trivector, flag: Flag) -> tuple[Subspace, Subspace]
     """
     p = check_search_prime(sigma.p)
     v6 = flag[1]
-    od = omega_data(sigma, flag)
-    comp = list(od.complement_pivots)
-    for plane in lagrangian_planes(od.omega.mat, p):
+    comp = list(v6.complement_pivots())
+    for plane in lagrangian_planes(omega_data(sigma, flag).mat, p):
         lift = np.zeros((2, sigma.n), dtype=np.int64)
         lift[:, comp] = plane.basis
         u8 = v6.join(Subspace.from_rows(lift, sigma.n, p))
-        if u8.dim != 8:
-            continue
         ok, u4 = k3_member(sigma, flag, u8)
         if ok:
             return (u8, u4)
@@ -281,12 +278,14 @@ def _grid_quartic_zeros(polys: list[Poly], base, dirs, p: int) -> np.ndarray:
     return np.stack(np.unravel_index(row[keep] * p + x[keep], (p,) * m), axis=1)
 
 
+_MAX_PATCHES = 200  # random 4-spaces `sample_peskine_points` scans before it gives up
+
+
 def sample_peskine_points(
     sigma: Trivector,
     rng,
     count: int,
     avoid: Subspace | None = None,
-    max_patches: int = 200,
 ) -> list[np.ndarray]:
     """Random rank-drop points at genericity primes, by patch scanning.
 
@@ -306,7 +305,7 @@ def sample_peskine_points(
     minors = [scan.family_pfaffian(flat, subset, p) for subset in subsets]
     seen: set[bytes] = set()
     out: list[np.ndarray] = []
-    for trial in range(max_patches):
+    for _ in range(_MAX_PATCHES):
         patch = linalg.sample_full_rank([rng], 4, n, p)[0]
         for pivot in range(4):
             base = patch[pivot]

@@ -2,9 +2,9 @@
 
 A :class:`Subspace` stores the reduced row echelon basis of its row space,
 so two objects describe the same subspace iff they compare equal.  Joins
-are exact; `quotient_coords` gives coordinates in V/W against the
-canonical complement spanned by the standard basis vectors at the non-pivot
-columns of W.
+are exact; `lift_quotient` lifts coordinates in F_p^n/W to the canonical
+complement spanned by the standard basis vectors at the non-pivot columns
+of W.
 """
 
 from __future__ import annotations
@@ -91,17 +91,8 @@ class Subspace:
         """Standard coordinates spanning the canonical complement."""
         return tuple(c for c in range(self.n) if c not in self.pivots)
 
-    def quotient_coords(self, v) -> np.ndarray:
-        """Coordinates of v + self in F_p^n / self.
-
-        The class of v is reduced against the basis; the entries at the
-        non-pivot columns of the reduction are a full coordinate system on
-        the quotient.
-        """
-        return self._reduce(v)[list(self.complement_pivots())]
-
     def lift_quotient(self, coords) -> np.ndarray:
-        """Standard-position lift: inverse of `quotient_coords` modulo self."""
+        """Standard-position lift of coordinates on F_p^n / self: zero at every pivot."""
         coords = linalg.as_field(coords, self.p).reshape(-1)
         comp = self.complement_pivots()
         if coords.shape[0] != len(comp):

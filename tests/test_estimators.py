@@ -29,7 +29,7 @@ def linear_locus(n, d, p, seed=100):
     def test_batch(points):
         return ~((points @ normals.T % p).any(axis=1))
 
-    return LocusPredicate(kind="affine", n=n, p=p, test_batch=test_batch, name="linear")
+    return LocusPredicate(kind="affine", n=n, p=p, test_batch=test_batch)
 
 
 def cubic_hypersurface(n, p):
@@ -37,7 +37,7 @@ def cubic_hypersurface(n, p):
         vals = (points[:, 0] ** 3 + points[:, 1] ** 3 + points[:, 2] ** 3) % p
         return vals == (points[:, 3] * points[:, 4] * points[:, 5]) % p
 
-    return LocusPredicate(kind="affine", n=n, p=p, test_batch=test_batch, name="cubic")
+    return LocusPredicate(kind="affine", n=n, p=p, test_batch=test_batch)
 
 
 def test_predicate_width():

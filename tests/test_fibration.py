@@ -56,6 +56,35 @@ def sample_u7_over(rng, flag):
     return v6.join(Subspace.span_of(direction, n=v6.n, p=v6.p))
 
 
+def quotient_coords(space, v):
+    """Coordinates of v + space in F_p^n / space: v reduced against the rref basis, at the non-pivot columns."""
+    v = linalg.as_field(v, space.p)
+    red = (v - linalg.mat_mul(v[list(space.pivots)], space.basis, space.p)) % space.p
+    return red[list(space.complement_pivots())]
+
+
+def omega_matrix(sigma, flag):
+    """omega = sigma(v1, ., .) on V10/V6 in complement-pivot coordinates, degenerate or not."""
+    comp = np.eye(sigma.n, dtype=np.int64)[list(flag[1].complement_pivots())]
+    return sigma.values(flag[0].basis, comp, comp)[0]
+
+
+def omega_route_perp(sigma, flag, u7):
+    """Reference for `u7_perp`: the preimage of (U7/V6)-perp under omega, joined with V6.
+
+    U7's rows span one line in quotient coordinates; the kernel of that
+    line against omega, lifted to standard position, spans the perp
+    modulo V6.  Raises, through `omega_data`, when omega is degenerate.
+    """
+    v6 = flag[1]
+    p = sigma.p
+    line = linalg.rref(np.array([quotient_coords(v6, r) for r in u7.basis]), p)[0]
+    assert line.shape[0] == 1
+    perp = linalg.kernel(linalg.mat_mul(line, omega_data(sigma, flag).mat, p), p)
+    lifted = np.array([v6.lift_quotient(r) for r in perp], dtype=np.int64)
+    return v6.join(Subspace.from_rows(lifted, sigma.n, p))
+
+
 def sigma_prime_rank(sigma, flag, u7, l):
     """Scalar reference: rank of sigma(l, ., .) on the 7-dim quotient U7perp/(l + V1).
 
@@ -69,7 +98,7 @@ def sigma_prime_rank(sigma, flag, u7, l):
         raise ValueError("the probe vector must lie off the divisor 6-space")
     if not u7.contains_vector(l):
         raise ValueError("the probe vector must lie in U7")
-    u9 = u7_perp(omega_data(sigma, flag), u7)
+    u9 = u7_perp(sigma, flag, u7)
     m = sigma.values(l, u9.basis, u9.basis)[0]
     rad = Subspace.from_rows(np.vstack([u9.coords_of(l), u9.coords_of(flag[0].basis[0])]), 9, p)
     assert rad.dim == 2
@@ -79,9 +108,9 @@ def sigma_prime_rank(sigma, flag, u7, l):
 
 def test_omega_data_rank_and_degeneracy():
     samp = nondegenerate_sample(Rng(90), 7)
-    od = omega_data(samp.sigma, samp.flag)
-    assert od.p == 7
-    assert od.omega.rank() == 4
+    omega = omega_data(samp.sigma, samp.flag)
+    assert omega.p == 7
+    assert omega.rank() == 4
 
     zero = zero_trivector(10, 7)
     with pytest.raises(ValueError):
@@ -91,22 +120,58 @@ def test_omega_data_rank_and_degeneracy():
 def test_u7_perp_dimension_and_pairing():
     rng = Rng(91)
     samp = nondegenerate_sample(rng, 7)
-    od = omega_data(samp.sigma, samp.flag)
+    omega = omega_data(samp.sigma, samp.flag)
     u7 = sample_u7_over(rng, samp.flag)
-    u9 = u7_perp(od, u7)
+    u9 = u7_perp(samp.sigma, samp.flag, u7)
     assert u9.dim == 9
     assert u9.contains(u7)
 
     # omega pairs the U7 line against every quotient image of U9 to zero.
     v6 = samp.flag[1]
-    qrows = np.array([v6.quotient_coords(r) for r in u7.basis], dtype=np.int64)
-    line = linalg.rref(qrows, 7)[0][0]
+    line = linalg.rref(np.array([quotient_coords(v6, r) for r in u7.basis]), 7)[0][0]
     for r in u9.basis:
-        q = v6.quotient_coords(r)
-        assert int(line @ od.omega.mat @ q % 7) == 0
+        assert int(line @ omega.mat @ quotient_coords(v6, r) % 7) == 0
 
     with pytest.raises(ValueError):
-        u7_perp(od, v6)
+        u7_perp(samp.sigma, samp.flag, v6)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 65521, 2**31 - 1])
+def test_u7_perp_matches_the_omega_route(p):
+    # ker sigma(v1, U7, .) is the preimage of (U7/V6)-perp under omega.
+    rng = Rng(320).child(f"p{p}")
+    for k in range(30):
+        samp = sample_d16_nondegenerate(rng.child(f"sigma-{k}"), p)
+        u7 = sample_u7(rng.child(f"u7-{k}"), samp.flag)
+        assert u7_perp(samp.sigma, samp.flag, u7) == omega_route_perp(samp.sigma, samp.flag, u7)
+
+
+def test_u7_perp_rejects_a_u7_in_the_radical():
+    p = 7
+    zero = zero_trivector(10, p)
+    flag = standard_flag("d1-6-10", p)
+    with pytest.raises(ValueError, match="radical"):
+        u7_perp(zero, flag, sample_u7(Rng(321), flag))
+
+    # A degenerate omega: U7 through its radical has a 10-dim kernel, and
+    # U7 off it still has a 9-dim perp (the omega route refuses both).
+    rng = Rng(322)
+    samp = sample_divisor(rng, "d1-6-10", p)
+    while linalg.rank(omega_matrix(samp.sigma, samp.flag), p) != 2:
+        samp = sample_divisor(rng, "d1-6-10", p)
+    omega, (v1, v6) = omega_matrix(samp.sigma, samp.flag), samp.flag
+    inside = v6.join(Subspace.span_of(v6.lift_quotient(linalg.kernel(omega, p)[0]), n=10, p=p))
+    with pytest.raises(ValueError, match="radical"):
+        u7_perp(samp.sigma, samp.flag, inside)
+    with pytest.raises(ValueError):
+        omega_route_perp(samp.sigma, samp.flag, inside)
+    off = [q for q in np.eye(4, dtype=np.int64) if (q @ omega % p).any()]
+    assert off
+    for q in off:
+        u7 = v6.join(Subspace.span_of(v6.lift_quotient(q), n=10, p=p))
+        u9 = u7_perp(samp.sigma, samp.flag, u7)
+        assert u9.dim == 9 and u9.contains(u7)
+        assert not samp.sigma.values(v1.basis, u7.basis, u9.basis).any()
 
 
 def test_sigma_prime_rank_values_and_guards():
@@ -142,7 +207,7 @@ def test_sigma_prime_rank_scan_matches_scalar():
     assert not any(samp.flag[1].contains_vector(l) for l in pts)
     # Exact ranks at every point: the cascade's shortcut to the maximal
     # ranks n - 2 and 6 is checked everywhere.
-    b9 = u7_perp(omega_data(samp.sigma, samp.flag), u7).basis
+    b9 = u7_perp(samp.sigma, samp.flag, u7).basis
     mats = batched_contract1(samp.sigma, pts)
     assert full.tolist() == batched_rank(mats, p).tolist()
     assert prime.tolist() == batched_rank(samp.sigma.values(pts, b9, b9), p).tolist()
@@ -163,7 +228,7 @@ def test_sigma_prime_rank_scan_covers_the_chart():
     pts, full, prime = sigma_prime_rank_scan(samp.sigma, samp.flag, u7)
     ref = np.vstack(list(projective_chunks(6, p))) @ u7.basis % p
     ref = ref[(ref @ linalg.kernel(samp.flag[1].basis, p).T % p).any(axis=1)]
-    b9 = u7_perp(omega_data(samp.sigma, samp.flag), u7).basis
+    b9 = u7_perp(samp.sigma, samp.flag, u7).basis
     ref_full = batched_rank(batched_contract1(samp.sigma, ref), p)
     ref_prime = batched_rank(samp.sigma.values(ref, b9, b9), p)
 
@@ -291,6 +356,11 @@ def test_sigma_dprime_frame_validation():
         sigma_dprime(sigma, flag, u2, u7, frame=swapped, generator=gen)
     with pytest.raises(ValueError):
         sigma_dprime(sigma, flag, u2, u7, frame=frame, generator=flag[0].basis[0])
+    # e9 is off U7perp (sigma(e1, e0, e9) = -1), yet with e8 it still spans U7's complement in a 9-space.
+    off_perp = np.vstack([np.eye(10, dtype=np.int64)[9], frame[1:]])
+    assert u7.join(Subspace.from_rows(off_perp[:2], 10, p)).dim == 9
+    with pytest.raises(ValueError, match="U7perp"):
+        sigma_dprime(sigma, flag, u2, u7, frame=off_perp, generator=gen)
 
 
 def test_sigma_dprime_generator_scaling():
@@ -339,7 +409,7 @@ def test_quadric_pencil_at_largest_prime():
     samp = sample_d16_nondegenerate(Rng(107), p)
     u7 = sample_u7(Rng(108), samp.flag)
     pencil = quadric_pencil(samp.sigma, samp.flag, u7)
-    u9 = u7_perp(omega_data(samp.sigma, samp.flag), u7)
+    u9 = u7_perp(samp.sigma, samp.flag, u7)
     v1 = samp.flag[0]
     # Object arrays multiply in Python ints, which cannot overflow.
     tensor = samp.sigma.tensor.astype(object)
@@ -429,7 +499,7 @@ def test_projective_rep():
 
 def residue_rank2(sigma, flag, u2, u7):
     """The residue route: mod-A2 rank <= 2 of sigma_dprime in the canonical frame."""
-    u9 = u7_perp(omega_data(sigma, flag), u7)
+    u9 = u7_perp(sigma, flag, u7)
     frame = np.array(complement_rows(u9, u7) + complement_rows(u7, u2), dtype=np.int64)
     generator = complement_rows(u2, flag[0])[0]
     resid = sigma_dprime(sigma, flag, u2, u7, frame=frame, generator=generator)

