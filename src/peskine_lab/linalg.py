@@ -163,19 +163,18 @@ def rank(mat, p: int) -> int:
 
 
 def kernel(mat, p: int) -> np.ndarray:
-    """Rows spanning {v : mat @ v = 0 mod p}, in rref."""
-    a = np.asarray(mat, dtype=np.int64)
-    rows, cols = a.shape
-    red, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return np.zeros((0, cols), dtype=np.int64)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, fc]) % p
-    return rref(basis, p)[0]
+    """Rows spanning {v : mat @ v = 0 mod p}, in rref.
+
+    From one rref of the column-reversed matrix: there, free column f gives
+    e_f minus red[r, f] at the pivot c of each row r, nonzero only for
+    c < f.  In the original order, these rows, by free column, are the rref.
+    """
+    red, pivots = rref(np.asarray(mat)[:, ::-1], p)
+    cols = red.shape[1]
+    basis = np.eye(cols, dtype=np.int64)
+    basis[:, list(pivots)] = (p - red.T) % p
+    free = [c not in pivots for c in reversed(range(cols))]
+    return basis[::-1, ::-1][free]
 
 
 def solve(mat, rhs, p: int) -> np.ndarray:

@@ -89,7 +89,7 @@ def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> CubicForm:
     return CubicForm(scan.family_quotient_pfaffian(family, b6, flag[0].basis[0], p))
 
 
-# Point-plane pairs per block of the K3 plane search (8 x 7 values each).
+# Point-plane pairs per block of the K3 plane search (7 x 7 values each).
 _PLANE_BLOCK = 1 << 16
 
 
@@ -112,17 +112,17 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     (b) some 3-dim subspace T of u8/V1 satisfies sigma(T, T, u8) = 0.
     Returns (True, U4) with U4 = V1 + lift(T) when both hold.
 
-    The search for T is exhaustive over Gr(3, 7)(F_p) in a pruned
-    formulation: every valid T lies inside the common annihilator
-    A(t) = {w : sigma(t, w, u8) = 0} of each of its own points t, so
-    scanning points t1 with dim A(t1) >= 3 and the planes of A(t1)/t1
-    visits every candidate.  The 8 forms sigma(., ., z) are skew, so t1
-    always lies in A(t1) and sigma(t1, T, u8) = 0 holds for every such
-    plane; T is isotropic iff the forms vanish on the plane itself.  The
-    forms are one `Trivector.values` table, the points one cached P^6
-    list, and the kernels A(t1) of all candidate points one batched
-    elimination; their planes are tested against the `plane_table` of
-    dim A(t1) - 1, one `linalg.mat_mul` per side.  The witness is the
+    The search for T is exhaustive over Gr(3, 7)(F_p), pruned: a valid T
+    lies in the annihilator A(t) = {w : sigma(t, w, u8) = 0} of each of
+    its points t, so it is t1 plus a plane of A(t1)/t1 for a t1 with
+    dim A(t1) >= 3.  By (a), the table sigma(t, w, u8) in the basis
+    (v1, c) of u8, c the complement of v1, is the 7 x 7 skew form
+    sigma(t, c_a, c_b) plus a zero row, with the same kernel A(t): the
+    points t1 are the rank <= 4 points of that family, from one
+    `scan.cascade_survivors` pass over the cached P^6 list and one
+    `scan.batched_kernel` of the survivors.  The forms are skew, so t1
+    lies in A(t1), and T is isotropic iff they vanish on the plane, one
+    test against the `plane_table` of dim A(t1) - 1.  The witness is the
     first point in canonical order with an isotropic plane, and its first
     such plane in `all_subspaces` order.  Practical only at p in {3, 5}.
     """
@@ -139,15 +139,14 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
 
     v1c = u8.coords_of(v1)
     comp = list(Subspace.from_rows(v1c, 8, p).complement_pivots())
-    # forms[a, 7z + b] = sigma(c_a, c_b, b8_z) on the complement rows c of v1 in u8.
-    forms = sigma.values(b8[comp], b8[comp], b8).transpose(0, 2, 1).reshape(7, 56)
+    c = b8[comp]  # the complement of v1 in u8
+    skew = sigma.values(c, c, c).reshape(7, 49)
 
     reps = _p6_points(p)
-    stacked = linalg.mat_mul(reps, forms, p).reshape(-1, 8, 7)
-
-    cand = np.nonzero(7 - scan.batched_rank(stacked, p) >= 3)[0]
-    t1s = reps[cand]
-    kers, kdims = scan.batched_kernel(stacked[cand], p)
+    alive = scan.cascade_survivors(skew, reps, 4, p)
+    kers, kdims = scan.batched_kernel(linalg.mat_mul(reps[alive], skew, p).reshape(-1, 7, 7), p)
+    cand = kdims >= 3
+    t1s, kers, kdims = reps[alive[cand]], kers[cand], kdims[cand]
     # complement_rows(A(t1), <t1>) keeps every rref row of A(t1) but the
     # last one whose pivot coordinate of t1 is nonzero.
     on_t1 = np.take_along_axis(t1s, (kers != 0).argmax(axis=2), axis=1) != 0
@@ -159,7 +158,7 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
     # first[i]: index of the first isotropic plane of point i, or -1.  The
     # points of one dimension m of A(t1)/t1 share a plane table and are
     # tested in blocks, up to the first block with a hit.
-    first = np.full(len(cand), -1)
+    first = np.full(len(t1s), -1)
     for kdim in sorted(set(kdims.tolist())):
         m = kdim - 1
         group = np.flatnonzero(kdims == kdim)
@@ -168,8 +167,8 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
         for start in range(0, len(group), step):
             block = group[start : start + step]
             rows = comp_rows[block, :m].transpose(1, 0, 2)
-            left = linalg.mat_mul(rows.reshape(-1, 7), forms, p).reshape(m, -1)
-            left = linalg.mat_mul(table[:, 0], left, p).reshape(len(table), -1, 8, 7)
+            left = linalg.mat_mul(rows.reshape(-1, 7), skew, p).reshape(m, -1)
+            left = linalg.mat_mul(table[:, 0], left, p).reshape(len(table), -1, 7, 7)
             right = linalg.mat_mul(table[:, 1], rows.reshape(m, -1), p).reshape(len(table), -1, 7)
             iso = ~((left * right[:, :, None]).sum(axis=3) % p).any(axis=2).T
             first[block] = np.where(iso.any(axis=1), iso.argmax(axis=1), -1)

@@ -10,9 +10,9 @@ mod-p kernels: batched contraction, one batched Gauss-Jordan elimination behind 
 kernel, and one signed-perfect-matching Pfaffian kernel over gathered
 pair columns.  `family_ranks` is the one rank-drop test every scan
 uses, on any linear family of m x m skew forms (m even or odd): a
-cascade of principal Pfaffian minors discards most points cheaply, the
-survivors get the exact rank, and the result is the rank capped just
-above the bound, which is exact wherever that cap is a proven maximum.
+cascade of principal Pfaffian minors (`cascade_survivors`) discards most
+points cheaply, the survivors get the exact rank, capped just above the
+bound, which is exact wherever that cap is a proven maximum.
 `rank_drop_mask` is its mask on the family of contractions of a
 trivector (`locus_points` lists the points of P^(n-1) it keeps, through
 the kernels of sigma(w, ., .) over P(W) when cheaper), and `family_pfaffian`
@@ -220,26 +220,22 @@ def batched_kernel(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Right kernels of a batch of (rows, cols) matrices mod p, in rref.
 
     Returns (kers, dims): kers[b] has shape (cols, cols), its first
-    dims[b] rows equal `linalg.kernel(mats[b], p)` row for row and the
-    rest are zero.  The kernel basis read off the reduced form (one row
-    per free column) goes through the same elimination once more and its
-    rows are sorted by pivot.
+    dims[b] rows equal `linalg.kernel(mats[b], p)` and the rest are zero.
+    One elimination of the column-reversed matrices, read as in `linalg.kernel`.
     """
     batch, _, cols = mats.shape
-    red, pivot_col = _gauss_jordan(mats, p)
-    free = np.ones((batch, cols), dtype=bool)
+    red, pivot_col = _gauss_jordan(mats[:, :, ::-1], p)
     b_idx, r_idx = np.nonzero(pivot_col < cols)
-    free[b_idx, pivot_col[b_idx, r_idx]] = False
+    pivots = cols - 1 - pivot_col[b_idx, r_idx]  # in the original order
     basis = np.zeros((batch, cols, cols), dtype=np.int64)
-    # Row f of the basis is e_f minus, at each pivot column c, the entry of
-    # c's pivot row at column f; rows at pivot columns are dropped.
-    basis[b_idx, :, pivot_col[b_idx, r_idx]] = (p - red[b_idx, r_idx, :]) % p
-    basis *= free[:, :, None]
-    diag = np.arange(cols)
-    basis[:, diag, diag] = free
-    red, pivot_col = _gauss_jordan(basis, p)
-    order = np.argsort(pivot_col, axis=1, kind="stable")
-    kers = np.take_along_axis(red, order[:, :, None], axis=1)
+    basis[b_idx, :, pivots] = (p - red[b_idx, r_idx, ::-1]) % p
+    free = np.ones((batch, cols), dtype=bool)
+    free[b_idx, pivots] = False
+    b_idx, f_idx = np.nonzero(free)
+    row = np.cumsum(free, axis=1)[b_idx, f_idx] - 1
+    kers = np.zeros_like(basis)
+    kers[b_idx, row] = basis[b_idx, f_idx]
+    kers[b_idx, row, f_idx] = 1
     return kers, np.count_nonzero(free, axis=1)
 
 
@@ -354,36 +350,42 @@ def _cascade_columns(m: int, size: int, p: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def family_ranks(flat: np.ndarray, points: np.ndarray, bound: int, p: int) -> np.ndarray:
-    """Ranks of the skew forms of a linear family, capped at b + 2.
+def cascade_survivors(flat: np.ndarray, points: np.ndarray, bound: int, p: int) -> np.ndarray:
+    """Indices of the rows of `points` where every cascade minor vanishes.
 
-    `flat` has shape (d, m * m): row k is the m x m skew form of the k-th
-    coordinate, flattened row-major, so the form at a point u in F_p^d is
-    `u @ flat` reshaped to (m, m); m may be even or odd.  Returns
-    min(rank, b + 2) at every row of `points`, where b is the even part
-    of `bound`, so `ranks <= bound` is the exact rank-drop mask, and the
-    ranks are exact wherever b + 2 is a proven maximum.
-
-    A skew form of rank <= bound has rank at most b, so every principal
-    Pfaffian of size b + 2 vanishes.  A cascade of such minors, each from
-    a gather `points @ flat[:, cols]` over its upper pairs without the
-    whole form, drops the rows where one is nonzero (rank >= b + 2 there);
-    the survivors get their exact rank from `batched_rank`.
+    `flat` (d, m * m) is a linear family of m x m skew forms, m even or
+    odd: row k is the form of the k-th coordinate, flattened row-major, so
+    the form at u in F_p^d is `u @ flat` reshaped to (m, m).  A form of
+    rank <= bound has rank <= b, the even part of `bound`, so its
+    principal Pfaffians of size b + 2 vanish and its row survives.  Each
+    minor is a gather `points @ flat[:, cols]` over its upper pairs only.
     """
     m = isqrt(flat.shape[1])
     size = bound - bound % 2 + 2
-    ranks = np.full(points.shape[0], size, dtype=np.int64)
-    alive = np.arange(points.shape[0])
-    pts = points
+    alive, pts = np.arange(points.shape[0]), points
     if 2 <= size <= m:
         for cols in _cascade_columns(m, size, p):
             if not len(alive):
                 break
-            pairs = linalg.mat_mul(flat[:, cols].T, pts.T, p)
-            zero = _pfaffian_from_pairs(pairs, size, p) == 0
-            pts, alive = pts[zero], alive[zero]
+            zero = _pfaffian_from_pairs(linalg.mat_mul(flat[:, cols].T, pts.T, p), size, p) == 0
+            alive, pts = alive[zero], pts[zero]
+    return alive
+
+
+def family_ranks(flat: np.ndarray, points: np.ndarray, bound: int, p: int) -> np.ndarray:
+    """Ranks of the forms of a `cascade_survivors` family, capped at b + 2.
+
+    b is the even part of `bound`, so `ranks <= bound` is the exact
+    rank-drop mask, and the ranks are exact wherever b + 2 is a proven
+    maximum.  The survivors of the cascade get their rank from
+    `batched_rank`; every other row has rank >= b + 2.
+    """
+    m = isqrt(flat.shape[1])
+    size = bound - bound % 2 + 2
+    ranks = np.full(points.shape[0], size, dtype=np.int64)
+    alive = cascade_survivors(flat, points, bound, p)
     if len(alive):
-        mats = linalg.mat_mul(pts, flat, p).reshape(len(pts), m, m)
+        mats = linalg.mat_mul(points[alive], flat, p).reshape(len(alive), m, m)
         ranks[alive] = np.minimum(batched_rank(mats, p), size)
     return ranks
 

@@ -322,6 +322,30 @@ def test_k3_member_matches_reference_search(p, seed, count):
     assert any(results) and not all(results)
 
 
+@pytest.mark.parametrize("p, seed", [(3, 41), (3, 42), (5, 44)])
+def test_k3_candidates_are_the_rank_drop_locus_of_the_skew_family(p, seed):
+    # Under sigma(v1, U8, U8) = 0, the 8 x 7 table sigma(t, c_b, b8_z) of
+    # the K3 search has the rank of the 7 x 7 skew form sigma(t, c_a, c_b),
+    # c the complement of v1 in U8, at every point t of P^6; and the cascade
+    # plus kernel dims find exactly the points with 7 - rank >= 3.
+    samp = sample_d16_nondegenerate(Rng(seed), p)
+    sigma, v1 = samp.sigma, samp.flag[0].basis[0]
+    reps = np.vstack(list(scan.projective_chunks(6, p)))
+    for u8 in candidate_u8s(sigma, samp.flag):
+        b8 = u8.basis
+        assert not (np.einsum("i,yj,zk,ijk->yz", v1, b8, b8, sigma.tensor) % p).any()
+        c = b8[list(Subspace.from_rows(u8.coords_of(v1), 8, p).complement_pivots())]
+        table = np.einsum("ai,bj,zk,ijk->abz", c, c, b8, sigma.tensor, optimize=True) % p
+        table = linalg.mat_mul(reps, table.reshape(7, 56), p).reshape(-1, 7, 8).transpose(0, 2, 1)
+        flat = np.einsum("ai,bj,dk,ijk->abd", c, c, c, sigma.tensor, optimize=True).reshape(7, 49) % p
+        ranks = scan.batched_rank(table, p)
+        skew = linalg.mat_mul(reps, flat, p).reshape(-1, 7, 7)
+        assert scan.batched_rank(skew, p).tolist() == ranks.tolist()
+        alive = scan.cascade_survivors(flat, reps, 4, p)
+        kdims = scan.batched_kernel(skew[alive], p)[1]
+        assert alive[kdims >= 3].tolist() == np.flatnonzero(7 - ranks >= 3).tolist()
+
+
 def test_k3_member_matches_reference_on_a_sparse_sigma():
     # sigma(e0, U8, U8) = 0 for U8 = <e0..e7>, and the first witness point
     # t1 has several isotropic planes in A(t1)/t1: which rref row of A(t1)

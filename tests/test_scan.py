@@ -189,29 +189,49 @@ def test_batched_rank_matches_scalar_at_large_primes(p):
     assert batched_rank(mats, p).tolist() == [linalg.rank(m, p) for m in mats]
 
 
-@settings(max_examples=60, deadline=None)
+def _kernel_batch(kind, ranks, p, rng):
+    """A batch of matrices of one kind, one per drawn rank r: tall 8 x 7 and
+    wide 5 x 12 products of rank r (or, rarely, less), 7 x 7 skew forms of
+    rank 2 * (r // 2) at most, 1 x 1 matrices (zero where r = 0), all-zero
+    3 x 5 matrices, and full-rank 6 x 6 matrices."""
+    if kind == "skew":
+        return np.stack([_low_rank_form(rng, 7, min(r - r % 2, 6), p) for r in ranks])
+    if kind == "zero":
+        return np.zeros((len(ranks), 3, 5), dtype=np.int64)
+    if kind == "full-rank":
+        return linalg.sample_full_rank([rng.child(str(i)) for i in range(len(ranks))], 6, 6, p)
+    rows, cols = {"tall": (8, 7), "wide": (5, 12), "1x1": (1, 1)}[kind]
+    return np.stack([
+        linalg.mat_mul(rng.matrix(rows, k, p), rng.matrix(k, cols, p), p) if k else np.zeros((rows, cols), np.int64)
+        for k in (min(r, rows, cols) for r in ranks)
+    ])
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     st.integers(0, 2**32),
     st.sampled_from([3, 5, 65521, 2**31 - 1]),
+    st.sampled_from(["tall", "wide", "skew", "1x1", "zero", "full-rank"]),
     st.lists(st.integers(0, 7), min_size=1, max_size=6),
 )
-def test_batched_kernel_matches_kernel(seed, p, ranks):
-    # One batch of 8 x 7 matrices of the drawn ranks (a rank r product has
-    # rank r or, rarely, less), so pivots fall in different columns.
-    rng = Rng(seed)
-    mats = np.stack([
-        linalg.mat_mul(rng.matrix(8, r, p), rng.matrix(r, 7, p), p) if r else np.zeros((8, 7), np.int64)
-        for r in ranks
-    ])
+def test_batched_kernel_matches_kernel(seed, p, kind, ranks):
+    # Checked against properties that do not share the kernels' construction:
+    # every row is annihilated, dims is cols minus the rank, and the rows are
+    # independent and in rref; then against the scalar kernel, row for row.
+    mats = _kernel_batch(kind, ranks, p, Rng(seed))
     kers, dims = batched_kernel(mats, p)
-    assert kers.shape == (len(ranks), 7, 7)
+    cols = mats.shape[2]
+    assert kers.shape == (len(ranks), cols, cols)
     for m, ker, dim in zip(mats, kers, dims):
-        want = linalg.kernel(m, p)
-        assert dim == len(want)
-        assert np.array_equal(ker[:dim], want)
+        basis = ker[:dim]
+        assert dim == cols - linalg.rank(m, p)
+        assert not linalg.mat_mul(m, basis.T, p).any()
+        red, pivots = linalg.rref(basis, p)
+        assert len(pivots) == dim and np.array_equal(red, basis)
         assert not ker[dim:].any()
-    # The 7 x 8 transposes are wide; batched_rank eliminates along their rows.
-    assert batched_rank(mats.transpose(0, 2, 1), p).tolist() == (7 - dims).tolist()
+        assert np.array_equal(basis, linalg.kernel(m, p))
+    # Transposed, tall and wide swap; batched_rank eliminates wide ones along their rows.
+    assert batched_rank(mats.transpose(0, 2, 1), p).tolist() == (cols - dims).tolist()
 
 
 def reference_gauss_jordan(mat: np.ndarray, p: int) -> tuple[list, list]:
@@ -391,6 +411,36 @@ def test_family_ranks_match_batched_rank(seed, p, m, bound, kind):
     ranks = family_ranks(flat, pts, bound, p)
     assert ranks.tolist() == np.minimum(exact, bound + 2).tolist()
     assert ranks[-1] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 6), st.sampled_from(["coordinates", "shared-radical"]))
+@pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
+@pytest.mark.parametrize("m", [7, 10])
+def test_cascade_survivors_keep_every_low_rank_row(m, p, seed, bound, kind):
+    """Every row of rank <= bound survives the cascade, for odd and even m.
+
+    At 2^31 - 1 the Pfaffian kernel reduces after every factor.  Coordinate
+    forms of rank 0, 2, 4 and 6 plant low-rank rows at the unit vectors and
+    their sums; in the shared-radical family every form lives on one space
+    of dimension b, the even part of the bound, so every row survives.
+    """
+    rng = Rng(seed)
+    b = bound - bound % 2
+    if kind == "shared-radical":
+        u = rng.matrix(b, m, p)
+        forms = [_congruence(u.T, _low_rank_form(rng, b, b, p), p) for _ in range(4)]
+    else:
+        forms = [_low_rank_form(rng, m, r, p) for r in (0, 2, 4, 6)]
+    flat = np.stack(forms).reshape(4, m * m)
+    planted = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]])
+    pts = np.vstack([rng.matrix(40, 4, p), planted])
+    exact = batched_rank(linalg.mat_mul(pts, flat, p).reshape(len(pts), m, m), p)
+    alive = scan.cascade_survivors(flat, pts, bound, p)
+    assert (np.diff(alive) > 0).all()
+    assert set(np.flatnonzero(exact <= bound).tolist()) <= set(alive.tolist())
+    if kind == "shared-radical":
+        assert alive.tolist() == list(range(len(pts)))
 
 
 @settings(max_examples=60, deadline=None)
