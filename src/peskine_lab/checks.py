@@ -86,7 +86,8 @@ class CheckConfig:
 
     p and trials override a check's default prime (or prime pair) and its
     main sample count; None keeps the registered defaults.  threads is
-    pure scheduling and never reaches the report.
+    pure scheduling and never reaches the report.  Raises ValueError on
+    trials or threads below 1 and on a negative budget.
     """
 
     seed: int = DEFAULT_SEED
@@ -94,6 +95,12 @@ class CheckConfig:
     trials: int | None = None
     threads: int | None = None
     budget: int = 10**8
+
+    def __post_init__(self) -> None:
+        for name, least in (("trials", 1), ("threads", 1), ("budget", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _primes(cfg: CheckConfig, default: tuple[int, ...]) -> tuple[int, ...]:
@@ -382,7 +389,7 @@ def _run_lem_3_4(cfg: CheckConfig):
     for i in range(seeds):
         samp = sample_divisor(rng.child(f"sigma-{i}"), "d1-6-10", p)
         cubic = cubic_from_pfaffian(samp.sigma, samp.flag)
-        degree_ok = degree_ok and cubic.is_cubic()
+        degree_ok = degree_ok and cubic.total_degree() == 3
         b6 = samp.flag[1].basis
         for block in projective_chunks(5, p):
             pts = linalg.mat_mul(block, b6, p)
@@ -411,7 +418,7 @@ def _run_rem_3_5(cfg: CheckConfig):
             samp = sample_divisor(rng.child(f"sigma-{p}-{i}"), "d1-6-10", p)
             cubic = cubic_from_pfaffian(samp.sigma, samp.flag)
             v1c = samp.flag[1].coords_of(samp.flag[0].basis[0])
-            grad = cubic.gradient(v1c)
+            grad = jacobian([cubic], v1c[None])[0, 0]
             vanishing += int(not grad.any())
         metrics[f"gradient_vanishing_p{p}"] = vanishing
         metrics[f"seeds_p{p}"] = seeds

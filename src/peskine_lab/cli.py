@@ -70,7 +70,10 @@ def _merged_config(args) -> CheckConfig:
             merged[key] = flag
         elif key in doc:
             merged[key] = doc[key]
-    return CheckConfig(**merged)
+    try:
+        return CheckConfig(**merged)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
 
 
 def _load_input_trivector(path: str):

@@ -154,6 +154,8 @@ def slice_dim_estimate(
     """
     if not 0.0 < miss_threshold <= hit_threshold <= 1.0:
         raise ValueError("need 0 < miss_threshold <= hit_threshold <= 1")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     p = pred.p
     width = pred.width
     ambient_dim = width if pred.kind == "projective" else pred.n

@@ -97,7 +97,7 @@ def freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product mod p of arrays with entries in [0, p) (1-D or 2-D).
+    """Exact product mod p of arrays with entries in [0, p) (b 1-D or 2-D).
 
     Uses float64 BLAS while p^2 * inner < 2^53 keeps every sum an exact
     integer, int64 while it stays below 2^63, and otherwise splits b into
@@ -111,7 +111,7 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if bound < _INT_EXACT:
         return a @ b % p
     step = (_INT_EXACT >> 1) // ((p - 1) * 0xFFFF)
-    hi = lo = 0
+    hi = lo = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for k in range(0, inner, step):
         ak, bk = a[..., k : k + step], b[k : k + step]
         hi = (hi + ak @ (bk >> 16)) % p

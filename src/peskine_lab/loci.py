@@ -11,14 +11,13 @@ table, and the plane searches share the cached `plane_table`s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import linalg, scan
 from .fibration import omega_data
-from .polynomial import Poly, jacobian, monomials_of_degree
+from .polynomial import Poly, monomials_of_degree, slice_monomials
 from .subspaces import Flag, Subspace, plane_table
 from .trivector import Trivector
 
@@ -46,33 +45,7 @@ def dv_member(sigma: Trivector, u6: Subspace) -> bool:
     return not sigma.values(u6.basis, u6.basis, u6.basis).any()
 
 
-@dataclass(frozen=True)
-class CubicForm:
-    """Degree-3 form in 6 variables."""
-
-    poly: Poly
-
-    def __post_init__(self) -> None:
-        if self.poly.nvars != 6:
-            raise ValueError("cubic form lives in 6 variables")
-        if self.poly.total_degree() > 3:
-            raise ValueError("degree exceeds 3")
-
-    @property
-    def p(self) -> int:
-        return self.poly.p
-
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        return self.poly.evaluate_batch(points)
-
-    def gradient(self, point) -> np.ndarray:
-        return jacobian([self.poly], linalg.as_field(point, self.p).reshape(1, 6))[0, 0]
-
-    def is_cubic(self) -> bool:
-        return self.poly.total_degree() == 3
-
-
-def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> CubicForm:
+def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> Poly:
     """The quotient-Pfaffian cubic on P(V6).
 
     For u in V6 off the distinguished line, sigma(u, ., .) has both u and
@@ -86,7 +59,7 @@ def cubic_from_pfaffian(sigma: Trivector, flag: Flag) -> CubicForm:
     p, n = sigma.p, sigma.n
     b6 = flag[1].basis
     family = linalg.mat_mul(b6, sigma.tensor.reshape(n, n * n), p)
-    return CubicForm(scan.family_quotient_pfaffian(family, b6, flag[0].basis[0], p))
+    return scan.family_quotient_pfaffian(family, b6, flag[0].basis[0], p)
 
 
 # Point-plane pairs per block of the K3 plane search (7 x 7 values each).
@@ -239,14 +212,6 @@ def conic_fiber(sigma: Trivector, v4: Subspace, v8: Subspace) -> list[Subspace]:
     return [Subspace.from_rows(basis, 4, p) for basis in table[keep]]
 
 
-def _power_table(xs: np.ndarray, p: int) -> np.ndarray:
-    """Rows [1, x, x^2, x^3, x^4] mod p for x in `xs` (reduced), by iterated products."""
-    table = np.ones((len(xs), 5), dtype=np.int64)
-    for k in range(1, 5):
-        table[:, k] = table[:, k - 1] * xs % p
-    return table
-
-
 def _grid_quartic_zeros(polys: list[Poly], base, dirs, p: int) -> np.ndarray:
     """Common-zero parameters of quartic forms on an affine grid, (H, m).
 
@@ -267,7 +232,7 @@ def _grid_quartic_zeros(polys: list[Poly], base, dirs, p: int) -> np.ndarray:
     weights = np.concatenate([[0], 5 ** np.arange(m - 1, -1, -1)])
     grid = np.zeros((forms, 5**m), dtype=np.int64)
     grid[:, weights[np.array(monomials_of_degree(m + 1, 4), dtype=np.int64)].sum(axis=1)] = coefs
-    powers = _power_table(np.arange(p), p)
+    powers = slice_monomials(np.arange(p)[:, None], 4, p)  # rows [1, x, x^2, x^3, x^4]
     for _ in range(m - 1):
         grid = linalg.mat_mul(grid.reshape(forms, 5, -1).transpose(0, 2, 1), powers.T, p)
     # (forms, p^(m-1), 5): values in t_1..t_(m-1) against exponents of t_m.

@@ -9,14 +9,17 @@ Forms are built symbolically (`scan.family_pfaffian` expands Pfaffians
 of linear families, and `Poly.divide_linear` takes exact quotients by a
 linear form); `jacobian`, the batched Jacobian of a polynomial map,
 differentiates them for every caller in the package, and `Poly.restrict`
-restricts them exactly to batches of affine slices for the slice ladder.
+restricts them exactly to batches of affine slices for the slice ladder
+and the patch grid.  Both the Pfaffians and the restrictions are sums of
+products of linear forms, expanded into the dense monomial basis by one
+kernel, `expand_products`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations_with_replacement, product
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -137,27 +140,26 @@ class Poly:
 
     def restrict(self, offsets: np.ndarray, mats: np.ndarray, degree: int = 0) -> np.ndarray:
         """(T, M) coefficients of each f(offset_k + t @ mat_k) over `monomials_of_degree(d + 1, D)`
-        in y = (1, t), D = max(degree, total_degree()).  Each term, padded by y0 to D factors, is
-        an outer product of linear forms in y reduced after each factor; one `linalg.mat_mul`
-        sums the terms, one more collapses the products onto sorted monomials."""
-        p, (trials, d, _), big = self.p, mats.shape, max(degree, self.total_degree())
+        in y = (1, t), D = max(degree, total_degree()): one `expand_products` of the terms, each
+        padded by y0 to D factors, over the linear forms [offset_k; mat_k | y0] in y."""
+        p, (trials, d, _) = self.p, mats.shape
+        idx, coefs = self._padded_terms
+        idx = np.hstack([idx, np.full((len(idx), max(degree - idx.shape[1], 0)), self.nvars)])
         y0 = np.eye(d + 1, 1, dtype=np.int64)[None].repeat(trials, 0)  # x_nvars restricts to y0
         lin = np.concatenate([np.concatenate([offsets[:, None], mats], axis=1) % p, y0], axis=2)
-        pad = [m + (self.nvars,) * (big - len(m)) for m, _ in self.terms]
-        idx = np.array(pad, dtype=np.int64).reshape(len(pad), big)
-        acc = np.ones((trials, 1, len(pad)), dtype=np.int64)
-        for k in range(big):
-            acc = acc[:, :, None] * lin[:, None, :, idx[:, k]] % p
-            acc = acc.reshape(trials, (d + 1) ** (k + 1), len(pad))
-        coefs = np.array([c for _, c in self.terms], dtype=np.int64)
-        sums = linalg.mat_mul(acc.reshape(trials * acc.shape[1], len(pad)), coefs, p)
-        monos = {m: c for c, m in enumerate(monomials_of_degree(d + 1, big))}
-        cols = [monos[tuple(sorted(ix))] for ix in product(range(d + 1), repeat=big)]
-        return linalg.mat_mul(sums.reshape(trials, -1), np.eye(len(monos), dtype=np.int64)[cols], p)
+        return expand_products(lin, idx, coefs, p)
 
     @cached_property
     def _partials(self) -> tuple["Poly", ...]:
         return tuple(self.partial(i) for i in range(self.nvars))
+
+    @cached_property
+    def _padded_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(terms, total_degree()) variable indices, each monomial padded by nvars, and the coefficients."""
+        top = self.total_degree()
+        pad = [m + (self.nvars,) * (top - len(m)) for m, _ in self.terms]
+        coefs = np.array([c for _, c in self.terms], dtype=np.int64)
+        return np.array(pad, dtype=np.int64).reshape(len(pad), top), coefs
 
     @cached_property
     def _delayed(self) -> bool:
@@ -221,3 +223,43 @@ def slice_monomials(t: np.ndarray, degree: int, p: int) -> np.ndarray:
     for k in range(degree):
         out = out * y[:, idx[:, k]] % p
     return out
+
+
+@lru_cache(maxsize=None)
+def _parents(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table from `monomials_of_degree(nvars, degree)` down one degree.
+
+    For monomial q and position i, var[q, i] = q[i] = j and parent[q, i] is
+    the index of q / x_j in `monomials_of_degree(nvars, degree - 1)`; a
+    repeated variable (q[i] == q[i - 1]) points at the pad row past the
+    last monomial instead, so each distinct variable of q counts once.
+    """
+    lower, var = (monomials_of_degree(nvars, k) for k in (degree - 1, degree))
+    weights = nvars ** np.arange(degree - 2, -1, -1)  # lexicographic order is base-nvars order
+    keys = (np.array(lower, np.int64).reshape(len(lower), degree - 1) * weights).sum(axis=1)
+    var = np.array(var, np.int64).reshape(len(var), degree)
+    drop = np.stack([(np.delete(var, i, axis=1) * weights).sum(axis=1) for i in range(degree)], 1)
+    parent = np.searchsorted(keys, drop)
+    parent[:, 1:][var[:, 1:] == var[:, :-1]] = len(keys)
+    return parent, var
+
+
+def expand_products(lin: np.ndarray, idx: np.ndarray, coefs: np.ndarray, p: int) -> np.ndarray:
+    """(B, M) coefficients over `monomials_of_degree(v, D)` of sum_t coefs[t] prod_k lin[:, :, idx[t, k]].
+
+    `lin` is a reduced (B, v, X) batch whose column x is a linear form in
+    v variables, `idx` a (T, D) table of factor columns and `coefs` (T,)
+    reduced.  Degree k is gathered from degree k - 1: the coefficient of q
+    in P * L is the sum of P[q / x_j] * L[j] over the distinct variables
+    x_j of q (`_parents`).  Each product of two reduced entries is reduced
+    before the at most k of them are summed, unless
+    `linalg.products_fit_int64(p, 2, k)` holds.
+    """
+    batch, terms, top = lin.shape[0], *idx.shape
+    acc = np.ones((batch, 1, terms), dtype=np.int64)
+    for k in range(1, top + 1):
+        parent, var = _parents(lin.shape[1], k)
+        acc = np.concatenate([acc, np.zeros((batch, 1, terms), dtype=np.int64)], axis=1)
+        prod = acc[:, parent] * lin[:, :, idx[:, k - 1]][:, var]
+        acc = (prod if linalg.products_fit_int64(p, 2, k) else prod % p).sum(axis=2) % p
+    return linalg.mat_mul(acc, coefs, p)

@@ -16,7 +16,9 @@ bound, which is exact wherever that cap is a proven maximum.
 `rank_drop_mask` is its mask on the family of contractions of a
 trivector (`locus_points` lists the points of P^(n-1) it keeps, through
 the kernels of sigma(w, ., .) over P(W) when cheaper), and `family_pfaffian`
-its symbolic twin: a principal Pfaffian of the family as a polynomial.
+its symbolic twin: a principal Pfaffian of the family as a polynomial,
+expanded by `polynomial.expand_products` over the same signed perfect
+matchings as the numeric kernel.
 `family_quotient_pfaffian` divides one such Pfaffian exactly by a linear
 form to get the Pfaffian modulo a radical pair, the one path behind the
 quotient-Pfaffian cubic and quadrics.
@@ -42,7 +44,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import linalg
-from .polynomial import Poly
+from .polynomial import Poly, expand_products, monomials_of_degree
 from .rng import Rng
 from .trivector import Trivector, perfect_matchings
 
@@ -396,39 +398,23 @@ def family_pfaffian(flat: np.ndarray, subset: tuple[int, ...], p: int) -> Poly:
     The symbolic twin of `family_ranks`: `flat` is the same (d, m * m)
     family, and the result is the form of degree len(subset) / 2 in d
     variables whose value at u is the Pfaffian of `u @ flat` reshaped to
-    (m, m), restricted to `subset`.  Expansion along the first remaining
-    index, memoized on index sets as in `trivector.pfaffian`; each entry
-    is a linear form kept as a dict over its nonzero entries.  Same
-    convention: 1 on the empty subset, 0 on an odd one.
+    (m, m), restricted to `subset`: one `polynomial.expand_products` of
+    the numeric kernel's signed matchings (`_matching_terms`) over the
+    subset's pair columns.  Same convention as `trivector.pfaffian`: 1 on
+    the empty subset, 0 on an odd one.
     """
-    d = flat.shape[0]
-    m = isqrt(flat.shape[1])
+    d, m, half = flat.shape[0], isqrt(flat.shape[1]), len(subset) // 2
     if len(subset) % 2:
         return Poly.from_dict({}, d, p)
-    forms = {
-        (i, j): [(v, int(c)) for v, c in enumerate(flat[:, i * m + j] % p) if c]
-        for i, j in combinations(subset, 2)
-    }
-    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
-
-    def rec(idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
-        acc: dict[tuple[int, ...], int] = {}
-        for k in range(1, len(idx)):
-            form = forms[idx[0], idx[k]]
-            if not form:
-                continue
-            sign = 1 if k % 2 else -1
-            for mono, a in rec(idx[1:k] + idx[k + 1 :]).items():
-                for v, c in form:
-                    key = tuple(sorted(mono + (v,)))
-                    acc[key] = (acc.get(key, 0) + sign * a * c) % p
-        memo[idx] = acc
-        return acc
-
-    return Poly.from_dict(rec(tuple(subset)), d, p)
+    cols = [i * m + j for i, j in combinations(subset, 2)]
+    positive, idx = (np.array(column, dtype=np.int64) for column in zip(*_matching_terms(len(subset))))
+    signs = np.where(positive == 1, 1, p - 1)
+    forms = flat[:, cols] % p
+    used = np.flatnonzero(forms.any(axis=1)).tolist()  # the variables the minor reads
+    coefs = expand_products(forms[None, used], idx, signs, p)[0]
+    monos = monomials_of_degree(len(used), half)
+    terms = {tuple(used[i] for i in monos[c]): int(coefs[c]) for c in np.flatnonzero(coefs)}
+    return Poly.from_dict(terms, d, p)
 
 
 def family_quotient_pfaffian(flat: np.ndarray, xs: np.ndarray, y: np.ndarray, p: int) -> Poly:

@@ -112,26 +112,20 @@ def perfect_matchings(size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]
     """Signed perfect matchings of {0..size-1}.
 
     Returns (sign, pairs) terms with
-    Pf(M) = sum over terms of sign * prod M[i, j] over pairs (i, j).
+    Pf(M) = sum over terms of sign * prod M[i, j] over pairs (i, j):
+    0 is paired with each k in turn, with sign (-1)^(k - 1), and the
+    matchings of size - 2 are relabeled onto the indices left.
     """
     if size % 2:
         raise ValueError(f"perfect matchings need even size, got {size}")
-
-    def rec(idx: tuple[int, ...]):
-        if not idx:
-            return [(1, ())]
-        out = []
-        s0 = idx[0]
-        sign = 1
-        for k in range(1, len(idx)):
-            sk = idx[k]
-            rest = idx[1:k] + idx[k + 1 :]
-            for sub_sign, pairs in rec(rest):
-                out.append((sign * sub_sign, ((s0, sk),) + pairs))
-            sign = -sign
-        return out
-
-    return tuple(rec(tuple(range(size))))
+    if not size:
+        return ((1, ()),)
+    return tuple(
+        ((-1) ** (k - 1) * sign, ((0, k),) + tuple((rest[i], rest[j]) for i, j in pairs))
+        for k in range(1, size)
+        for rest in [[i for i in range(1, size) if i != k]]
+        for sign, pairs in perfect_matchings(size - 2)
+    )
 
 
 @dataclass(frozen=True)

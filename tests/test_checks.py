@@ -4,7 +4,16 @@ import dataclasses
 
 import pytest
 
-from peskine_lab.checks import DEFAULT_SEED, REGISTRY, CheckConfig, run_check
+from peskine_lab.checks import (
+    DEFAULT_SEED,
+    REGISTRY,
+    CheckConfig,
+    dprime_rank2_predicate,
+    run_check,
+    sample_d16_nondegenerate,
+)
+from peskine_lab.rng import Rng
+from peskine_lab.scan import affine_chunks
 
 EXPECTED_IDS = (
     "pfaffian-det",
@@ -128,6 +137,18 @@ def test_withheld_estimate_is_not_within_bound():
     result = run_check("lem-3.16", CheckConfig(budget=1000))
     assert result.metrics["estimated_dim"] == -1 and result.metrics["ambiguous"] is True
     assert result.metrics["within_bound_3"] is False
+
+
+def test_lem_3_16_chart_locus_has_dimension_five():
+    # The slice ladder reads dimension 5 against the claimed bound of 3.
+    # An exhaustive count of the check's own p = 3 draw over the whole
+    # 8-coordinate chart finds exactly 3^5 points: rank <= 2 of a 5 x 5
+    # skew form has codimension 3, and 8 - 3 = 5.
+    samp = sample_d16_nondegenerate(Rng(DEFAULT_SEED).child("lem-3.16").child("sigma"), 3)
+    pred = dprime_rank2_predicate(samp.sigma, samp.flag)
+    blocks = list(affine_chunks(8, 3))
+    assert sum(map(len, blocks)) == 3**8
+    assert sum(int(pred.test_batch(block).sum()) for block in blocks) == 3**5
 
 
 def test_prop_3_17_runs_at_the_smallest_prime():

@@ -153,6 +153,22 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lem-3.16", "--trials", "0"],
+        ["verify", "lem-3.15", "--trials", "0"],
+        ["estimate-dim", "--locus", "o2", "--trials", "0"],
+        ["verify", "lem-3.15", "--threads", "0"],
+        ["verify", "lem-3.15", "--threads", "-2"],
+        ["verify", "lem-3.15", "--budget", "-1"],
+    ],
+)
+def test_bad_numeric_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "must be" in capsys.readouterr().err
+
+
 def test_report_merge_and_fail_exit(tmp_path, capsys):
     ok = CheckReport("a-check", 1, 7, {}, "PASS", {"x": 1}, 12)
     bad = CheckReport("b-check", 2, 7, {}, "FAIL", {"x": 0}, 30)

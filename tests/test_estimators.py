@@ -117,6 +117,8 @@ def test_threshold_validation():
     pred = linear_locus(6, 3, 5)
     with pytest.raises(ValueError):
         slice_dim_estimate(pred, Rng(1), hit_threshold=0.3, miss_threshold=0.4)
+    with pytest.raises(ValueError, match="at least one trial"):
+        slice_dim_estimate(pred, Rng(1), trials=0)
 
 
 def test_level_blocks_drawn_lazily(monkeypatch):

@@ -10,9 +10,7 @@ from peskine_lab import linalg, scan
 from peskine_lab.checks import CheckConfig, run_check, sample_d16_nondegenerate
 from peskine_lab.divisors import sample_divisor, standard_flag
 from peskine_lab.loci import (
-    CubicForm,
     _grid_quartic_zeros,
-    _power_table,
     conic_fiber,
     cubic_from_pfaffian,
     dv_member,
@@ -23,7 +21,7 @@ from peskine_lab.loci import (
     peskine_points,
     sample_peskine_points,
 )
-from peskine_lab.polynomial import Poly, monomials_of_degree
+from peskine_lab.polynomial import Poly, jacobian, monomials_of_degree, slice_monomials
 from peskine_lab.rng import Rng
 from peskine_lab.scan import projective_count
 from peskine_lab.subspaces import Flag, Subspace, all_subspaces, complement_rows, plane_table
@@ -126,23 +124,12 @@ def test_pfaffian_mod_radical_errors():
         pfaffian_mod_radical(mat, e0, 3 * e0 % p, p)  # dependent pair
 
 
-def test_cubicform_validation():
-    monos = monomials_of_degree(6, 3)
-    cf = CubicForm(Poly.from_dict({monos[0]: 1}, 6, 7))
-    assert cf.is_cubic()
-    assert cf.poly.as_dict() == {monos[0]: 1}
-    with pytest.raises(ValueError, match="6 variables"):
-        CubicForm(Poly.from_dict({(0, 0, 0): 1}, 5, 7))
-    with pytest.raises(ValueError, match="degree exceeds 3"):
-        CubicForm(Poly.from_dict({(0, 0, 0, 1): 1}, 6, 7))
-
-
 def test_cubic_from_pfaffian_matches_pointwise():
     rng = Rng(61)
     p = 11
     samp = sample_divisor(rng, "d1-6-10", p)
     cubic = cubic_from_pfaffian(samp.sigma, samp.flag)
-    assert cubic.is_cubic()
+    assert cubic.total_degree() == 3
     v1 = samp.flag[0].basis[0]
     b6 = samp.flag[1].basis
     checked = 0
@@ -152,7 +139,7 @@ def test_cubic_from_pfaffian_matches_pointwise():
         if Subspace.from_rows(np.vstack([u, v1]), 10, p).dim < 2:
             continue
         want = pfaffian_mod_radical(samp.sigma.contract1(u).mat, u, v1, p)
-        assert cubic.poly.evaluate(c) == want
+        assert cubic.evaluate(c) == want
         checked += 1
 
 
@@ -162,7 +149,7 @@ def test_cubic_from_pfaffian_at_largest_prime():
     p = 2**31 - 1
     samp = sample_divisor(Rng(63), "d1-6-10", p)
     cubic = cubic_from_pfaffian(samp.sigma, samp.flag)
-    assert cubic.is_cubic()
+    assert cubic.total_degree() == 3
     v1 = samp.flag[0].basis[0]
     b6 = samp.flag[1].basis.astype(object)
     rng = Rng(64)
@@ -170,7 +157,7 @@ def test_cubic_from_pfaffian_at_largest_prime():
         c = rng.ints(6, p)
         u = (c.astype(object) @ b6 % p).astype(np.int64)
         want = pfaffian_mod_radical(samp.sigma.contract1(u).mat, u, v1, p)
-        assert cubic.poly.evaluate(c) == want
+        assert cubic.evaluate(c) == want
 
 
 def test_cubic_zero_set_is_rank_drop():
@@ -186,13 +173,13 @@ def test_cubic_zero_set_is_rank_drop():
         if Subspace.from_rows(np.vstack([u, v1]), 10, p).dim < 2:
             continue
         rank = samp.sigma.contract1(u).rank()
-        assert (cubic.poly.evaluate(c) == 0) == (rank <= 6)
+        assert (cubic.evaluate(c) == 0) == (rank <= 6)
 
 
 def test_cubic_singularity_probe_is_gradient():
-    # x0^3 has gradient (3 x0^2, 0, ..., 0)
-    cf = CubicForm(Poly.from_dict({(0, 0, 0): 1}, 6, 7))
-    grad = cf.gradient([2, 0, 0, 0, 0, 0])
+    # x0^3 has gradient (3 x0^2, 0, ..., 0), read as rem-3.5 reads it.
+    cubic = Poly.from_dict({(0, 0, 0): 1}, 6, 7)
+    grad = jacobian([cubic], np.array([[2, 0, 0, 0, 0, 0]]))[0, 0]
     assert grad.tolist() == [3 * 4 % 7, 0, 0, 0, 0, 0]
 
 
@@ -485,9 +472,10 @@ def test_conic_fiber_validation():
 
 
 def test_power_table_exact_at_65521():
-    # Unreduced x^4 wraps int64 above p = 55108.
+    # The grid's power table is `slice_monomials` on a line: rows
+    # [1, x, x^2, x^3, x^4].  Unreduced x^4 wraps int64 above p = 55108.
     p = 65521
-    table = _power_table(np.arange(p), p)
+    table = slice_monomials(np.arange(p)[:, None], 4, p)
     assert table[p - 1].tolist() == [1, p - 1, 1, p - 1, 1]
     assert table[12345].tolist() == [pow(12345, k, p) for k in range(5)]
 

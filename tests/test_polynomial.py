@@ -81,7 +81,8 @@ def test_restrict_matches_evaluate_batch_on_the_slice(p, d):
     # Polys of degree 0 to 4 in 5 variables, mixed-degree terms and a
     # nonzero constant, restricted to three random slices and to the slice
     # whose entries are all p - 1, against the values on the image points
-    # (computed in Python ints), at random t and at t = (p - 1, ..., p - 1).
+    # (computed in Python ints), at random t and at t = (p - 1, ..., p - 1);
+    # then the zero polynomial, and a batch of no slices.
     rng = Rng(p + 10 * d)
     offsets = np.vstack([rng.matrix(3, 5, p), np.full((1, 5), p - 1)])
     mats = np.concatenate([rng.matrix(3 * d, 5, p).reshape(3, d, 5), np.full((1, d, 5), p - 1)])
@@ -100,6 +101,11 @@ def test_restrict_matches_evaluate_batch_on_the_slice(p, d):
             assert coeffs.shape == (4, len(monomials_of_degree(d + 1, top)))
             got = linalg.mat_mul(slice_monomials(t, top, p), coeffs.T, p)
             assert got.tolist() == want.tolist()
+            assert f.restrict(offsets[:0], mats[:0], pad).shape == (0, coeffs.shape[1])
+    zero = Poly.from_dict({}, nvars=5, p=p)
+    for pad in (0, 4):
+        coeffs = zero.restrict(offsets, mats, pad)
+        assert coeffs.shape == (4, len(monomials_of_degree(d + 1, pad))) and not coeffs.any()
 
 
 def test_add_mul_consistent_with_evaluation():

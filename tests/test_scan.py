@@ -448,14 +448,14 @@ def test_cascade_survivors_keep_every_low_rank_row(m, p, seed, bound, kind):
     st.integers(0, 2**32),
     st.sampled_from(ADMITTED_PRIMES),
     st.sampled_from([8, 9]),
-    st.integers(2, 8),
+    st.integers(0, 8),
 )
 def test_family_pfaffian_matches_pfaffian(seed, p, m, size):
     """The symbolic principal Pfaffian of a linear family of skew forms.
 
     At random points and at the zero point its value is the Pfaffian of
     the minor of u @ flat on the subset; it is a form of degree size / 2,
-    and zero on odd subsets.
+    zero on odd subsets and the constant 1 on the empty one.
     """
     rng = Rng(seed)
     d = 4
@@ -471,6 +471,7 @@ def test_family_pfaffian_matches_pfaffian(seed, p, m, size):
     assert poly.nvars == d
     assert all(len(mono) == size // 2 for mono, _ in poly.terms)
     assert size % 2 == 0 or not poly.terms
+    assert size or poly.terms == (((), 1),)
     pts = np.vstack([rng.matrix(5, d, p), np.zeros((1, d), dtype=np.int64)])
     want = [
         pfaffian(linalg.mat_mul(u, flat, p).reshape(m, m)[np.ix_(subset, subset)], p)
