@@ -7,12 +7,12 @@ product-sum of unbounded length therefore goes through `mat_mul`, which
 picks float64, int64 or 16-bit limbs from the bound p^2 * inner.  Importing
 this module sets numpy's bundled OpenBLAS (the float64 path) to one thread.
 
-Delayed reduction: a sum of `terms` signed products of `factors` reduced
+Delayed reduction: a sum of up to `terms` products of `factors` reduced
 entries each is exact in int64 while (p - 1)^factors * terms < 2^63
-(`products_fit_int64`).  Kernels that sum such products (the Pfaffian
-kernel in `scan`, `Poly.evaluate_batch`) then reduce once per sum, not
-once per factor, and fall back to a reduction after every factor above
-the bound.
+(`products_fit_int64`).  The two kernels that sum such products,
+`Poly.evaluate_columns` (behind every polynomial and Pfaffian value) and
+`polynomial.expand_products`, then reduce once per sum, not once per
+factor, and fall back to a reduction after every factor above the bound.
 
 Conventions:
     * `rref` returns the reduced row echelon form with zero rows dropped,
@@ -99,15 +99,15 @@ def freeze(arr: np.ndarray) -> np.ndarray:
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product mod p of arrays with entries in [0, p) (b 1-D or 2-D).
 
-    Uses float64 BLAS while p^2 * inner < 2^53 keeps every sum an exact
-    integer, int64 while it stays below 2^63, and otherwise splits b into
-    16-bit limbs and the inner dimension into blocks so that each partial
-    sum fits int64.
+    Uses float64 BLAS while (p - 1)^2 * inner < 2^53 keeps every sum an
+    exact integer (so the conversion back needs no rounding), int64 while
+    it stays below 2^63, and otherwise splits b into 16-bit limbs and the
+    inner dimension into blocks so that each partial sum fits int64.
     """
     inner = a.shape[-1]
     bound = (int(p) - 1) ** 2 * inner
     if bound < _FLOAT_EXACT:
-        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
     if bound < _INT_EXACT:
         return a @ b % p
     step = (_INT_EXACT >> 1) // ((p - 1) * 0xFFFF)
@@ -120,11 +120,11 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def products_fit_int64(p: int, factors: int, terms: int) -> bool:
-    """Whether `terms` signed products of `factors` entries in [0, p) sum in int64.
+    """Whether a sum worth `terms` products of `factors` entries in [0, p) fits int64.
 
     Every partial product and partial sum is then bounded by
     (p - 1)^factors * terms < 2^63, so the sum may be reduced once at the
-    end.
+    end.  A caller counts a product with a larger factor as several terms.
     """
     return (int(p) - 1) ** factors * terms < _INT_EXACT
 

@@ -2,17 +2,20 @@
 
 Monomials are stored as sorted tuples of variable indices with repetition
 (so x0^2 x3 is (0, 0, 3) and the constant monomial is ()).  Degrees stay
-tiny here (at most 4 in up to 20 variables), so a dict-backed sparse
+tiny here (at most 5 in up to 45 variables), so a dict-backed sparse
 representation with exact arithmetic is plenty.
 
-Forms are built symbolically (`scan.family_pfaffian` expands Pfaffians
-of linear families, and `Poly.divide_linear` takes exact quotients by a
+Forms are built symbolically (`scan.pfaffian_poly` is the Pfaffian in
+the entries of a skew form, `scan.family_pfaffian` expands Pfaffians of
+linear families, and `Poly.divide_linear` takes exact quotients by a
 linear form); `jacobian`, the batched Jacobian of a polynomial map,
 differentiates them for every caller in the package, and `Poly.restrict`
 restricts them exactly to batches of affine slices for the slice ladder
-and the patch grid.  Both the Pfaffians and the restrictions are sums of
-products of linear forms, expanded into the dense monomial basis by one
-kernel, `expand_products`.
+and the patch grid.  Values on batches of points come from one loop,
+`Poly.evaluate_columns`, behind `evaluate_batch`, `jacobian` and every
+numeric Pfaffian.  Both the Pfaffians of families and the restrictions
+are sums of products of linear forms, expanded into the dense monomial
+basis by one kernel, `expand_products`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ class Poly:
             c %= p
             if c:
                 key = tuple(sorted(mono))
-                if max(key, default=-1) >= nvars:
-                    raise ValueError(f"monomial {key} exceeds {nvars} variables")
+                if key and not 0 <= key[0] <= key[-1] < nvars:
+                    raise ValueError(f"monomial {key} is not in variables 0..{nvars - 1}")
                 clean[key] = (clean.get(key, 0) + c) % p
         items = tuple(sorted((m, c) for m, c in clean.items() if c))
         return cls(p=p, nvars=nvars, terms=items)
@@ -136,7 +139,7 @@ class Poly:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Values on a (B, nvars) batch of points."""
-        return self._values(np.remainder(points.T, self.p, dtype=np.int64, order="C"))
+        return self.evaluate_columns(np.remainder(points.T, self.p, dtype=np.int64, order="C"))
 
     def restrict(self, offsets: np.ndarray, mats: np.ndarray, degree: int = 0) -> np.ndarray:
         """(T, M) coefficients of each f(offset_k + t @ mat_k) over `monomials_of_degree(d + 1, D)`
@@ -162,28 +165,58 @@ class Poly:
         return np.array(pad, dtype=np.int64).reshape(len(pad), top), coefs
 
     @cached_property
-    def _delayed(self) -> bool:
-        return linalg.products_fit_int64(self.p, self.total_degree() + 1, len(self.terms))
+    def _plan(self) -> tuple[bool, int, list[int], list[int], tuple]:
+        """How `evaluate_columns` sums the terms: (delayed, start, used, scalars, terms).
 
-    def _values(self, coords: np.ndarray) -> np.ndarray:
+        Factor k of a term is the coordinate of used[k], the variables that
+        occur, and past them scalars[k - len(used)]: 1, then every
+        coefficient other than 1 and p - 1.  A term is (first factor, other
+        factors, subtracted).
+        """
+        p, degree, coefs = self.p, self.total_degree(), [c for _, c in self.terms]
+        used = sorted({i for m, _ in self.terms for i in m})
+        scalars = [1] + sorted(set(coefs) - {1, p - 1})
+        slot = {i: k for k, i in enumerate(used)}
+        scale = {c: len(used) + k for k, c in enumerate(scalars)}
+        terms, weight = [], 1  # the sum's bound over (p - 1)^degree; 1 for the start's rounding
+        for m, c in self.terms:
+            unit = c in (1, p - 1)
+            factors = tuple(slot[i] for i in m) + (() if m and unit else (scale[1 if unit else c],))
+            terms.append((factors[0], factors[1:], c == p - 1))
+            weight += 1 if unit else p - 2
+        delayed = linalg.products_fit_int64(p, degree, weight)
+        worst = coefs.count(p - 1) * ((p - 1) ** degree if delayed else p - 1)
+        return delayed, worst + -worst % p, used, scalars, tuple(terms)
+
+    def evaluate_columns(self, coords: np.ndarray) -> np.ndarray:
         """Values at the columns of a reduced (nvars, B) coordinate array.
 
-        Each term is its coefficient times at most total_degree()
-        coordinates, all in [0, p).  While (p - 1)^(degree + 1) * terms
-        fits int64 (`linalg.products_fit_int64`) the sum of the terms is
-        reduced once at the end; above that bound every product is
-        reduced after each factor.
+        A term with coefficient 1 or p - 1 adds or subtracts the product of
+        its coordinates; any other term multiplies that product by its
+        coefficient.  The sum starts from a multiple of p at least as large
+        as all it subtracts, so it stays nonnegative.  Each term is at most
+        (p - 1)^degree, or (p - 2) (p - 1)^degree with another coefficient;
+        while these bounds summed over the terms, plus one (p - 1)^degree
+        for rounding the start up, fit int64 (`linalg.products_fit_int64`),
+        the sum is reduced once at the end.  Above that bound every product
+        is reduced after each factor.
         """
-        p, delayed = self.p, self._delayed
-        out = np.zeros(coords.shape[1], dtype=np.int64)
-        for m, c in self.terms:
-            term = c
-            for i in m:
-                term = term * coords[i]
+        p, (delayed, start, used, scalars, terms) = self.p, self._plan
+        factors = [coords[i] for i in used] + scalars
+        out = np.empty(coords.shape[1], dtype=np.int64)
+        out.fill(start)  # cheaper than np.full
+        buf = np.empty_like(out)
+        for first, rest, negative in terms:
+            term = factors[first]
+            for k in rest:
+                term = np.multiply(term, factors[k], out=buf)
                 if not delayed:
                     term %= p
-            out += term
-        return out % p
+            if negative:
+                out -= term
+            else:
+                out += term
+        return np.remainder(out, p, out=out)
 
     def _check(self, other: "Poly") -> None:
         if self.p != other.p or self.nvars != other.nvars:
@@ -196,17 +229,19 @@ def jacobian(polys: list[Poly], points: np.ndarray) -> np.ndarray:
     Entry [b, r, i] is the partial derivative of polys[r] in variable i
     at points[b]; the shape is (B, len(polys), nvars).  The partials are
     built once per Poly and all evaluated on one transposed copy of the
-    points.
+    points, each into a contiguous row of a (len(polys), nvars, B) array
+    that is returned transposed.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
     p, nvars = polys[0].p, polys[0].nvars
-    coords = np.ascontiguousarray(points.T, dtype=np.int64) % p
-    out = np.empty((points.shape[0], len(polys), nvars), dtype=np.int64)
+    coords = np.remainder(points.T, p, dtype=np.int64, order="C")
+    out = np.zeros((len(polys), nvars, points.shape[0]), dtype=np.int64)
     for r, f in enumerate(polys):
         for i, g in enumerate(f._partials):
-            out[:, r, i] = g._values(coords)
-    return out
+            if g.terms:  # a zero partial stays zero
+                out[r, i] = g.evaluate_columns(coords)
+    return out.transpose(2, 0, 1)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:

@@ -6,26 +6,27 @@ contraction sigma(u, ., .), or its restriction to a fixed subspace.
 Doing that one point at a time in Python is hopeless, so this module
 provides one point enumerator, `affine_image_chunks` (every exhaustive
 walk is an affine image t @ dirs + base over F_p^d), and vectorized
-mod-p kernels: batched contraction, one batched Gauss-Jordan elimination behind rank and
-kernel, and one signed-perfect-matching Pfaffian kernel over gathered
-pair columns.  `family_ranks` is the one rank-drop test every scan
-uses, on any linear family of m x m skew forms (m even or odd): a
-cascade of principal Pfaffian minors (`cascade_survivors`) discards most
-points cheaply, the survivors get the exact rank, capped just above the
-bound, which is exact wherever that cap is a proven maximum.
+mod-p kernels: batched contraction and one batched Gauss-Jordan
+elimination behind rank and kernel.  The Pfaffian of size s is one
+cached `Poly` in the C(s, 2) upper entries, `pfaffian_poly`, and every
+Pfaffian here is read from it.  `family_ranks` is the one rank-drop test
+every scan uses, on any linear family of m x m skew forms (m even or
+odd): a cascade of principal Pfaffian minors (`cascade_survivors`,
+`pfaffian_poly` at gathered pair columns) discards most points cheaply,
+the survivors get the exact rank, capped just above the bound, which is
+exact wherever that cap is a proven maximum.
 `rank_drop_mask` is its mask on the family of contractions of a
 trivector (`locus_points` lists the points of P^(n-1) it keeps, through
 the kernels of sigma(w, ., .) over P(W) when cheaper), and `family_pfaffian`
 its symbolic twin: a principal Pfaffian of the family as a polynomial,
-expanded by `polynomial.expand_products` over the same signed perfect
-matchings as the numeric kernel.
+the terms of `pfaffian_poly` expanded by `polynomial.expand_products`.
 `family_quotient_pfaffian` divides one such Pfaffian exactly by a linear
 form to get the Pfaffian modulo a radical pair, the one path behind the
 quotient-Pfaffian cubic and quadrics.
 Results are exact at every admitted prime: products go through
 `linalg.mat_mul`, elementwise products of two reduced entries fit
-int64, and the Pfaffian kernel delays its reduction mod p only while
-`linalg.products_fit_int64` holds.
+int64, and Pfaffian values are sums of products evaluated by
+`Poly.evaluate_columns`.
 
 Blocks come in base-p counter order (last coordinate fastest) and are
 combined in that order, so results are the same for any thread count.
@@ -271,63 +272,27 @@ def _inverses(vals: np.ndarray, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _matching_terms(size: int) -> tuple[tuple[bool, tuple[int, ...]], ...]:
-    """Signed perfect matchings of {0..size-1} over pair columns.
+def pfaffian_poly(size: int, p: int) -> Poly:
+    """The Pfaffian of a size x size skew form as a polynomial in its upper entries.
 
-    Pair (i, j), i < j, is column c of the combinations(range(size), 2)
-    order; each term is (positive sign, the columns of its pairs).
+    Variable c is the entry M[i, j] of the c-th pair (i, j) of
+    combinations(range(size), 2), and each signed perfect matching
+    (`trivector.perfect_matchings`) is one monomial with coefficient +-1.
+    Same convention as `trivector.pfaffian`: the constant 1 at size 0,
+    zero at an odd size.
     """
     column = {pair: c for c, pair in enumerate(combinations(range(size), 2))}
-    return tuple(
-        (sign > 0, tuple(column[pair] for pair in pairs))
-        for sign, pairs in perfect_matchings(size)
-    )
-
-
-def _pfaffian_from_pairs(pairs: np.ndarray, size: int, p: int) -> np.ndarray:
-    """Pfaffians of a batch of B even-size skew forms given by their pairs.
-
-    `pairs` has shape (C(size, 2), B): row c holds the upper entries
-    M[i, j], i < j, of pair c in combinations order, reduced mod p.  One
-    pass per signed perfect matching over contiguous rows; a (B, terms,
-    pairs) gather costs more memory traffic than it saves in numpy calls.
-    Each term is a product of size / 2 entries, added or subtracted by
-    its sign.  While (p - 1)^(size / 2) * (size - 1)!! fits int64
-    (`linalg.products_fit_int64`) the signed sum is reduced once at the
-    end; above that bound every product is reduced after each factor, so
-    the sum stays below (size - 1)!! * p.
-    """
-    matchings = _matching_terms(size)
-    delayed = linalg.products_fit_int64(p, size // 2, len(matchings))
-    acc = np.zeros(pairs.shape[1], dtype=np.int64)
-    term = np.empty_like(acc)
-    for positive, cols in matchings:
-        term[:] = pairs[cols[0]]
-        for c in cols[1:]:
-            term *= pairs[c]
-            if not delayed:
-                term %= p
-        if positive:
-            acc += term
-        else:
-            acc -= term
-    return acc % p
+    matchings = () if size % 2 else perfect_matchings(size)
+    terms = {tuple(column[pair] for pair in pairs): sign for sign, pairs in matchings}
+    return Poly.from_dict(terms, len(column), p)
 
 
 def batched_pfaffian_minors(mats: np.ndarray, p: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Pfaffians of the principal minor on `subset` for a batch of skew mats.
-
-    Same convention as `trivector.pfaffian`: 1 on the empty subset, 0 on
-    an odd one.
-    """
-    size = len(subset)
-    if size == 0:
-        return np.ones(mats.shape[0], dtype=np.int64) % p
-    if size % 2:
-        return np.zeros(mats.shape[0], dtype=np.int64)
+    """Pfaffians of the principal minor on `subset` for a batch of reduced skew mats:
+    `pfaffian_poly` at the gathered upper entries of the minor."""
     n = mats.shape[1]
-    flat_idx = [i * n + j for i, j in combinations(subset, 2)]
-    return _pfaffian_from_pairs(mats.reshape(mats.shape[0], n * n).T[flat_idx], size, p)
+    pairs = mats.reshape(mats.shape[0], n * n).T[[i * n + j for i, j in combinations(subset, 2)]]
+    return pfaffian_poly(len(subset), p).evaluate_columns(pairs)
 
 
 _CASCADE_MINORS = 6
@@ -360,16 +325,18 @@ def cascade_survivors(flat: np.ndarray, points: np.ndarray, bound: int, p: int) 
     the form at u in F_p^d is `u @ flat` reshaped to (m, m).  A form of
     rank <= bound has rank <= b, the even part of `bound`, so its
     principal Pfaffians of size b + 2 vanish and its row survives.  Each
-    minor is a gather `points @ flat[:, cols]` over its upper pairs only.
+    minor is `pfaffian_poly` at the product `flat[:, cols].T @ points.T`
+    over its upper pairs only, one column per point.
     """
     m = isqrt(flat.shape[1])
     size = bound - bound % 2 + 2
     alive, pts = np.arange(points.shape[0]), points
     if 2 <= size <= m:
+        pf = pfaffian_poly(size, p)
         for cols in _cascade_columns(m, size, p):
             if not len(alive):
                 break
-            zero = _pfaffian_from_pairs(linalg.mat_mul(flat[:, cols].T, pts.T, p), size, p) == 0
+            zero = pf.evaluate_columns(linalg.mat_mul(flat[:, cols].T, pts.T, p)) == 0
             alive, pts = alive[zero], pts[zero]
     return alive
 
@@ -399,20 +366,14 @@ def family_pfaffian(flat: np.ndarray, subset: tuple[int, ...], p: int) -> Poly:
     family, and the result is the form of degree len(subset) / 2 in d
     variables whose value at u is the Pfaffian of `u @ flat` reshaped to
     (m, m), restricted to `subset`: one `polynomial.expand_products` of
-    the numeric kernel's signed matchings (`_matching_terms`) over the
-    subset's pair columns.  Same convention as `trivector.pfaffian`: 1 on
-    the empty subset, 0 on an odd one.
+    the terms of `pfaffian_poly` over the subset's pair columns, which
+    are linear forms in u.
     """
-    d, m, half = flat.shape[0], isqrt(flat.shape[1]), len(subset) // 2
-    if len(subset) % 2:
-        return Poly.from_dict({}, d, p)
-    cols = [i * m + j for i, j in combinations(subset, 2)]
-    positive, idx = (np.array(column, dtype=np.int64) for column in zip(*_matching_terms(len(subset))))
-    signs = np.where(positive == 1, 1, p - 1)
-    forms = flat[:, cols] % p
+    d, m, pf = flat.shape[0], isqrt(flat.shape[1]), pfaffian_poly(len(subset), p)
+    forms = flat[:, [i * m + j for i, j in combinations(subset, 2)]] % p
     used = np.flatnonzero(forms.any(axis=1)).tolist()  # the variables the minor reads
-    coefs = expand_products(forms[None, used], idx, signs, p)[0]
-    monos = monomials_of_degree(len(used), half)
+    coefs = expand_products(forms[None, used], *pf._padded_terms, p)[0]
+    monos = monomials_of_degree(len(used), pf.total_degree())
     terms = {tuple(used[i] for i in monos[c]): int(coefs[c]) for c in np.flatnonzero(coefs)}
     return Poly.from_dict(terms, d, p)
 

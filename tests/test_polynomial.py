@@ -8,10 +8,13 @@ from peskine_lab.polynomial import Poly, jacobian, monomials_of_degree, slice_mo
 from peskine_lab.rng import Rng
 
 ADMITTED_PRIMES = [3, 7, 101, 65521, 2**31 - 1]
-# The primes on either side of the delay bound of a 15-term cubic:
-# (p - 1)^4 * 15 < 2^63 holds at 28001 and fails at 28019.
+# The primes on either side of the delay bound of a 15-term cubic whose
+# coefficients are not +-1: (p - 1)^3 (15 (p - 2) + 1) < 2^63 holds at
+# 28001 and fails at 28019.
 CUBIC_BOUND_PRIMES = [28001, 28019]
-
+# The same for fifteen terms with coefficient -1, which are subtracted:
+# 16 (p - 1)^3 < 2^63 holds at 832253 and fails at 832291.
+SIGNED_CUBIC_BOUND_PRIMES = [832253, 832291]
 
 def xy_poly(p=7):
     # 3*x0^2*x1 + 5*x1 + 1 over F_p
@@ -61,18 +64,20 @@ def test_evaluate_batch_matches_python_ints(seed, p, nterms, degree):
     assert jac.tolist() == want
 
 
-@pytest.mark.parametrize("p", CUBIC_BOUND_PRIMES)
+@pytest.mark.parametrize("p", CUBIC_BOUND_PRIMES + SIGNED_CUBIC_BOUND_PRIMES)
 def test_evaluate_batch_exact_at_the_delay_bound(p):
-    # Fifteen cubic terms with coefficient p - 1 at (p - 1, ..., p - 1): the
-    # unreduced sum is 15 (p - 1)^4, just below 2^63 at 28001 and past it
-    # at 28019, where each factor must be reduced.
+    # Fifteen cubic terms with one coefficient, p - 2 at the first pair of
+    # primes and p - 1 at the second, at (p - 1, ..., p - 1), where every
+    # product is largest: the smaller prime of each pair reduces the sum
+    # once at the end, the larger one after every factor.
+    coef = p - 2 if p in CUBIC_BOUND_PRIMES else p - 1
     monos = monomials_of_degree(4, 3)[:15]
     assert len(monos) == 15
-    f = Poly.from_dict({m: p - 1 for m in monos}, nvars=4, p=p)
-    assert linalg.products_fit_int64(p, 4, 15) == (p == 28001)
+    f = Poly.from_dict({m: coef for m in monos}, nvars=4, p=p)
+    assert f._plan[0] == (p in (CUBIC_BOUND_PRIMES[0], SIGNED_CUBIC_BOUND_PRIMES[0]))
     pts = np.vstack([np.full((1, 4), p - 1), Rng(p).matrix(5, 4, p)])
     assert f.evaluate_batch(pts).tolist() == [f.evaluate(x) for x in pts]
-    assert f.evaluate_batch(pts)[0] == 15 * (p - 1) ** 4 % p
+    assert f.evaluate_batch(pts)[0] == 15 * coef * (p - 1) ** 3 % p
 
 
 @pytest.mark.parametrize("p", [5, 7, 101, 2**31 - 1])
@@ -150,6 +155,10 @@ def test_variable_and_scale():
 def test_coefficients_reduced_mod_p():
     f = Poly.from_dict({(0,): 9, (): 7}, nvars=1, p=7)
     assert f.as_dict() == {(0,): 2}
+    # Variable indices outside [0, nvars) are refused, negative ones too.
+    for mono in [(-1,), (0, -2), (3,), (1, 3)]:
+        with pytest.raises(ValueError, match="not in variables"):
+            Poly.from_dict({mono: 1}, nvars=3, p=7)
 
 
 def test_jacobian_matrix():

@@ -142,8 +142,9 @@ def test_batched_contract1_matches_contract1():
 
 def test_batched_pfaffian_minors_matches_scalar():
     # Random 10 x 10 skew forms and the one with every upper entry p - 1,
-    # whose Pfaffian terms are all largest; minors of every size up to 10.
-    subsets = [(0, 1), (0, 2, 4), (0, 2, 3, 5), (0, 1, 2, 3, 4, 5), tuple(range(1, 9)), tuple(range(10))]
+    # whose Pfaffian terms are all largest; minors of every size up to 10,
+    # from the empty one, whose Pfaffian is 1.
+    subsets = [(), (0, 1), (0, 2, 4), (0, 2, 3, 5), (0, 1, 2, 3, 4, 5), tuple(range(1, 9)), tuple(range(10))]
     for p in [11] + ADMITTED_PRIMES:
         rng = Rng(23)
         raw = np.stack([rng.matrix(10, 10, p) for _ in range(12)] + [np.triu(np.full((10, 10), p - 1), 1)])
