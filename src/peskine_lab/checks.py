@@ -39,6 +39,7 @@ from .fibration import (
     sigma_dprime,
     sigma_prime_rank_scan,
     thm21_fiber,
+    u7_chart,
     u7_perp,
 )
 from .loci import (
@@ -62,7 +63,7 @@ from .orbits import (
     pf_mod_line,
     project_to_B,
 )
-from .polynomial import Poly, jacobian
+from .polynomial import jacobian
 from .report import CheckReport
 from .rng import Rng
 from .scan import (
@@ -71,6 +72,7 @@ from .scan import (
     projective_chunks,
     projective_rep,
     rank_drop_mask,
+    run_chunked,
 )
 from .subspaces import Flag, Subspace
 from .trivector import Trivector, triples
@@ -86,8 +88,9 @@ class CheckConfig:
 
     p and trials override a check's default prime (or prime pair) and its
     main sample count; None keeps the registered defaults.  threads is
-    pure scheduling and never reaches the report.  Raises ValueError on
-    trials or threads below 1 and on a negative budget.
+    pure scheduling and never reaches the report.  Raises ValueError on a
+    field that is not an int (bools included; None where it is allowed),
+    on trials or threads below 1 and on a negative budget.
     """
 
     seed: int = DEFAULT_SEED
@@ -97,9 +100,13 @@ class CheckConfig:
     budget: int = 10**8
 
     def __post_init__(self) -> None:
-        for name, least in (("trials", 1), ("threads", 1), ("budget", 0)):
+        for name, least in (("seed", None), ("p", None), ("trials", 1), ("threads", 1), ("budget", 0)):
             value = getattr(self, name)
-            if value is not None and value < least:
+            if value is None and name in ("p", "trials", "threads"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
@@ -143,29 +150,20 @@ def peskine_predicate(sigma: Trivector) -> LocusPredicate:
     return LocusPredicate(kind="projective", n=sigma.n - 1, p=sigma.p, test_batch=test)
 
 
-def _common_zeros(f1: Poly, f2: Poly, block: np.ndarray) -> np.ndarray:
-    """Rows where f1 and f2 both vanish; f2 is evaluated only where f1 does."""
-    on = f1.evaluate_batch(block) == 0
-    on[on] = f2.evaluate_batch(block[on]) == 0
-    return on
-
-
 def o2_predicate(p: int) -> LocusPredicate:
+    """O2: the common zeros of the pencil cubics f1 and f2."""
     f1, f2 = pencil_cubics(p)
     return LocusPredicate(
-        kind="affine", n=20, p=p, test_batch=lambda b: _common_zeros(f1, f2, b), polys=(f1, f2)
+        kind="affine", n=20, p=p, test_batch=lambda b: np.ones(len(b), dtype=bool), polys=(f1, f2)
     )
 
 
 def sing_o2_predicate(p: int) -> LocusPredicate:
+    """Sing O2: the common zeros of f1 and f2 where their Jacobian has rank <= 1."""
     f1, f2 = pencil_cubics(p)
 
     def test(block: np.ndarray) -> np.ndarray:
-        on = _common_zeros(f1, f2, block)
-        out = np.zeros(len(block), dtype=bool)
-        if on.any():
-            out[on] = batched_rank(jacobian([f1, f2], block[on]), p) <= 1
-        return out
+        return batched_rank(jacobian([f1, f2], block), p) <= 1
 
     return LocusPredicate(kind="affine", n=20, p=p, test_batch=test, polys=(f1, f2))
 
@@ -734,10 +732,13 @@ def _run_prop_3_18(cfg: CheckConfig):
     for i in range(n_sigma):
         samp = sample_d16_nondegenerate(rng.child(f"sigma-{i}"), p)
         v1 = samp.flag[0]
+
+        def on_locus(block: np.ndarray) -> np.ndarray:
+            return block[rank_drop_mask(samp.sigma, block, samp.sigma.n - 4)]
+
         for j in range(n_u7):
             u7 = sample_u7(rng.child(f"u7-{i}-{j}"), samp.flag)
-            pts, full, _ = sigma_prime_rank_scan(samp.sigma, samp.flag, u7, cfg.threads)
-            members = pts[full <= samp.sigma.n - 4]
+            members = np.concatenate(run_chunked(on_locus, u7_chart(samp.flag, u7), cfg.threads))
             locus_total += len(members)
             pencil = quadric_pencil(samp.sigma, samp.flag, u7)
             coords = quotient_u7_coords(u7, v1, members)

@@ -13,14 +13,14 @@ whose hit frequency clears a threshold.
 Frequencies, not proofs: the thresholds are calibrated so both error
 sides stay small at the enumeration primes, and estimates that land in
 the uncertain band come back flagged ambiguous instead of wrong.  A
-predicate with `polys` vanishing on its locus (O2, Sing O2) is scanned
-through their restrictions to each slice, and tested only on common zeros.
+predicate with `polys` (O2, Sing O2) is scanned through their
+restrictions to each slice, and test_batch runs only on their common zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -42,9 +42,11 @@ class LocusPredicate:
     kind "affine" tests vectors of length n; kind "projective" tests
     homogeneous vectors of length n + 1 (the test must be invariant under
     scaling).  test_batch maps an (B, width) int64 array to (B,) bools
-    and must be pure: the full membership test.  `polys` (in `width`
-    variables) vanish wherever test_batch holds, and on a projective
-    predicate at the zero vector too; the ladder tests their common zeros.
+    and must be pure.  Without `polys` it is the full membership test.
+    With them (in `width` variables; on a projective predicate they
+    vanish at the zero vector too), a point is a member where every poly
+    vanishes and test_batch holds, and test_batch is called on common
+    zeros of the polys alone.
     """
 
     kind: str
@@ -78,19 +80,6 @@ class DimEstimate:
     ambiguous: bool = False
 
 
-def _level_blocks(mats: np.ndarray, offsets: np.ndarray, p: int) -> Iterator[tuple]:
-    """Blocks (first trial, (B, g, width) rows) of the slices `offsets` + t @ `mats`:
-    one `affine_image_chunks` walks g = max(1, DEFAULT_CHUNK // p^d) slices
-    side by side, their directions stacked as (d, g * width)."""
-    trials, d, width = mats.shape
-    group = max(1, DEFAULT_CHUNK // p**d)
-    for start in range(0, trials, group):
-        dirs, base = mats[start : start + group], offsets[start : start + group]
-        stacked = dirs.transpose(1, 0, 2).reshape(d, len(dirs) * width)
-        for block in affine_image_chunks(stacked, base.reshape(-1), p, DEFAULT_CHUNK // group):
-            yield start, block.reshape(len(block), len(dirs), width)
-
-
 def _members(pred: LocusPredicate, rows: np.ndarray) -> np.ndarray:
     """test_batch on (B, width) rows; a projective predicate also keeps the cone point."""
     hit = np.asarray(pred.test_batch(rows), dtype=bool)
@@ -98,20 +87,20 @@ def _members(pred: LocusPredicate, rows: np.ndarray) -> np.ndarray:
 
 
 def _restricted_hits(pred: LocusPredicate, mats: np.ndarray, offsets: np.ndarray) -> Callable:
-    """Worker on blocks t of F_p^d giving (0, per-trial hits): one `linalg.mat_mul` of t's
+    """Worker on blocks t of F_p^d giving the (trials,) hits: one `linalg.mat_mul` of t's
     monomial values against every (poly, trial) row of `Poly.restrict` coefficients, then
     test_batch on the image rows offset + t @ mat of the common zeros alone."""
     p, (trials, d, _), degree = pred.p, mats.shape, max(f.total_degree() for f in pred.polys)
     coeffs = np.vstack([f.restrict(offsets, mats, degree) for f in pred.polys]).T
 
-    def hits(t: np.ndarray) -> tuple[int, np.ndarray]:
+    def hits(t: np.ndarray) -> np.ndarray:
         vals = linalg.mat_mul(slice_monomials(t, degree, p), coeffs, p)
         r, k = np.nonzero(~vals.reshape(len(t), len(pred.polys), trials).any(axis=1))
         rows, found = offsets[k], np.zeros(trials, dtype=bool)
         for j in range(d):
             rows = (rows + t[r, j, None] * mats[k, j]) % p
         found[k[_members(pred, rows)]] = True
-        return 0, found
+        return found
 
     return hits
 
@@ -146,11 +135,12 @@ def slice_dim_estimate(
 
     A level is built whole: one `linalg.sample_full_rank` over its trial
     streams draws every embedding matrix, then one `stream_ints` the offsets.
-    One loop tests every slice size: `_level_blocks` packs g whole small
-    slices into one block and streams a large one (g = 1) block by block,
-    lazily; a trial is hit where any of its rows is.  No block exceeds
-    DEFAULT_CHUNK rows, whatever the budget.  With polys, `_restricted_hits`
-    walks F_p^d once instead, DEFAULT_CHUNK // trials parameters to a block.
+    Each level walks F_p^d once, lazily, in blocks of
+    max(1, DEFAULT_CHUNK // trials) parameters with every trial side by
+    side, so a block holds at most max(DEFAULT_CHUNK, trials) points.
+    Without polys a block is the image rows of all the slices at once,
+    and a trial is hit where any of its rows is; with polys,
+    `_restricted_hits` tests the common zeros alone.
     """
     if not 0.0 < miss_threshold <= hit_threshold <= 1.0:
         raise ValueError("need 0 < miss_threshold <= hit_threshold <= 1")
@@ -159,11 +149,10 @@ def slice_dim_estimate(
     p = pred.p
     width = pred.width
     ambient_dim = width if pred.kind == "projective" else pred.n
+    chunk = max(1, DEFAULT_CHUNK // trials)
 
-    def trial_hits(item: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-        start, block = item
-        hit = _members(pred, block.transpose(1, 0, 2).reshape(-1, width))
-        return start, hit.reshape(block.shape[1], -1).any(axis=1)
+    def slice_hits(rows: np.ndarray) -> np.ndarray:
+        return _members(pred, rows.reshape(-1, width)).reshape(-1, trials).any(axis=0)
 
     spent = 0
     profile: dict[int, int] = {}
@@ -179,13 +168,12 @@ def slice_dim_estimate(
         streams = [rng.child(f"slice-{d}-{t}") for t in range(trials)]
         mats = linalg.sample_full_rank(streams, d, width, p)
         offsets = stream_ints(streams, width, p)
-        worker, blocks = trial_hits, _level_blocks(mats, offsets, p)
         if pred.polys:
-            worker = _restricted_hits(pred, mats, offsets)
-            blocks = affine_chunks(d, p, max(1, DEFAULT_CHUNK // trials))
-        found = np.zeros(trials, dtype=bool)
-        for start, hit in run_chunked(worker, blocks, threads):
-            found[start : start + len(hit)] |= hit
+            worker, blocks = _restricted_hits(pred, mats, offsets), affine_chunks(d, p, chunk)
+        else:
+            stacked = mats.transpose(1, 0, 2).reshape(d, trials * width)
+            worker, blocks = slice_hits, affine_image_chunks(stacked, offsets.reshape(-1), p, chunk)
+        found = np.logical_or.reduce(run_chunked(worker, blocks, threads))
         profile[d] = int(found.sum())
         freqs[d] = profile[d] / trials
         if freqs[d] >= hit_threshold:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from . import linalg
 from .orbits import BElement, project_to_B
 from .scan import (
     affine_image_chunks,
-    batched_contract1,
     batched_rank,
     family_quotient_pfaffian,
     family_ranks,
@@ -86,38 +86,44 @@ def u7_perp(sigma: Trivector, flag: Flag, u7: Subspace) -> Subspace:
     return out
 
 
+def u7_chart(flag: Flag, u7: Subspace) -> Iterator[np.ndarray]:
+    """P(U7) minus P(V6) as the affine chart d + V6, in blocks of points.
+
+    The p^6 representatives d + t b6, with d the canonical complement row
+    of V6 = <b6> in U7 and t in `affine_image_chunks` counter order.
+    """
+    v6 = flag[1]
+    return affine_image_chunks(v6.basis, complement_rows(u7, v6)[0], v6.p)
+
+
 def sigma_prime_rank_scan(
     sigma: Trivector,
     flag: Flag,
     u7: Subspace,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized sweep of P(U7) minus P(V6), as the affine chart d + V6.
+    """Vectorized sweep of P(U7) minus P(V6) over `u7_chart`.
 
-    Returns (points, full_ranks, prime_ranks): the p^6 representatives
-    d + t b6 (d the canonical complement row of V6 = <b6> in U7, t in
-    counter order), the rank of sigma(l, ., .) on the whole space, and the
-    rank of its restriction to U7perp (equal to the quotient rank).
+    Returns (points, full_ranks, prime_ranks): the chart's points, the
+    rank of sigma(l, ., .) on the whole space, and the rank of its
+    restriction to U7perp (equal to the quotient rank).
 
-    Both forms are linear in the chart coordinates (t, 1) on the basis
-    (b6, d), so each rank comes from `family_ranks` over one family.  The
-    full rank is at most n - 2 (l lies in the kernel) and the restricted
-    one at most 6 (l and v1 lie in its radical), and these are exactly
-    the caps of the bounds n - 4 and 4, so both ranks are exact.
+    Both forms are linear in the point l, so each rank comes from
+    `family_ranks` over one family in point coordinates: sigma's tensor
+    and sigma(., U7perp, U7perp).  The full rank is at most n - 2 (l lies
+    in the kernel) and the restricted one at most 6 (l and v1 lie in its
+    radical), and these are exactly the caps of the bounds n - 4 and 4,
+    so both ranks are exact.
     """
     p, n = sigma.p, sigma.n
     b9 = u7_perp(sigma, flag, u7).basis
-    basis = np.vstack([flag[1].basis, complement_rows(u7, flag[1])])
-    full = batched_contract1(sigma, basis).reshape(7, -1)
-    restricted = sigma.values(basis, b9, b9).reshape(7, -1)
-    # Rows (t, 1, d + t b6): the chart coordinates, then the point.
-    coords = np.hstack([np.eye(7, dtype=np.int64), basis])
+    full = sigma.tensor.reshape(n, n * n)
+    restricted = sigma.values(np.eye(n, dtype=np.int64), b9, b9).reshape(n, -1)
 
     def work(block: np.ndarray):
-        t = block[:, :7]
-        return block[:, 7:], family_ranks(full, t, n - 4, p), family_ranks(restricted, t, 4, p)
+        return block, family_ranks(full, block, n - 4, p), family_ranks(restricted, block, 4, p)
 
-    parts = run_chunked(work, affine_image_chunks(coords[:6], coords[6], p), threads)
+    parts = run_chunked(work, u7_chart(flag, u7), threads)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

@@ -100,16 +100,13 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product mod p of arrays with entries in [0, p) (b 1-D or 2-D).
 
     Uses float64 BLAS while (p - 1)^2 * inner < 2^53 keeps every sum an
-    exact integer (so the conversion back needs no rounding), int64 while
-    it stays below 2^63, and otherwise splits b into 16-bit limbs and the
-    inner dimension into blocks so that each partial sum fits int64.
+    exact integer (so the conversion back needs no rounding), and
+    otherwise splits b into 16-bit limbs and the inner dimension into
+    blocks so that each partial sum fits int64.
     """
     inner = a.shape[-1]
-    bound = (int(p) - 1) ** 2 * inner
-    if bound < _FLOAT_EXACT:
+    if (int(p) - 1) ** 2 * inner < _FLOAT_EXACT:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    if bound < _INT_EXACT:
-        return a @ b % p
     step = (_INT_EXACT >> 1) // ((p - 1) * 0xFFFF)
     hi = lo = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for k in range(0, inner, step):

@@ -58,7 +58,7 @@ def trivector_from_dict(doc, where: str = "trivector data") -> Trivector:
         if (
             not isinstance(row, list)
             or len(row) != 4
-            or not all(isinstance(x, int) for x in row)
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
         ):
             raise ValueError(f"{where}: each coefficient entry must be [i, j, k, c]")
         i, j, k, c = row

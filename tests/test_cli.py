@@ -154,6 +154,18 @@ def test_config_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc", [{"trials": 2.5}, {"seed": "abc"}, {"trials": True}, {"budget": None}, {"p": 7.0}]
+)
+def test_config_values_must_be_integers(tmp_path, capsys, doc):
+    # A float or string once crashed with a traceback (exit 1, read as a FAIL
+    # verdict), and a bool ran silently as the int it subclasses.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["verify", "lem-3.15", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "lem-3.16", "--trials", "0"],

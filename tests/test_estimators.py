@@ -122,10 +122,12 @@ def test_threshold_validation():
 
 
 def test_level_blocks_drawn_lazily(monkeypatch):
-    # p = 7 up to d = 6: one block per level below 6, then the 7^6 =
-    # 117,649 points of the level-6 slice in 7 blocks of 7^5.  At one
-    # thread, each block is drawn only after the predicate took the last.
-    p, width = 7, 8
+    # p = 7 up to d = 6 with 2 trials side by side: blocks of at most
+    # DEFAULT_CHUNK // 2 = 16,384 parameters, so one block per level below
+    # 5, then the 7^4 table joined to 6 prefixes at a time: 7 prefixes at
+    # level 5, 49 at level 6.  At one thread, each block is drawn only
+    # after the predicate took the last.
+    p, width, trials = 7, 8, 2
     drawn, seen = [], []
     affine_image_chunks = estimators.affine_image_chunks
 
@@ -140,10 +142,13 @@ def test_level_blocks_drawn_lazily(monkeypatch):
 
     monkeypatch.setattr(estimators, "affine_image_chunks", counting_chunks)
     pred = LocusPredicate(kind="affine", n=width, p=p, test_batch=test_batch)
-    budget = sum(p**d for d in range(7))
-    est = slice_dim_estimate(pred, Rng(9), trials=1, budget=budget, threads=1)
+    budget = trials * sum(p**d for d in range(7))
+    est = slice_dim_estimate(pred, Rng(9), trials=trials, budget=budget, threads=1)
     assert list(est.hit_profile) == list(range(7))
-    assert drawn == [p**d for d in range(6)] + [p**5] * 7
+    table = p**4
+    level5 = [6 * table, table]
+    level6 = [6 * table] * 8 + [table]
+    assert drawn == [p**d for d in range(5)] + level5 + level6
     assert seen == list(range(1, len(drawn) + 1))
 
 
@@ -156,6 +161,16 @@ def reference_slice(rng, d, width, p):
     offset = rng.ints(width, p)
     params = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
     return (params.reshape(p**d, d) @ mat + offset) % p
+
+
+def members(pred, points):
+    """Full membership: every poly vanishes and test_batch holds, the test
+    called on the common zeros alone."""
+    on = np.ones(len(points), dtype=bool)
+    for f in pred.polys:
+        on &= f.evaluate_batch(points) == 0
+    on[on] = np.asarray(pred.test_batch(points[on]), dtype=bool)
+    return on
 
 
 def reference_estimate(
@@ -177,7 +192,7 @@ def reference_estimate(
         profile[d] = 0
         for t in range(trials):
             points = reference_slice(rng.child(f"slice-{d}-{t}"), d, width, p)
-            mask = np.asarray(pred.test_batch(points), dtype=bool)
+            mask = members(pred, points)
             if pred.kind == "projective":
                 mask |= ~points.any(axis=1)
             profile[d] += bool(mask.any())
@@ -200,16 +215,15 @@ def spied(pred):
 
 
 def expected_calls(profile, p, trials):
-    """One call per DEFAULT_CHUNK // p^d whole slices on a small level, and
-    one per enumerator block of each slice (p^d / 7^5 of them at p = 7) on
-    a large one."""
-    calls = 0
+    """One call per block of each level's walk of F_p^d, at most
+    chunk = DEFAULT_CHUNK // trials parameters to a block: the whole level
+    when p^d <= chunk, else the largest table p^k <= chunk joined to
+    chunk // p^k of the p^(d - k) prefixes at a time."""
+    chunk, calls, k = DEFAULT_CHUNK // trials, 0, 1
+    while p ** (k + 1) <= chunk:
+        k += 1
     for d in profile:
-        size = p**d
-        if size <= DEFAULT_CHUNK:
-            calls += math.ceil(trials / (DEFAULT_CHUNK // size))
-        else:
-            calls += trials * size // 7**5
+        calls += 1 if p**d <= chunk else math.ceil(p ** (d - k) / (chunk // p**k))
     return calls
 
 
@@ -221,7 +235,8 @@ def large_slice_locus():
 
 
 # (label, predicate, trials, estimator keywords, levels visited); the
-# rank-drop case has two blocks at level 3 (95 slices of 343 to a block).
+# rank-drop case has two blocks at level 3 (6 and 1 prefixes of the 7^2
+# table, 327 parameters to a block).
 # o2 and sing-o2 carry polys: their ladder walks F_5^d in blocks and calls
 # test_batch only on common zeros of f1 and f2.
 PACKED_CASES = [
@@ -275,7 +290,7 @@ def projective_with_quadric(p, plane_only):
 @pytest.mark.parametrize("p", [5, 7])
 def test_polys_prefilter_keeps_the_estimate(make, p):
     pred = make(p)
-    rows_only = dataclasses.replace(pred, polys=())
+    rows_only = dataclasses.replace(pred, polys=(), test_batch=lambda b: members(pred, b))
     for seed in (61, 62, 63):
         want = slice_dim_estimate(rows_only, Rng(seed), trials=12, threads=1)
         for threads in (1, 4):

