@@ -8,7 +8,7 @@ Layout:
     rng        deterministic seeded randomness (SplitMix64)
     linalg     dense exact linear algebra mod p
     subspaces  row-space representatives, meets/joins, flags
-    trivector  alternating 3-forms, contractions, Pfaffians
+    trivector  alternating 3-forms, contractions, signed perfect matchings
     scan       batched exhaustive scans, the rank-drop mask, symbolic Pfaffians
     polynomial sparse multivariate polynomials mod p
     divisors   structured trivector samplers and flag recovery

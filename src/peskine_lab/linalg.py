@@ -4,7 +4,7 @@ Matrices are numpy int64 arrays with entries reduced to [0, p).  Supported
 primes are odd and below 2**31, so a product of two reduced entries never
 overflows int64, but a sum of four such products already can.  Every
 product-sum of unbounded length therefore goes through `mat_mul`, which
-picks float64, int64 or 16-bit limbs from the bound p^2 * inner.  Importing
+picks float64 or 16-bit limbs from the bound p^2 * inner.  Importing
 this module sets numpy's bundled OpenBLAS (the float64 path) to one thread.
 
 Delayed reduction: a sum of up to `terms` products of `factors` reduced

@@ -19,9 +19,19 @@ import numpy as np
 from . import linalg
 from .polynomial import Poly
 from .rng import Rng
-from .scan import family_pfaffian, family_ranks
+from .scan import batched_pfaffian_minors, family_pfaffian, family_ranks
 
 PAIRS_B = tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8) if (i, j) != (1, 2))
+# The upper entry (row, column) of the 7 x 7 lift that each B-coordinate fills.
+_ROWS, _COLS = (np.array(axis) - 1 for axis in zip(*PAIRS_B))
+
+
+def lifts(coords: np.ndarray, p: int) -> np.ndarray:
+    """(B, 7, 7) skew lifts, with (1,2)-entry 0, of a reduced (B, 20) batch of B-coordinates."""
+    m = np.zeros((len(coords), 7, 7), dtype=np.int64)
+    m[:, _ROWS, _COLS] = coords
+    m[:, _COLS, _ROWS] = -coords % p
+    return m
 
 
 @dataclass(frozen=True)
@@ -53,12 +63,8 @@ class BElement:
 
     def lift(self, s: int = 0) -> np.ndarray:
         """7x7 skew matrix of the lift with (1,2)-entry s."""
-        m = np.zeros((7, 7), dtype=np.int64)
-        for k, (i, j) in enumerate(PAIRS_B):
-            m[i - 1, j - 1] = self.coords[k]
-            m[j - 1, i - 1] = (-int(self.coords[k])) % self.p
-        m[0, 1] = s % self.p
-        m[1, 0] = (-s) % self.p
+        m = lifts(self.coords[None], self.p)[0]
+        m[0, 1], m[1, 0] = s % self.p, -s % self.p
         return m
 
     def mod_a2_block(self) -> np.ndarray:
@@ -71,8 +77,7 @@ def project_to_B(mat: np.ndarray, p: int) -> BElement:
     m = linalg.as_field(mat, p)
     if m.shape != (7, 7) or ((m + m.T) % p).any():
         raise ValueError("need a skew-symmetric 7x7 matrix")
-    coords = [int(m[i - 1, j - 1]) for (i, j) in PAIRS_B]
-    return BElement.from_coords(np.array(coords, dtype=np.int64), p)
+    return BElement.from_coords(m[_ROWS, _COLS], p)
 
 
 def wedge(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -91,41 +96,32 @@ def pencil_cubics(p: int) -> tuple[Poly, Poly]:
     a_1, a_3..a_7 and on a_2..a_7.  Neither index set holds both a_1 and
     a_2, so the killed (1,2) slot never enters.
     """
-    lifts = [BElement.from_coords(e, p).lift() for e in np.eye(20, dtype=np.int64)]
-    flat = np.stack(lifts).reshape(20, 49)
+    flat = lifts(np.eye(20, dtype=np.int64), p).reshape(20, 49)
     f1 = family_pfaffian(flat, (0, 2, 3, 4, 5, 6), p)
     f2 = family_pfaffian(flat, (1, 2, 3, 4, 5, 6), p)
     return f1, f2
 
 
-def pf_mod_line(b: BElement, alpha: int, beta: int) -> int:
-    """Pfaffian of the quotient mod the line alpha*a_1 + beta*a_2.
+def pf_mod_line(coords: np.ndarray, alpha: np.ndarray, beta: np.ndarray, p: int) -> np.ndarray:
+    """Pfaffians of the quotients of a (B, 20) batch mod the lines alpha*a_1 + beta*a_2.
 
-    Uses the pivot chart: for beta != 0 the quotient basis is
-    (a_1bar, a_3..a_7) with a_2 eliminated, denominators cleared by beta^3;
-    for beta = 0 the (a_2bar, a_3..a_7) chart.  Zero/nonzero is
-    chart-independent.
+    Each row is built in its pivot chart: for beta != 0 the quotient basis
+    is (a_1bar, a_3..a_7) with a_2 eliminated, so the first row is
+    beta * m[0, i] - alpha * m[1, i] and the denominators are cleared by
+    beta^3; for beta = 0 it is (a_2bar, a_3..a_7), the first row m[1, i].
+    Zero/nonzero is chart-independent.  Raises ValueError if some row has
+    alpha = beta = 0.
     """
-    from .trivector import pfaffian
-
-    p = b.p
-    alpha %= p
-    beta %= p
-    if alpha == 0 and beta == 0:
+    alpha, beta = linalg.as_field(alpha, p), linalg.as_field(beta, p)
+    if ((alpha == 0) & (beta == 0)).any():
         raise ValueError("(alpha, beta) must not both vanish")
-    m = b.lift()
-    if beta == 0:
-        kept = [1, 2, 3, 4, 5, 6]
-        return pfaffian(m[np.ix_(kept, kept)], p)
-    n = np.zeros((6, 6), dtype=np.int64)
-    rest = [2, 3, 4, 5, 6]
-    for r, i in enumerate(rest):
-        n[0, r + 1] = (beta * m[0, i] - alpha * m[1, i]) % p
-        n[r + 1, 0] = (-int(n[0, r + 1])) % p
-    for r, i in enumerate(rest):
-        for s, j in enumerate(rest):
-            n[r + 1, s + 1] = m[i, j]
-    return beta * beta * pfaffian(n, p) % p
+    m = lifts(linalg.as_field(coords, p), p)
+    a, b = alpha[:, None], beta[:, None]
+    top = np.where(b != 0, (b * m[:, 0, 2:] - a * m[:, 1, 2:]) % p, m[:, 1, 2:])
+    n = m[:, 1:, 1:]  # the lower block m[2:, 2:] under the chart's first row
+    n[:, 0, 1:], n[:, 1:, 0] = top, -top % p
+    pf = batched_pfaffian_minors(n, p, range(6))
+    return np.where(beta != 0, beta * beta % p * pf % p, pf)
 
 
 def o5_parametrization(p: int) -> list[Poly]:

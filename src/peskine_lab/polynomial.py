@@ -11,11 +11,12 @@ linear families, and `Poly.divide_linear` takes exact quotients by a
 linear form); `jacobian`, the batched Jacobian of a polynomial map,
 differentiates them for every caller in the package, and `Poly.restrict`
 restricts them exactly to batches of affine slices for the slice ladder
-and the patch grid.  Values on batches of points come from one loop,
-`Poly.evaluate_columns`, behind `evaluate_batch`, `jacobian` and every
-numeric Pfaffian.  Both the Pfaffians of families and the restrictions
-are sums of products of linear forms, expanded into the dense monomial
-basis by one kernel, `expand_products`.
+and the patch grid.  Values come only on batches of points, a single
+point being a batch of one, from one loop, `Poly.evaluate_columns`,
+behind `evaluate_batch`, `jacobian` and every numeric Pfaffian; the first
+two refuse a batch whose width is not `nvars`.  Both the Pfaffians of
+families and the restrictions are sums of products of linear forms,
+expanded into the dense monomial basis by one kernel, `expand_products`.
 """
 
 from __future__ import annotations
@@ -125,21 +126,9 @@ class Poly:
                 acc[key] = (acc.get(key, 0) + k * c) % self.p
         return Poly.from_dict(acc, self.nvars, self.p)
 
-    def evaluate(self, point) -> int:
-        x = linalg.as_field(point, self.p).reshape(-1)
-        if x.shape[0] != self.nvars:
-            raise ValueError(f"expected {self.nvars} coordinates, got {x.shape[0]}")
-        total = 0
-        for m, c in self.terms:
-            val = c
-            for i in m:
-                val = val * int(x[i]) % self.p
-            total = (total + val) % self.p
-        return total
-
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Values on a (B, nvars) batch of points."""
-        return self.evaluate_columns(np.remainder(points.T, self.p, dtype=np.int64, order="C"))
+        return self.evaluate_columns(_columns(points, self.nvars, self.p))
 
     def restrict(self, offsets: np.ndarray, mats: np.ndarray, degree: int = 0) -> np.ndarray:
         """(T, M) coefficients of each f(offset_k + t @ mat_k) over `monomials_of_degree(d + 1, D)`
@@ -223,6 +212,18 @@ class Poly:
             raise ValueError("polynomials live in different rings")
 
 
+def _columns(points, nvars: int, p: int) -> np.ndarray:
+    """The reduced (nvars, B) transpose of a (B, nvars) batch of points.
+
+    Any other shape raises ValueError, a wider batch too: its first nvars
+    columns are not the point.
+    """
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != nvars:
+        raise ValueError(f"expected a (B, {nvars}) batch of points, got shape {points.shape}")
+    return np.remainder(points.T, p, dtype=np.int64, order="C")
+
+
 def jacobian(polys: list[Poly], points: np.ndarray) -> np.ndarray:
     """Jacobian matrices of a polynomial map at a (B, nvars) batch of points.
 
@@ -235,8 +236,8 @@ def jacobian(polys: list[Poly], points: np.ndarray) -> np.ndarray:
     if not polys:
         raise ValueError("need at least one polynomial")
     p, nvars = polys[0].p, polys[0].nvars
-    coords = np.remainder(points.T, p, dtype=np.int64, order="C")
-    out = np.zeros((len(polys), nvars, points.shape[0]), dtype=np.int64)
+    coords = _columns(points, nvars, p)
+    out = np.zeros((len(polys), nvars, coords.shape[1]), dtype=np.int64)
     for r, f in enumerate(polys):
         for i, g in enumerate(f._partials):
             if g.terms:  # a zero partial stays zero

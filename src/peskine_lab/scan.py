@@ -278,8 +278,8 @@ def pfaffian_poly(size: int, p: int) -> Poly:
     Variable c is the entry M[i, j] of the c-th pair (i, j) of
     combinations(range(size), 2), and each signed perfect matching
     (`trivector.perfect_matchings`) is one monomial with coefficient +-1.
-    Same convention as `trivector.pfaffian`: the constant 1 at size 0,
-    zero at an odd size.
+    The constant 1 at size 0 and zero at an odd size, so Pf(M)^2 = det(M)
+    at every size.
     """
     column = {pair: c for c, pair in enumerate(combinations(range(size), 2))}
     matchings = () if size % 2 else perfect_matchings(size)

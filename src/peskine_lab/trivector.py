@@ -3,10 +3,11 @@
 A trivector sigma is stored by its coefficients on the lexicographically
 ordered basis e_i ^ e_j ^ e_k, i < j < k. The central objects downstream
 are the one-fold contractions sigma(u, ., .), skew bilinear forms whose
-rank drops cut out all loci studied here, so this module also carries an
-exact Pfaffian and rank machinery for skew matrices.  Every value of sigma
-on subspaces, and so every vanishing test and every restricted family of
-forms, is one `Trivector.values` table.
+rank drops cut out all loci studied here.  This module carries the signed
+perfect matchings that `scan.pfaffian_poly` reads each Pfaffian from, and
+the exact rank of one skew form.  Every value of sigma on subspaces, and
+so every vanishing test and every restricted family of forms, is one
+`Trivector.values` table.
 """
 
 from __future__ import annotations
@@ -67,44 +68,6 @@ class SkewForm:
 
     def kernel(self) -> Subspace:
         return Subspace.from_rows(linalg.kernel(self.mat, self.p), self.n, self.p)
-
-
-def pfaffian(mat, p: int) -> int:
-    """Pfaffian by expansion along the first remaining row, memoized.
-
-    Pf on zero indices is 1.  A skew matrix of odd size has Pf = 0: an odd
-    index set has no perfect matching, and det = 0 there, so
-    Pf(M)^2 = det(M) holds for every size.
-    """
-    m = linalg.as_field(mat, p)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"pfaffian needs a square matrix, got {m.shape}")
-    if n % 2:
-        return 0
-    memo: dict[tuple[int, ...], int] = {}
-
-    def rec(idx: tuple[int, ...]) -> int:
-        if not idx:
-            return 1
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
-        s0 = idx[0]
-        total = 0
-        sign = 1
-        for k in range(1, len(idx)):
-            sk = idx[k]
-            entry = int(m[s0, sk])
-            if entry:
-                rest = idx[1:k] + idx[k + 1 :]
-                total += sign * entry * rec(rest)
-            sign = -sign
-        total %= p
-        memo[idx] = total
-        return total
-
-    return rec(tuple(range(n)))
 
 
 @lru_cache(maxsize=None)

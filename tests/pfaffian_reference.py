@@ -1,9 +1,46 @@
-"""Scalar quotient Pfaffian: the pointwise reference for the symbolic forms."""
+"""Scalar Pfaffians: the pointwise references for the batched and symbolic forms."""
 
 import numpy as np
 
 from peskine_lab import linalg
-from peskine_lab.trivector import pfaffian
+
+
+def pfaffian(mat, p: int) -> int:
+    """Pfaffian by expansion along the first remaining row, memoized.
+
+    Pf on zero indices is 1.  A skew matrix of odd size has Pf = 0: an odd
+    index set has no perfect matching, and det = 0 there, so
+    Pf(M)^2 = det(M) holds for every size.
+    """
+    m = linalg.as_field(mat, p)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError(f"pfaffian needs a square matrix, got {m.shape}")
+    if n % 2:
+        return 0
+    memo: dict[tuple[int, ...], int] = {}
+
+    def rec(idx: tuple[int, ...]) -> int:
+        if not idx:
+            return 1
+        cached = memo.get(idx)
+        if cached is not None:
+            return cached
+        s0 = idx[0]
+        total = 0
+        sign = 1
+        for k in range(1, len(idx)):
+            sk = idx[k]
+            entry = int(m[s0, sk])
+            if entry:
+                rest = idx[1:k] + idx[k + 1 :]
+                total += sign * entry * rec(rest)
+            sign = -sign
+        total %= p
+        memo[idx] = total
+        return total
+
+    return rec(tuple(range(n)))
 
 
 def pfaffian_mod_radical(mat: np.ndarray, x, y, p: int) -> int:

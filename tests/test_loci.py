@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from pfaffian_reference import pfaffian_mod_radical
+from poly_reference import poly_value
 
 from peskine_lab import linalg, scan
 from peskine_lab.checks import CheckConfig, run_check, sample_d16_nondegenerate
@@ -139,7 +140,7 @@ def test_cubic_from_pfaffian_matches_pointwise():
         if Subspace.from_rows(np.vstack([u, v1]), 10, p).dim < 2:
             continue
         want = pfaffian_mod_radical(samp.sigma.contract1(u).mat, u, v1, p)
-        assert cubic.evaluate(c) == want
+        assert poly_value(cubic, c) == want
         checked += 1
 
 
@@ -157,7 +158,7 @@ def test_cubic_from_pfaffian_at_largest_prime():
         c = rng.ints(6, p)
         u = (c.astype(object) @ b6 % p).astype(np.int64)
         want = pfaffian_mod_radical(samp.sigma.contract1(u).mat, u, v1, p)
-        assert cubic.evaluate(c) == want
+        assert poly_value(cubic, c) == want
 
 
 def test_cubic_zero_set_is_rank_drop():
@@ -173,7 +174,7 @@ def test_cubic_zero_set_is_rank_drop():
         if Subspace.from_rows(np.vstack([u, v1]), 10, p).dim < 2:
             continue
         rank = samp.sigma.contract1(u).rank()
-        assert (cubic.evaluate(c) == 0) == (rank <= 6)
+        assert (poly_value(cubic, c) == 0) == (rank <= 6)
 
 
 def test_cubic_singularity_probe_is_gradient():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from pfaffian_reference import pfaffian
+from poly_reference import poly_value
 
 from peskine_lab import linalg
 from peskine_lab.checks import sing_o2_predicate
@@ -45,6 +47,30 @@ def on_o2(b):
 
 def on_sing_o2(b):
     return bool(sing_o2(b.coords[None], b.p)[0])
+
+
+def scalar_pf_mod_line(b, alpha, beta):
+    """pf_mod_line of one element and one line, its quotient matrix built entry by entry."""
+    p, m, alpha, beta = b.p, b.lift(), int(alpha), int(beta)
+    if beta % p == 0:
+        return pfaffian(m[1:, 1:], p)
+    n = m[1:, 1:].copy()
+    for i in range(2, 7):
+        n[0, i - 1] = (beta * int(m[0, i]) - alpha * int(m[1, i])) % p
+        n[i - 1, 0] = -n[0, i - 1] % p
+    return beta * beta * pfaffian(n, p) % p
+
+
+def scalar_pf_mod_lines(coords, alpha, beta, p):
+    return [scalar_pf_mod_line(BElement.from_coords(c, p), a, b) for c, a, b in zip(coords, alpha, beta)]
+
+
+def mixed_lines(rng, count, p):
+    """Lines (alpha, beta): a third with alpha = 0, a third with beta = 0, the rest both nonzero."""
+    alpha, beta = rng.ints(count, p - 1) + 1, rng.ints(count, p - 1) + 1
+    alpha[: count // 3] = 0
+    beta[count // 3 : 2 * count // 3] = 0
+    return alpha, beta
 
 
 def rank2_b(rng, p):
@@ -101,41 +127,52 @@ def test_pencil_cubics_shape():
 
 def test_pencil_cubics_match_quotient_pfaffians():
     # pf_mod_line evaluates the quotient Pfaffian directly from the lift;
-    # the symbolic cubics must agree on both chart axes.
+    # the symbolic cubics, and the scalar construction, must agree on both
+    # chart axes.
     rng = Rng(72)
-    p = 7
-    f1, f2 = pencil_cubics(p)
-    for _ in range(40):
-        b = random_b(rng, p)
-        assert f1.evaluate(b.coords) == pf_mod_line(b, 0, 1)
-        assert f2.evaluate(b.coords) == pf_mod_line(b, 1, 0)
+    for p in (7, 3, 65521, 2**31 - 1):
+        f1, f2 = pencil_cubics(p)
+        coords = np.stack([random_b(rng, p).coords for _ in range(40)])
+        zero, one = np.zeros(40, dtype=np.int64), np.ones(40, dtype=np.int64)
+        for f, alpha, beta in ((f1, zero, one), (f2, one, zero)):
+            got = pf_mod_line(coords, alpha, beta, p).tolist()
+            assert got == f.evaluate_batch(coords).tolist()
+            assert got == scalar_pf_mod_lines(coords, alpha, beta, p)
 
 
 def test_pf_mod_line_pencil_identity():
+    # Lines with alpha = 0, with beta = 0 and with both nonzero, at small
+    # and large primes, against the scalar construction and against
+    # beta^2 (beta F1 - alpha F2), or F2 where beta = 0.
     rng = Rng(73)
-    p = 11
-    f1, f2 = pencil_cubics(p)
-    for _ in range(60):
-        b = random_b(rng, p)
-        alpha = rng.below(p)
-        beta = rng.below(p - 1) + 1
-        combo = (beta * f1.evaluate(b.coords) - alpha * f2.evaluate(b.coords)) % p
-        assert pf_mod_line(b, alpha, beta) == beta * beta * combo % p
+    for p in (11, 3, 65521, 2**31 - 1):
+        coords = np.stack([random_b(rng, p).coords for _ in range(60)])
+        alpha, beta = mixed_lines(rng, 60, p)
+        got = pf_mod_line(coords, alpha, beta, p)
+        assert got.tolist() == scalar_pf_mod_lines(coords, alpha, beta, p)
+        f1, f2 = pencil_cubics(p)
+        v1, v2 = f1.evaluate_batch(coords), f2.evaluate_batch(coords)
+        combo = beta * beta % p * ((beta * v1 - alpha * v2) % p) % p
+        assert got.tolist() == np.where(beta != 0, combo, v2).tolist()
 
 
 def test_pf_mod_line_scaling():
+    # Pf of the quotient mod c * (alpha, beta) is c^3 times that mod (alpha, beta).
     rng = Rng(74)
-    p = 7
-    b = random_b(rng, p)
-    base = pf_mod_line(b, 2, 3)
-    for c in range(2, p):
-        assert pf_mod_line(b, 2 * c, 3 * c) == pow(c, 3, p) * base % p
+    for p, cs in ((7, range(1, 7)), (2**31 - 1, (1, 2, 12345, 2**31 - 2))):
+        coords = np.repeat(random_b(rng, p).coords[None], len(cs), axis=0)
+        cs = np.array(cs, dtype=np.int64)
+        got = pf_mod_line(coords, 2 * cs % p, 3 * cs % p, p).tolist()
+        assert got == [pow(int(c), 3, p) * got[0] % p for c in cs]
 
 
 def test_pf_mod_line_rejects_zero_line():
-    b = BElement.zero(7)
-    with pytest.raises(ValueError):
-        pf_mod_line(b, 0, 0)
+    # One (0, 0) row among good lines is enough, zero element or not.
+    for coords in (np.zeros((3, 20), dtype=np.int64), Rng(79).matrix(3, 20, 7)):
+        with pytest.raises(ValueError):
+            pf_mod_line(coords, np.array([1, 0, 0]), np.array([0, 1, 0]), 7)
+        with pytest.raises(ValueError):
+            pf_mod_line(coords[:1], np.array([7]), np.array([0]), 7)
 
 
 def test_rank2_elements_lie_on_o2():
@@ -144,8 +181,8 @@ def test_rank2_elements_lie_on_o2():
     for _ in range(20):
         b = rank2_b(rng, p)
         assert on_o2(b)
-        for alpha, beta in ((0, 1), (1, 0), (2, 5)):
-            assert pf_mod_line(b, alpha, beta) == 0
+        lines = np.array([[0, 1], [1, 0], [2, 5]])
+        assert not pf_mod_line(np.repeat(b.coords[None], 3, axis=0), *lines.T, p).any()
 
 
 def test_generic_elements_mostly_off_o2():
@@ -168,7 +205,7 @@ def test_o2_jacobian_is_directional_derivative():
     vander = np.array([[t**k % p for k in range(4)] for t in range(4)], dtype=np.int64)
     for row, f in ((0, f1), (1, f2)):
         vals = np.array(
-            [f.evaluate((b.coords + t * h) % p) for t in range(4)], dtype=np.int64
+            [poly_value(f, (b.coords + t * h) % p) for t in range(4)], dtype=np.int64
         )
         poly_in_t = linalg.solve(vander, vals, p)
         assert int(poly_in_t[1]) == int(jac[row] @ h % p)
@@ -216,6 +253,6 @@ def test_o5_parametrization_lands_in_the_family():
     assert len(polys) == 20
     for _ in range(10):
         params = rng.ints(15, p)
-        coords = np.array([f.evaluate(params) for f in polys], dtype=np.int64)
+        coords = np.array([poly_value(f, params) for f in polys], dtype=np.int64)
         b = BElement.from_coords(coords, p)
         assert linalg.rank(b.mod_a2_block(), p) <= 2

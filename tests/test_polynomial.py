@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from poly_reference import poly_value
 
 from peskine_lab import linalg
 from peskine_lab.polynomial import Poly, jacobian, monomials_of_degree, slice_monomials
@@ -23,9 +24,13 @@ def xy_poly(p=7):
 
 def test_evaluate():
     f = xy_poly()
-    assert f.evaluate([1, 1]) == (3 + 5 + 1) % 7
-    assert f.evaluate([2, 3]) == (3 * 4 * 3 + 5 * 3 + 1) % 7
-    assert f.evaluate([0, 0]) == 1
+    got = f.evaluate_batch(np.array([[1, 1], [2, 3], [0, 0]]))
+    assert got.tolist() == [(3 + 5 + 1) % 7, (3 * 4 * 3 + 5 * 3 + 1) % 7, 1]
+    assert f.evaluate_batch(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    # A batch of another width is refused, not read off its first columns.
+    for bad in ([[1, 2, 5]], [[1]], [1, 2]):
+        with pytest.raises(ValueError, match="batch of points"):
+            f.evaluate_batch(np.array(bad))
 
 
 def test_evaluate_batch_matches_scalar():
@@ -35,7 +40,7 @@ def test_evaluate_batch_matches_scalar():
     batch = f.evaluate_batch(pts)
     assert batch.shape == (40,)
     for row, val in zip(pts, batch):
-        assert f.evaluate(row) == int(val)
+        assert poly_value(f, row) == int(val)
 
 
 @settings(max_examples=80, deadline=None)
@@ -56,11 +61,11 @@ def test_evaluate_batch_matches_python_ints(seed, p, nterms, degree):
         terms[mono] = rng.below(p) or p - 1
     f = Poly.from_dict(terms, nvars=5, p=p)
     pts = np.vstack([rng.matrix(6, 5, p), np.full((1, 5), p - 1)])
-    assert f.evaluate_batch(pts).tolist() == [f.evaluate(x) for x in pts]
+    assert f.evaluate_batch(pts).tolist() == [poly_value(f, x) for x in pts]
     polys = [f, f * f + Poly.variable(0, 5, p)]
     jac = jacobian(polys, pts)
     assert jac.shape == (len(pts), 2, 5)
-    want = [[[g.partial(i).evaluate(x) for i in range(5)] for g in polys] for x in pts]
+    want = [[[poly_value(g.partial(i), x) for i in range(5)] for g in polys] for x in pts]
     assert jac.tolist() == want
 
 
@@ -76,7 +81,7 @@ def test_evaluate_batch_exact_at_the_delay_bound(p):
     f = Poly.from_dict({m: coef for m in monos}, nvars=4, p=p)
     assert f._plan[0] == (p in (CUBIC_BOUND_PRIMES[0], SIGNED_CUBIC_BOUND_PRIMES[0]))
     pts = np.vstack([np.full((1, 4), p - 1), Rng(p).matrix(5, 4, p)])
-    assert f.evaluate_batch(pts).tolist() == [f.evaluate(x) for x in pts]
+    assert f.evaluate_batch(pts).tolist() == [poly_value(f, x) for x in pts]
     assert f.evaluate_batch(pts)[0] == 15 * coef * (p - 1) ** 3 % p
 
 
@@ -118,12 +123,10 @@ def test_add_mul_consistent_with_evaluation():
     rng = Rng(4)
     f = xy_poly(p)
     g = Poly.from_dict({(0, 1): 2, (): 4}, nvars=2, p=p)
-    fg = f * g
-    s = f + g
-    for _ in range(20):
-        pt = rng.ints(2, p)
-        assert fg.evaluate(pt) == f.evaluate(pt) * g.evaluate(pt) % p
-        assert s.evaluate(pt) == (f.evaluate(pt) + g.evaluate(pt)) % p
+    pts = rng.matrix(20, 2, p)
+    fv, gv = f.evaluate_batch(pts), g.evaluate_batch(pts)
+    assert (f * g).evaluate_batch(pts).tolist() == (fv * gv % p).tolist()
+    assert (f + g).evaluate_batch(pts).tolist() == ((fv + gv) % p).tolist()
 
 
 def test_partial():
@@ -148,8 +151,8 @@ def test_total_degree_and_zero():
 
 def test_variable_and_scale():
     x1 = Poly.variable(1, 3, 5)
-    assert x1.evaluate([4, 2, 0]) == 2
-    assert x1.scale(3).evaluate([0, 2, 0]) == 6 % 5
+    assert x1.evaluate_batch(np.array([[4, 2, 0]])).tolist() == [2]
+    assert x1.scale(3).evaluate_batch(np.array([[0, 2, 0]])).tolist() == [6 % 5]
 
 
 def test_coefficients_reduced_mod_p():
@@ -168,6 +171,9 @@ def test_jacobian_matrix():
     jac = jacobian([f, g], np.array([[3, 4], [0, 0]]))
     # rows: gradients at (3, 4): (2*3, 0) and (4, 3); all zero at the origin
     assert jac.tolist() == [[[6, 0], [4, 3]], [[0, 0], [0, 0]]]
+    for bad in ([[3, 4, 5]], [[3]]):
+        with pytest.raises(ValueError, match="batch of points"):
+            jacobian([f, g], np.array(bad))
 
 
 def test_monomials_of_degree():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from pfaffian_reference import pfaffian_mod_radical
+from pfaffian_reference import pfaffian, pfaffian_mod_radical
+from poly_reference import poly_value
 
 from peskine_lab import linalg, scan
 from peskine_lab.divisors import rank4_points, sample_divisor
@@ -32,7 +33,7 @@ from peskine_lab.scan import (
     run_chunked,
     thread_count,
 )
-from peskine_lab.trivector import Trivector, pfaffian, triples
+from peskine_lab.trivector import Trivector, triples
 
 
 def zero_trivector(n, p):
@@ -478,7 +479,7 @@ def test_family_pfaffian_matches_pfaffian(seed, p, m, size):
         pfaffian(linalg.mat_mul(u, flat, p).reshape(m, m)[np.ix_(subset, subset)], p)
         for u in pts
     ]
-    assert [poly.evaluate(u) for u in pts] == want
+    assert [poly_value(poly, u) for u in pts] == want
     assert poly.evaluate_batch(pts).tolist() == want
 
 
@@ -519,7 +520,7 @@ def test_family_quotient_pfaffian_matches_scalar_reference(p, mixed):
         if linalg.rank(np.vstack([x, y]), p) < 2:
             continue
         want = pfaffian_mod_radical(linalg.mat_mul(u, flat, p).reshape(8, 8), x, y, p)
-        assert poly.evaluate(u) == want
+        assert poly_value(poly, u) == want
         values.append(want)
     assert len(values) >= 8 and any(values)
 

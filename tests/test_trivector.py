@@ -1,13 +1,16 @@
-"""Trivectors, skew forms and Pfaffians.
+"""Trivectors, skew forms and the scalar reference Pfaffian.
 
-The Pfaffian oracle here is independent of the implementation: Pf^2 = det
-and the 4x4 closed form pf = a01*a23 - a02*a13 + a03*a12.
+`pfaffian_reference.pfaffian`, which the batched and symbolic Pfaffians
+are compared against, is checked here against oracles independent of any
+implementation: Pf^2 = det and the 4x4 closed form
+pf = a01*a23 - a02*a13 + a03*a12.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pfaffian_reference import pfaffian
 
 from peskine_lab import linalg
 from peskine_lab.rng import Rng
@@ -16,7 +19,6 @@ from peskine_lab.subspaces import Subspace
 from peskine_lab.trivector import (
     SkewForm,
     Trivector,
-    pfaffian,
     perfect_matchings,
     triple_index,
     triples,
