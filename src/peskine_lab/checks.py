@@ -543,8 +543,9 @@ def _run_pencil_cubics(cfg: CheckConfig):
 
     In the chart with beta != 0 the cleared quotient Pfaffian must equal
     beta^2 (beta F1 - alpha F2); the beta = 0 chart reduces to F2 alone.
-    Every element and line is drawn first; one `pf_mod_line` batch then
-    builds and expands all the quotient matrices.
+    Every element and line comes from one draw: per element its 20
+    coordinates, then its lines as (alpha, beta) pairs, beta = 1 on (0, 0).
+    One `pf_mod_line` batch then builds and expands all the quotient matrices.
     """
     p = cfg.p if cfg.p is not None else 101
     n_b = cfg.trials if cfg.trials is not None else 500
@@ -552,16 +553,10 @@ def _run_pencil_cubics(cfg: CheckConfig):
     rng = Rng(cfg.seed).child("pencil-cubics")
     f1, f2 = pencil_cubics(p)
     b12_free = len(f1.terms) == 15 and len(f2.terms) == 15
-    coords, lines = [], []
-    for _ in range(n_b):
-        coords.append(rng.ints(20, p))
-        for _ in range(n_lines):
-            alpha, beta = rng.below(p), rng.below(p)
-            if alpha == 0 and beta == 0:
-                beta = 1
-            lines.append((alpha, beta))
-    coords = np.stack(coords)
-    alpha, beta = np.array(lines, dtype=np.int64).T
+    draws = rng.ints(n_b * (20 + 2 * n_lines), p).reshape(n_b, 20 + 2 * n_lines)
+    coords = draws[:, :20]
+    alpha, beta = draws[:, 20:].reshape(-1, 2).T
+    beta[(alpha == 0) & (beta == 0)] = 1
     v1, v2 = (np.repeat(f.evaluate_batch(coords), n_lines) for f in (f1, f2))
     val = pf_mod_line(np.repeat(coords, n_lines, axis=0), alpha, beta, p)
     expect = np.where(beta != 0, beta * beta % p * ((beta * v1 - alpha * v2) % p) % p, v2)

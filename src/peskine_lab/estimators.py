@@ -13,8 +13,8 @@ whose hit frequency clears a threshold.
 Frequencies, not proofs: the thresholds are calibrated so both error
 sides stay small at the enumeration primes, and estimates that land in
 the uncertain band come back flagged ambiguous instead of wrong.  A
-predicate with `polys` (O2, Sing O2) is scanned through their
-restrictions to each slice, and test_batch runs only on their common zeros.
+slice is tested only until a point of it is found; `polys` (O2, Sing O2)
+are restricted to each slice and test_batch sees only their common zeros.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .polynomial import Poly, jacobian, slice_monomials
 from .rng import stream_ints
-from .scan import DEFAULT_CHUNK, affine_chunks, affine_image_chunks, batched_rank, run_chunked
+from .scan import DEFAULT_CHUNK, affine_chunks, batched_rank, run_chunked
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 20
@@ -86,23 +86,41 @@ def _members(pred: LocusPredicate, rows: np.ndarray) -> np.ndarray:
     return hit | ~rows.any(axis=1) if pred.kind == "projective" else hit
 
 
-def _restricted_hits(pred: LocusPredicate, mats: np.ndarray, offsets: np.ndarray) -> Callable:
-    """Worker on blocks t of F_p^d giving the (trials,) hits: one `linalg.mat_mul` of t's
-    monomial values against every (poly, trial) row of `Poly.restrict` coefficients, then
-    test_batch on the image rows offset + t @ mat of the common zeros alone."""
-    p, (trials, d, _), degree = pred.p, mats.shape, max(f.total_degree() for f in pred.polys)
-    coeffs = np.vstack([f.restrict(offsets, mats, degree) for f in pred.polys]).T
+def _level_hits(pred: LocusPredicate, mats, offsets, threads) -> np.ndarray:
+    """The (trials,) mask of slices offset_k + t @ mat_k, t in F_p^d, meeting the locus.  A block
+    tests only the trials open when it runs (a stale read under threads only tests more).  With
+    polys, one `linalg.mat_mul` of t's monomials by the open `Poly.restrict` columns picks the
+    common zeros, whose image rows alone reach test_batch.  No block is drawn once all are found."""
+    p, (trials, d, width) = pred.p, mats.shape
+    lin = np.concatenate([offsets[:, None], mats], axis=1)  # (1, t) @ lin[k]: points of slice k
+    found = np.zeros(trials, dtype=bool)
+    if pred.polys:
+        degree = max(f.total_degree() for f in pred.polys)
+        coeffs = np.stack([f.restrict(offsets, mats, degree).T for f in pred.polys], axis=1)
 
-    def hits(t: np.ndarray) -> np.ndarray:
-        vals = linalg.mat_mul(slice_monomials(t, degree, p), coeffs, p)
-        r, k = np.nonzero(~vals.reshape(len(t), len(pred.polys), trials).any(axis=1))
-        rows, found = offsets[k], np.zeros(trials, dtype=bool)
-        for j in range(d):
-            rows = (rows + t[r, j, None] * mats[k, j]) % p
-        found[k[_members(pred, rows)]] = True
-        return found
+    def hits(t: np.ndarray) -> None:
+        k, y = np.flatnonzero(~found), np.hstack([np.ones((len(t), 1), dtype=np.int64), t])
+        if not k.size:  # every trial was found after this block was drawn
+            return
+        if pred.polys:
+            cols = coeffs[:, :, k].reshape(len(coeffs), -1)
+            vals = linalg.mat_mul(slice_monomials(t, degree, p), cols, p)
+            r, j = np.nonzero(~vals.reshape(len(t), -1, len(k)).any(axis=1))
+            rows = (y[r, :, None] * lin[k[j]] % p).sum(axis=1) % p
+            k = k[j[_members(pred, rows)]]
+        else:
+            rows = linalg.mat_mul(y, lin[k].transpose(1, 0, 2).reshape(d + 1, len(k) * width), p)
+            k = k[_members(pred, rows.reshape(-1, width)).reshape(len(t), len(k)).any(axis=0)]
+        found[k] = True
 
-    return hits
+    def blocks():
+        for t in affine_chunks(d, p, max(1, DEFAULT_CHUNK // trials)):
+            yield t
+            if found.all():
+                return
+
+    run_chunked(hits, blocks(), threads)
+    return found
 
 
 def slice_dim_estimate(
@@ -117,8 +135,8 @@ def slice_dim_estimate(
     """Estimate the locus dimension from random-slice hit frequencies.
 
     Walks slice dimension d upward; each level draws `trials` affine
-    embeddings F_p^d -> ambient and tests every image point.  The first
-    level whose nonempty fraction reaches hit_threshold pins the
+    embeddings F_p^d -> ambient and finds which images meet the locus.
+    The first level whose nonempty fraction reaches hit_threshold pins the
     codimension; the estimate is flagged ambiguous when the level below
     it was already warm (fraction >= miss_threshold) since that pattern
     is what a misread codimension looks like.  Projective loci run on
@@ -135,48 +153,32 @@ def slice_dim_estimate(
 
     A level is built whole: one `linalg.sample_full_rank` over its trial
     streams draws every embedding matrix, then one `stream_ints` the offsets.
-    Each level walks F_p^d once, lazily, in blocks of
-    max(1, DEFAULT_CHUNK // trials) parameters with every trial side by
-    side, so a block holds at most max(DEFAULT_CHUNK, trials) points.
-    Without polys a block is the image rows of all the slices at once,
-    and a trial is hit where any of its rows is; with polys,
-    `_restricted_hits` tests the common zeros alone.
+    Each level walks F_p^d once, lazily, through `affine_chunks` in blocks
+    of max(1, DEFAULT_CHUNK // trials) parameters.  A block tests only the
+    trials the level has not found (`_level_hits`), and none is drawn once
+    all are found: a trial is tested up to the block holding its first
+    member, whatever the thread count.  `budget` still prices a level at
+    trials * p^d tests.
     """
     if not 0.0 < miss_threshold <= hit_threshold <= 1.0:
         raise ValueError("need 0 < miss_threshold <= hit_threshold <= 1")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    p = pred.p
-    width = pred.width
+    p, width = pred.p, pred.width
     ambient_dim = width if pred.kind == "projective" else pred.n
-    chunk = max(1, DEFAULT_CHUNK // trials)
 
-    def slice_hits(rows: np.ndarray) -> np.ndarray:
-        return _members(pred, rows.reshape(-1, width)).reshape(-1, trials).any(axis=0)
-
-    spent = 0
+    spent, d_min, stopped = 0, None, None
     profile: dict[int, int] = {}
-    freqs: dict[int, float] = {}
-    d_min = None
-    stopped = None
     for d in range(ambient_dim + 1):
-        size = p**d
-        if spent + trials * size > budget:
+        if spent + trials * p**d > budget:
             stopped = d
             break
-        spent += trials * size
+        spent += trials * p**d
         streams = [rng.child(f"slice-{d}-{t}") for t in range(trials)]
         mats = linalg.sample_full_rank(streams, d, width, p)
         offsets = stream_ints(streams, width, p)
-        if pred.polys:
-            worker, blocks = _restricted_hits(pred, mats, offsets), affine_chunks(d, p, chunk)
-        else:
-            stacked = mats.transpose(1, 0, 2).reshape(d, trials * width)
-            worker, blocks = slice_hits, affine_image_chunks(stacked, offsets.reshape(-1), p, chunk)
-        found = np.logical_or.reduce(run_chunked(worker, blocks, threads))
-        profile[d] = int(found.sum())
-        freqs[d] = profile[d] / trials
-        if freqs[d] >= hit_threshold:
+        profile[d] = int(_level_hits(pred, mats, offsets, threads).sum())
+        if profile[d] / trials >= hit_threshold:
             d_min = d
             break
 
@@ -197,7 +199,7 @@ def slice_dim_estimate(
         note = f"no hits at any slice level scanned within budget ({spent} tests)"
         return DimEstimate(-1, trials, profile, note, ambiguous=False)
 
-    warm = d_min > 0 and freqs[d_min - 1] >= miss_threshold
+    warm = d_min > 0 and profile[d_min - 1] / trials >= miss_threshold
     est = ambient_dim - d_min - (1 if pred.kind == "projective" else 0)
     below = f"{profile[d_min - 1]}/{trials}" if d_min > 0 else "n/a"
     note = (

@@ -251,14 +251,17 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def slice_monomials(t: np.ndarray, degree: int, p: int) -> np.ndarray:
-    """(R, M) values of `monomials_of_degree(d + 1, degree)` at y = (1, t) for a
-    reduced (R, d) block t: the basis of `Poly.restrict`, reduced after each factor."""
+    """(R, M) values of `monomials_of_degree(d + 1, degree)` at y = (1, t) for a reduced (R, d)
+    block t, the basis of `Poly.restrict`: reduced once unless (p - 1)^degree overflows int64."""
     y = np.hstack([np.ones((len(t), 1), dtype=np.int64), t])
     idx = np.array(monomials_of_degree(y.shape[1], degree), dtype=np.int64)
     out = np.ones((len(t), len(idx)), dtype=np.int64)
+    per_factor = not linalg.products_fit_int64(p, degree, 1)
     for k in range(degree):
-        out = out * y[:, idx[:, k]] % p
-    return out
+        out *= y[:, idx[:, k]]
+        if per_factor:
+            out %= p
+    return out % p
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@
 
 import dataclasses
 import itertools
-import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from peskine_lab.estimators import (
 from peskine_lab.polynomial import Poly
 from peskine_lab.rng import Rng
 from peskine_lab.scan import DEFAULT_CHUNK
+from peskine_lab.trivector import Trivector, triple_index
 
 
 def linear_locus(n, d, p, seed=100):
@@ -129,10 +130,10 @@ def test_level_blocks_drawn_lazily(monkeypatch):
     # after the predicate took the last.
     p, width, trials = 7, 8, 2
     drawn, seen = [], []
-    affine_image_chunks = estimators.affine_image_chunks
+    affine_chunks = estimators.affine_chunks
 
     def counting_chunks(*args):
-        for block in affine_image_chunks(*args):
+        for block in affine_chunks(*args):
             drawn.append(len(block))
             yield block
 
@@ -140,7 +141,7 @@ def test_level_blocks_drawn_lazily(monkeypatch):
         seen.append(len(drawn))
         return np.zeros(len(points), dtype=bool)
 
-    monkeypatch.setattr(estimators, "affine_image_chunks", counting_chunks)
+    monkeypatch.setattr(estimators, "affine_chunks", counting_chunks)
     pred = LocusPredicate(kind="affine", n=width, p=p, test_batch=test_batch)
     budget = trials * sum(p**d for d in range(7))
     est = slice_dim_estimate(pred, Rng(9), trials=trials, budget=budget, threads=1)
@@ -174,32 +175,45 @@ def members(pred, points):
 
 
 def reference_estimate(
-    pred, rng, trials, hit=estimators.DEFAULT_HIT, miss=estimators.DEFAULT_MISS,
-    budget=estimators.DEFAULT_BUDGET,
+    pred, rng, trials, hit_threshold=estimators.DEFAULT_HIT,
+    miss_threshold=estimators.DEFAULT_MISS, budget=estimators.DEFAULT_BUDGET,
 ):
     """The ladder one trial at a time: each slice built whole and tested alone.
 
     Returns (hit_profile, estimated_dim, ambiguous) as slice_dim_estimate
-    reports them.
+    reports them, and per level visited, per trial, the index of its first
+    member in counter order (None without one) and the mask of its points
+    that reach test_batch: every point, or with polys their common zeros.
     """
     p, width = pred.p, pred.width
     ambient = width if pred.kind == "projective" else pred.n
-    spent, profile = 0, {}
+    spent, profile, walks = 0, {}, {}
+
+    def result(dim, ambiguous):
+        return profile, dim, ambiguous, walks
+
     for d in range(ambient + 1):
         if spent + trials * p**d > budget:
-            return profile, -1, True  # stopped below the ambient dimension
+            return result(-1, True)  # stopped below the ambient dimension
         spent += trials * p**d
-        profile[d] = 0
+        profile[d], walks[d] = 0, []
         for t in range(trials):
             points = reference_slice(rng.child(f"slice-{d}-{t}"), d, width, p)
             mask = members(pred, points)
             if pred.kind == "projective":
                 mask |= ~points.any(axis=1)
             profile[d] += bool(mask.any())
-        if profile[d] >= hit * trials:
-            warm = d > 0 and profile[d - 1] >= miss * trials
-            return profile, ambient - d - (pred.kind == "projective"), warm
-    return profile, -1, any(profile.values())
+            first = int(mask.argmax()) if mask.any() else None
+            walks[d].append((first, members(dataclasses.replace(pred, test_batch=always), points)))
+        if profile[d] >= hit_threshold * trials:
+            warm = d > 0 and profile[d - 1] >= miss_threshold * trials
+            return result(ambient - d - (pred.kind == "projective"), warm)
+    return result(-1, any(profile.values()))
+
+
+def always(points):
+    """A test_batch that holds everywhere: members are the common zeros of the polys."""
+    return np.ones(len(points), dtype=bool)
 
 
 def spied(pred):
@@ -214,17 +228,29 @@ def spied(pred):
     return dataclasses.replace(pred, test_batch=test_batch), calls
 
 
-def expected_calls(profile, p, trials):
-    """One call per block of each level's walk of F_p^d, at most
+def block_ends(p, d, trials):
+    """Where each block of one level's walk of F_p^d ends, at most
     chunk = DEFAULT_CHUNK // trials parameters to a block: the whole level
     when p^d <= chunk, else the largest table p^k <= chunk joined to
     chunk // p^k of the p^(d - k) prefixes at a time."""
-    chunk, calls, k = DEFAULT_CHUNK // trials, 0, 1
+    chunk, k = DEFAULT_CHUNK // trials, 1
     while p ** (k + 1) <= chunk:
         k += 1
-    for d in profile:
-        calls += 1 if p**d <= chunk else math.ceil(p ** (d - k) / (chunk // p**k))
-    return calls
+    step = p**d if p**d <= chunk else chunk // p**k * p**k
+    return [min(end, p**d) for end in range(step, p**d + step, step)]
+
+
+def expected_walk(walks, p, trials):
+    """(calls, rows) of the ladder that tests only open trials: a trial is
+    tested on every block up to the one holding its first member, or on the
+    whole level without one, and a level draws blocks while a trial is open."""
+    calls = rows = 0
+    for d, level in walks.items():
+        ends = np.array(block_ends(p, d, trials))
+        last = [p**d if first is None else ends[ends > first][0] for first, _ in level]
+        calls += int(np.searchsorted(ends, max(last))) + 1
+        rows += sum(int(reach[:end].sum()) for (_, reach), end in zip(level, last))
+    return calls, rows
 
 
 def large_slice_locus():
@@ -233,6 +259,10 @@ def large_slice_locus():
     # stops it there.
     return linear_locus(8, 2, 7, seed=41)
 
+
+# A hyperplane of F_7^8 at hit threshold 1: every slice of level 3 meets
+# it in the first of the level's two blocks, so the second is never drawn.
+ALL_HIT = {"hit_threshold": 1.0, "miss_threshold": 1.0}
 
 # (label, predicate, trials, estimator keywords, levels visited); the
 # rank-drop case has two blocks at level 3 (6 and 1 prefixes of the 7^2
@@ -244,6 +274,7 @@ PACKED_CASES = [
     ("o2-p5", lambda: o2_predicate(5), 8, {}, 3),
     ("sing-o2-p5", lambda: sing_o2_predicate(5), 12, {}, 6),
     ("linear-p7-d6", large_slice_locus, 4, {"budget": 4 * sum(7**d for d in range(7))}, 7),
+    ("hyperplane-p7", lambda: linear_locus(8, 7, 7, seed=40), 100, ALL_HIT, 4),
 ]
 
 
@@ -252,19 +283,56 @@ PACKED_CASES = [
 )
 def test_packed_ladder_matches_per_trial_reference(label, make, trials, kw, levels):
     pred, calls = spied(make())
-    est = slice_dim_estimate(pred, Rng(42), trials=trials, **kw)
-    profile, dim, ambiguous = reference_estimate(make(), Rng(42), trials, **kw)
+    est = slice_dim_estimate(pred, Rng(42), trials=trials, threads=1, **kw)
+    profile, dim, ambiguous, walks = reference_estimate(make(), Rng(42), trials, **kw)
     assert (est.hit_profile, est.estimated_dim, est.ambiguous) == (profile, dim, ambiguous)
     assert len(est.hit_profile) == levels
     rows = [n for n, _ in calls]
     assert max(rows) <= DEFAULT_CHUNK
-    if pred.polys:
-        # Only common zeros of the polys reach the full test.
-        assert all(zero for _, zero in calls)
-        return
-    # Full blocks, and one call per block instead of one per trial.
-    assert len(rows) == expected_calls(est.hit_profile, pred.p, trials)
-    assert sum(rows) == trials * sum(pred.p**d for d in est.hit_profile)
+    # Only common zeros of the polys reach the full test.
+    assert all(zero for _, zero in calls)
+    # One call per block drawn, none after every trial is found, and each
+    # trial tested up to the block holding its first member.
+    assert (len(rows), sum(rows)) == expected_walk(walks, pred.p, trials)
+    assert sum(rows) < trials * sum(pred.p**d for d in est.hit_profile)
+
+
+def split_n6(p):
+    """e012 + e345 moved by a uniform element of GL_6(F_p): its rank-drop
+    locus is two planes of P^5 over F_p."""
+    coeffs = np.zeros(20, dtype=np.int64)
+    coeffs[[triple_index(6)[(0, 1, 2)], triple_index(6)[(3, 4, 5)]]] = 1
+    return Trivector.from_coeffs(coeffs, 6, p).gl_transform(linalg.sample_gl(Rng(43), 6, p))
+
+
+@pytest.mark.parametrize(
+    "make, trials, kw",
+    [
+        (lambda: peskine_predicate(split_n6(11)), 300, {}),
+        (lambda: sing_o2_predicate(5), 60, {}),
+        (lambda: sing_o2_predicate(5), 60, ALL_HIT),
+    ],
+    ids=["rank-drop-n6-p11", "sing-o2-p5", "sing-o2-p5-all-hit"],
+)
+def test_early_hits_keep_the_estimate_across_threads(monkeypatch, make, trials, kw):
+    # Most trials are found in the first blocks of their level, so the
+    # workers skip them; a worker that reads `found` before another marks
+    # it only tests more rows.  Four workers on a short switch interval:
+    # a lost mark would lower the profile.
+    pred, calls = spied(make())
+    a = slice_dim_estimate(pred, Rng(44), trials=trials, threads=1, **kw)
+    assert sum(n for n, _ in calls) < trials * sum(pred.p**d for d in a.hit_profile) / 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert slice_dim_estimate(make(), Rng(44), trials=trials, threads=4, **kw) == a
+    finally:
+        sys.setswitchinterval(interval)
+    # The latest schedule workers allow: every block of a level drawn before
+    # any runs.  At hit threshold 1 the blocks after the last level's final
+    # find then run with no trial open.
+    monkeypatch.setattr(estimators, "run_chunked", lambda work, blocks, _: [*map(work, [*blocks])])
+    assert slice_dim_estimate(make(), Rng(44), trials=trials, **kw) == a
 
 
 def conic_quadric(p):

@@ -118,6 +118,23 @@ def test_restrict_matches_evaluate_batch_on_the_slice(p, d):
         assert coeffs.shape == (4, len(monomials_of_degree(d + 1, pad))) and not coeffs.any()
 
 
+@pytest.mark.parametrize("p", [3, 7, 65521, 2**31 - 1])
+def test_slice_monomials_match_per_factor_reduction(p):
+    # Reduced once at the end while (p - 1)^degree fits int64, else after
+    # each factor (every degree above 1 at 2^31 - 1, degree 4 at 65521);
+    # rows of p - 1 reach the bound.
+    rng = Rng(p)
+    t = np.vstack([rng.matrix(40, 5, p), np.full((1, 5), p - 1)])
+    y = np.hstack([np.ones((len(t), 1), dtype=np.int64), t]).astype(object)
+    for degree in range(5):
+        want = np.ones((len(t), len(monomials_of_degree(6, degree))), dtype=object)
+        for m, mono in enumerate(monomials_of_degree(6, degree)):
+            for i in mono:
+                want[:, m] = want[:, m] * y[:, i] % p
+        got = slice_monomials(t, degree, p)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 def test_add_mul_consistent_with_evaluation():
     p = 11
     rng = Rng(4)
