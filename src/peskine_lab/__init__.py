@@ -1,8 +1,8 @@
 """Exact computational lab for trivector geometry over prime fields.
 
 Everything here works over F_p for an odd prime p and is exact: no floating
-point leaks into results (float64 is used internally only as a fast integer
-container where products provably stay below 2**53).
+point leaks into results (`linalg.mat_mul` sums and reduces in float32 or
+float64 only where every sum provably stays below 2**22 or 2**51).
 
 Layout:
     rng        deterministic seeded randomness (SplitMix64)

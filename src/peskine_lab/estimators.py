@@ -106,7 +106,8 @@ def _level_hits(pred: LocusPredicate, mats, offsets, threads) -> np.ndarray:
             cols = coeffs[:, :, k].reshape(len(coeffs), -1)
             vals = linalg.mat_mul(slice_monomials(t, degree, p), cols, p)
             r, j = np.nonzero(~vals.reshape(len(t), -1, len(k)).any(axis=1))
-            rows = (y[r, :, None] * lin[k[j]] % p).sum(axis=1) % p
+            prods = y[r, :, None] * lin[k[j]]
+            rows = (prods if linalg.products_fit_int64(p, 2, d + 1) else prods % p).sum(axis=1) % p
             k = k[j[_members(pred, rows)]]
         else:
             rows = linalg.mat_mul(y, lin[k].transpose(1, 0, 2).reshape(d + 1, len(k) * width), p)

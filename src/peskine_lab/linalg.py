@@ -4,8 +4,8 @@ Matrices are numpy int64 arrays with entries reduced to [0, p).  Supported
 primes are odd and below 2**31, so a product of two reduced entries never
 overflows int64, but a sum of four such products already can.  Every
 product-sum of unbounded length therefore goes through `mat_mul`, which
-picks float64 or 16-bit limbs from the bound p^2 * inner.  Importing
-this module sets numpy's bundled OpenBLAS (the float64 path) to one thread.
+picks float32, float64 or 16-bit limbs by (p - 1)^2 * inner.  Importing
+this module sets numpy's bundled OpenBLAS (both float paths) to one thread.
 
 Delayed reduction: a sum of up to `terms` products of `factors` reduced
 entries each is exact in int64 while (p - 1)^factors * terms < 2^63
@@ -32,7 +32,8 @@ import numpy as np
 from .rng import stream_ints
 
 MAX_PRIME = 1 << 31
-_FLOAT_EXACT = 1 << 53
+_FLOAT32_EXACT = 1 << 22  # `_float_mod` is exact for r + 1/2 below these
+_FLOAT64_EXACT = 1 << 51
 _INT_EXACT = 1 << 63
 
 
@@ -99,21 +100,34 @@ def freeze(arr: np.ndarray) -> np.ndarray:
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product mod p of arrays with entries in [0, p) (b 1-D or 2-D).
 
-    Uses float64 BLAS while (p - 1)^2 * inner < 2^53 keeps every sum an
-    exact integer (so the conversion back needs no rounding), and
-    otherwise splits b into 16-bit limbs and the inner dimension into
-    blocks so that each partial sum fits int64.
+    Partial sums are integers up to (p - 1)^2 * inner: float32 BLAS sums
+    them exactly below 2^22, float64 below 2^51, then `_float_mod` reduces;
+    above, b splits into 16-bit limbs and the inner dimension into blocks
+    so that each partial sum fits int64.
     """
-    inner = a.shape[-1]
-    if (int(p) - 1) ** 2 * inner < _FLOAT_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    for dtype, exact in ((np.float32, _FLOAT32_EXACT), (np.float64, _FLOAT64_EXACT)):
+        if (int(p) - 1) ** 2 * a.shape[-1] < exact:
+            return _float_mod(a.astype(dtype) @ b.astype(dtype), p)
     step = (_INT_EXACT >> 1) // ((p - 1) * 0xFFFF)
     hi = lo = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for k in range(0, inner, step):
+    for k in range(0, a.shape[-1], step):
         ak, bk = a[..., k : k + step], b[k : k + step]
         hi = (hi + ak @ (bk >> 16)) % p
         lo = (lo + ak @ (bk & 0xFFFF)) % p
     return (hi * 0x10000 + lo) % p
+
+
+def _float_mod(r, p: int) -> np.ndarray:
+    """r mod p, as int64, of float32 (float64) integers 0 <= r < 2^22 (2^51); overwrites r.
+
+    As r - p * floor((r + 1/2) * fl(1/p)), unit roundoff u = 2^-24 (2^-53):
+    r + 1/2 <= 2^22 - 1/2 (2^51 - 1/2) is exact, and two roundings leave
+    (r + 1/2) * fl(1/p) within (2u + u^2) (r + 1/2) / p < 1/(2p) of
+    floor(r / p) + (r mod p + 1/2) / p, itself 1/(2p) or more from any
+    integer: the floor is exact, and so are p * floor(...) <= r and r - it.
+    """
+    r -= np.floor((r + 0.5) * (r.dtype.type(1) / p)) * p  # in place: new arrays cost page faults
+    return r.astype(np.int64)
 
 
 def products_fit_int64(p: int, factors: int, terms: int) -> bool:

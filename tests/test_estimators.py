@@ -375,6 +375,36 @@ def test_polys_prefilter_keeps_the_cone_point(plane_only):
         assert want.hit_profile[6] == 6
 
 
+@pytest.mark.parametrize("p", [3, 7, 2**31 - 1])
+def test_common_zero_rows_match_per_product_reduction(monkeypatch, p):
+    # The image rows offset_k + t @ mat_k of the common zeros, summed with
+    # one reduction while products_fit_int64(p, 2, d + 1) holds; at
+    # 2^31 - 1 the sum of d + 1 = 4 products passes 2^63 and each product
+    # is reduced first.  x0 vanishes on every slice, so every (t, trial)
+    # pair reaches test_batch, in t-major order.
+    trials, d, width = 5, 3, 6
+    assert linalg.products_fit_int64(p, 2, d + 1) == (p < 2**31 - 1)
+    rng = Rng(p)
+    mats, offsets = rng.matrix(trials * d, width, p).reshape(trials, d, width), rng.matrix(trials, width, p)
+    mats[:, :, 0] = offsets[:, 0] = 0
+    blocks = [rng.matrix(40, d, p), np.full((3, d), p - 1, dtype=np.int64)]
+    seen = []
+
+    def test_batch(points):
+        seen.append(points.copy())
+        return np.zeros(len(points), dtype=bool)
+
+    monkeypatch.setattr(estimators, "affine_chunks", lambda *_: iter(blocks))
+    x0 = Poly.variable(0, width, p)
+    pred = LocusPredicate(kind="affine", n=width, p=p, test_batch=test_batch, polys=(x0,))
+    assert not estimators._level_hits(pred, mats, offsets, threads=1).any()
+    lin = np.concatenate([offsets[:, None], mats], axis=1).astype(object)
+    for t, rows in zip(blocks, seen, strict=True):
+        y = np.hstack([np.ones((len(t), 1), dtype=np.int64), t]).astype(object)
+        want = np.stack([y @ lin[k] % p for k in range(trials)], axis=1).reshape(-1, width)
+        assert rows.tolist() == want.tolist()
+
+
 def test_predicate_rejects_foreign_polys():
     quad = conic_quadric(5)
     with pytest.raises(ValueError, match="polys need"):

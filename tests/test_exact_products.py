@@ -10,6 +10,11 @@ The allow-list is empty: no function is exempt, not even one whose
 primes keep every sum small.  A product that must stay raw would be
 named in ALLOWED, and the guard fails once such a name is no longer
 needed.
+
+Float arithmetic on residues is exact only under the bounds that
+`linalg.mat_mul` checks before it casts, so no other function names
+np.float32 or np.float64: not as an `astype` or `dtype=` argument, nor
+as a constructor.  This rule has no allow-list.
 """
 
 import ast
@@ -19,11 +24,33 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "peskine_lab"
 PRODUCTS = ("dot", "matmul", "einsum", "tensordot")
+FLOATS = ("float32", "float64")
 ALLOWED: frozenset[str] = frozenset()
 
 
-def offences(source: str, module: str = "m") -> list[tuple[int, str, str]]:
-    """(line, form, qualified owner) of every raw product in `source`."""
+def numpy_attr(node) -> str | None:
+    """The name of `np.name` or `numpy.name`, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ):
+        return node.attr
+    return None
+
+
+def product_form(node) -> str | None:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    return f"np.{node.attr}" if numpy_attr(node) in PRODUCTS else None
+
+
+def float_form(node) -> str | None:
+    return f"np.{node.attr}" if numpy_attr(node) in FLOATS else None
+
+
+def offences(source: str, module: str = "m", form=product_form) -> list[tuple[int, str, str]]:
+    """(line, form, qualified owner) of every node of `source` that `form` names."""
     found = []
 
     def visit(node, owner):
@@ -31,15 +58,8 @@ def offences(source: str, module: str = "m") -> list[tuple[int, str, str]]:
             here = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 here = f"{owner}.{child.name}"
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
-                found.append((child.lineno, "@", owner))
-            elif (
-                isinstance(child, ast.Attribute)
-                and child.attr in PRODUCTS
-                and isinstance(child.value, ast.Name)
-                and child.value.id in ("np", "numpy")
-            ):
-                found.append((child.lineno, f"np.{child.attr}", owner))
+            if what := form(child):
+                found.append((child.lineno, what, owner))
             visit(child, here)
 
     visit(ast.parse(source), module)
@@ -95,3 +115,33 @@ def test_products_go_through_mat_mul():
     assert not found, "multiply through linalg.mat_mul instead: " + "; ".join(found)
     # Every exemption is still needed.
     assert exempt == ALLOWED
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "x = a.astype(np.float32) @ b",
+        "x = a.astype(numpy.float64)",
+        "x = np.float32(1) / p",
+        "x = np.asarray(a, dtype=np.float64)",
+        "def f(a):\n    return np.floor(a * np.float64(0.5))",
+    ],
+)
+def test_float_rule_flags_each_cast(snippet):
+    assert offences(snippet, form=float_form)
+
+
+def test_float_rule_ignores_python_floats_and_ints():
+    source = "r = float(hits) / trials\nx = a.astype(np.int64)\ny = np.floor(r)"
+    assert not offences(source, form=float_form)
+
+
+def test_float_casts_stay_in_mat_mul():
+    found, owners = [], set()
+    for m in sorted(SRC.glob("*.py")):
+        for line, what, owner in offences(m.read_text(), m.stem, float_form):
+            owners.add(owner)
+            if not allowed(owner, {"linalg.mat_mul"}):
+                found.append(f"{m.name}:{line}: {what} in {owner}")
+    assert "linalg.mat_mul" in owners  # the rule sees the casts it permits
+    assert not found, "cast residues to floats only in linalg.mat_mul: " + "; ".join(found)

@@ -182,15 +182,117 @@ def test_mat_mul_matches_numpy(seed, p):
     full = np.full((1, 4), p - 1, dtype=np.int64)
     assert linalg.mat_mul(full, full.T, p).tolist() == [[4 % p]]
     assert int(linalg.mat_mul(a[0], b[:, 0], p)) == int(want[0, 0])
-    # The edge of the float64 path: at the largest prime below 2^26,
-    # 2 (p - 1)^2 < 2^53 <= 3 (p - 1)^2, so an inner dimension of 2 still
-    # takes it and 3 takes the limb path; both largest sums must come back
-    # exact.
+    # At the largest prime below 2^26, (p - 1)^2 alone passes the float64
+    # bound 2^51, so both inner dimensions take the limb path; they straddle
+    # 2^53, where every sum would still be exact in float64 but its
+    # reduction in float64 no longer is.  Both largest sums come back exact.
     edge = 67_108_859
     assert 2 * (edge - 1) ** 2 < 2**53 <= 3 * (edge - 1) ** 2
     for inner in (2, 3):
         full = np.full((inner, inner), edge - 1, dtype=np.int64)
         assert linalg.mat_mul(full, full, edge).tolist() == [[inner] * inner] * inner
+
+
+def reference_mat_mul(a, b, p):
+    """The product in Python ints, which cannot overflow."""
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+
+
+def full_product(p, inner):
+    """mat_mul of (p - 1)-filled operands: every entry the largest sum the bound admits."""
+    full = np.full((2, inner), p - 1, dtype=np.int64)
+    got = linalg.mat_mul(full, full.T, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[(p - 1) ** 2 * inner % p] * 2] * 2
+
+
+def largest_prime_below(n):
+    return next(q for q in range(n - 1, 2, -1) if linalg.is_prime(q))
+
+
+@pytest.mark.parametrize(
+    "p, last, edge",
+    [
+        # float32 -> float64: (p - 1)^2 * inner reaches 2^22.
+        (1021, 4, linalg._FLOAT32_EXACT),
+        (3, 2**20 - 1, linalg._FLOAT32_EXACT),
+        # float64 -> limbs: (p - 1)^2 * inner reaches 2^51.
+        (largest_prime_below(2**25), 2, linalg._FLOAT64_EXACT),
+    ],
+)
+def test_mat_mul_exact_at_each_path_edge(p, last, edge):
+    # `last` is the longest inner dimension below the edge; one more crosses it.
+    assert (p - 1) ** 2 * last < edge <= (p - 1) ** 2 * (last + 1)
+    for inner in (last, last + 1):
+        full_product(p, inner)
+
+
+def test_mat_mul_limbs_at_largest_prime():
+    for inner in (1, 2, 3):
+        full_product(2**31 - 1, inner)
+
+
+@pytest.mark.parametrize("p", [3, 1021, 65521, 2**31 - 1])
+def test_mat_mul_degenerate_shapes(p):
+    rng = Rng(p)
+    a, b = rng.matrix(3, 4, p), rng.matrix(4, 2, p)
+    want = reference_mat_mul(a, b, p)
+    # vector . vector is a 0-d int64; matrix . vector is 1-d.
+    dot = linalg.mat_mul(a[0], b[:, 0], p)
+    assert np.ndim(dot) == 0 and np.asarray(dot).dtype == np.int64 and dot == want[0, 0]
+    assert linalg.mat_mul(a, b[:, 1], p).tolist() == want[:, 1].tolist()
+    # An empty inner dimension sums nothing.
+    empty = linalg.mat_mul(np.zeros((3, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), p)
+    assert empty.dtype == np.int64 and empty.tolist() == [[0, 0]] * 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([3, 4093, 65521, 2**31 - 1]),
+    st.tuples(st.integers(0, 4), st.integers(0, 70), st.integers(0, 4)),
+    st.booleans(),
+    st.booleans(),
+)
+def test_mat_mul_random_shapes(seed, p, shape, vector, full):
+    rows, inner, cols = shape
+    rng = Rng(seed)
+    a, b = rng.matrix(rows, inner, p), rng.matrix(inner, cols, p)
+    if full:
+        a[:], b[:] = p - 1, p - 1
+    if vector:
+        b = b[:, 0] if cols else np.zeros(inner, dtype=np.int64)
+    got = linalg.mat_mul(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_mat_mul(a, b, p))
+
+
+REDUCTION_PRIMES = [3, 5, 7, 11, 101, 1021, 4093, 65521]
+
+
+@pytest.mark.parametrize("p", REDUCTION_PRIMES)
+def test_float32_reduction_exact_below_its_bound(p):
+    # Every r the float32 path admits, in chunks; fails once the bound is
+    # raised past what the proof in `_float_mod` covers (first at p = 4093,
+    # r = 4,232,161, just above 2^22).
+    chunk = 1 << 20
+    for start in range(0, linalg._FLOAT32_EXACT, chunk):
+        r = np.arange(start, min(start + chunk, linalg._FLOAT32_EXACT), dtype=np.int64)
+        got = linalg._float_mod(r.astype(np.float32), p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, r % p), start
+
+
+@pytest.mark.parametrize("p", [*REDUCTION_PRIMES, largest_prime_below(2**25), 2**31 - 1])
+def test_float64_reduction_exact_below_its_bound(p):
+    # Sampled: uniform r, and the multiples of p and those minus 1 at both
+    # ends of the range, where (r + 1/2) / p sits 1/(2p) from an integer.
+    top = linalg._FLOAT64_EXACT
+    k = np.concatenate([np.arange(1, 5001), np.arange(top // p - 5000, top // p + 1)])
+    spread = np.random.default_rng(p).integers(0, top, 100_000)
+    r = np.concatenate([k * p, k * p - 1, spread, [0, top - 1]])
+    r = r[r < top]
+    assert np.array_equal(linalg._float_mod(r.astype(np.float64), p), r % p)
 
 
 def test_mat_mul_long_inner_at_largest_prime():
