@@ -199,7 +199,7 @@ def _run_pfaffian_det(cfg: CheckConfig):
             r = rng.child(f"batch-{p}-{size}")
             raw = r.ints(per_size * size * size, p).reshape(per_size, size, size)
             mats = (raw - raw.transpose(0, 2, 1)) % p
-            pf = batched_pfaffian_minors(mats, p, tuple(range(size)))
+            pf = batched_pfaffian_minors(mats, p, [range(size)])[:, 0]
             dets = np.array([linalg.det(m, p) for m in mats], dtype=np.int64)
             mismatches += int((pf * pf % p != dets).sum())
             total += per_size

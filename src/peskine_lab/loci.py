@@ -6,12 +6,17 @@ locus, the quotient-Pfaffian cubic on P(V6) expanded symbolically,
 an 8-space membership test with an exhaustive inner search for isotropic
 3-spaces, and the plane fibers sitting over its witnesses.  Every
 vanishing condition of sigma on subspaces here is one `Trivector.values`
-table, and the plane searches share the cached `plane_table`s.
+table.  The inner search splits its candidate points by rank: a rank-4
+point has one candidate 3-space, its kernel, decided from the signed
+4 x 4 Pfaffians (the kernel's Pluecker vector) by one product for all
+such points; the rare rank <= 2 points and the conic fibres search the
+cached `plane_table`s.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -78,48 +83,42 @@ def check_search_prime(p: int) -> int:
     return p
 
 
-def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspace | None]:
-    """Two-condition membership for an 8-space over the (V1, V6) flag.
+@lru_cache(maxsize=None)
+def _plucker_odd() -> np.ndarray:
+    """Whether sgn(C, D) = -1, for C in combinations(range(7), 3) and D its
+    complement: the permutation C + D of range(7) has sum(C) - 3 inversions."""
+    return np.array([sum(c) % 2 == 0 for c in combinations(range(7), 3)])
 
-    (a) sigma(v1, ., .) vanishes on u8;
-    (b) some 3-dim subspace T of u8/V1 satisfies sigma(T, T, u8) = 0.
-    Returns (True, U4) with U4 = V1 + lift(T) when both hold.
 
-    The search for T is exhaustive over Gr(3, 7)(F_p), pruned: a valid T
-    lies in the annihilator A(t) = {w : sigma(t, w, u8) = 0} of each of
-    its points t, so it is t1 plus a plane of A(t1)/t1 for a t1 with
-    dim A(t1) >= 3.  By (a), the table sigma(t, w, u8) in the basis
-    (v1, c) of u8, c the complement of v1, is the 7 x 7 skew form
-    sigma(t, c_a, c_b) plus a zero row, with the same kernel A(t): the
-    points t1 are the rank <= 4 points of that family, from one
-    `scan.cascade_survivors` pass over the cached P^6 list and one
-    `scan.batched_kernel` of the survivors.  The forms are skew, so t1
-    lies in A(t1), and T is isotropic iff they vanish on the plane, one
-    test against the `plane_table` of dim A(t1) - 1.  The witness is the
-    first point in canonical order with an isotropic plane, and its first
-    such plane in `all_subspaces` order.  Practical only at p in {3, 5}.
+def _kernel_plucker(forms: np.ndarray, p: int) -> np.ndarray:
+    """(B, 35) signed 4 x 4 Pfaffians of a batch of reduced 7 x 7 skew forms:
+    entry C is sgn(C, D) Pf(form on D), D the complement of C.  At rank 4 a
+    Pluecker vector of the kernel, over combinations(range(7), 3); zero at
+    rank <= 2 (see `k3_member`).  The complements of the 3-subsets in
+    lexicographic order are the 4-subsets in reverse lexicographic order."""
+    pf = scan.batched_pfaffian_minors(forms, p, combinations(range(7), 4))[:, ::-1]
+    return np.where(_plucker_odd(), (p - pf) % p, pf)
+
+
+def _isotropy_map(tau: np.ndarray, p: int) -> np.ndarray:
+    """(35, 49) transpose of L_tau: row C = {i, a, b}, column (i, e) holds sgn(i, a, b) tau[a, b, e]."""
+    x, y, z = np.array(list(combinations(range(7), 3))).T
+    k = np.arange(35)
+    out = np.zeros((35, 7, 7), dtype=np.int64)
+    out[k, x], out[k, y], out[k, z] = tau[y, z], (p - tau[x, z]) % p, tau[x, y]
+    return out.reshape(35, 49)
+
+
+def _first_isotropic_plane(t1s: np.ndarray, forms: np.ndarray, skew: np.ndarray, p: int) -> np.ndarray | None:
+    """The 3 x 7 rows of t1 and a plane of A(t1)/t1 on which the family
+    `skew` vanishes, for the first point t1 of `t1s` that has one, or None.
+
+    `forms` are the forms of the points, A(t1) their kernels, from one
+    `scan.batched_kernel`; the planes of A(t1)/t1 are the rows of the
+    `plane_table` of dim A(t1) - 1, and the first isotropic one in
+    `all_subspaces` order is taken.
     """
-    p = check_search_prime(sigma.p)
-    if u8.dim != 8:
-        raise ValueError(f"expected an 8-dimensional subspace, got dim {u8.dim}")
-    if not u8.contains(flag[1]):
-        raise ValueError("the 8-space must contain V6")
-    v1 = flag[0].basis[0]
-    b8 = u8.basis
-
-    if sigma.values(v1, b8, b8).any():
-        return (False, None)
-
-    v1c = u8.coords_of(v1)
-    comp = list(Subspace.from_rows(v1c, 8, p).complement_pivots())
-    c = b8[comp]  # the complement of v1 in u8
-    skew = sigma.values(c, c, c).reshape(7, 49)
-
-    reps = _p6_points(p)
-    alive = scan.cascade_survivors(skew, reps, 4, p)
-    kers, kdims = scan.batched_kernel(linalg.mat_mul(reps[alive], skew, p).reshape(-1, 7, 7), p)
-    cand = kdims >= 3
-    t1s, kers, kdims = reps[alive[cand]], kers[cand], kdims[cand]
+    kers, kdims = scan.batched_kernel(forms, p)
     # complement_rows(A(t1), <t1>) keeps every rref row of A(t1) but the
     # last one whose pivot coordinate of t1 is nonzero.
     on_t1 = np.take_along_axis(t1s, (kers != 0).argmax(axis=2), axis=1) != 0
@@ -149,12 +148,91 @@ def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspac
                 break
     hits = np.flatnonzero(first >= 0)
     if not len(hits):
-        return (False, None)
+        return None
     i = hits[0]
     m = kdims[i] - 1
-    lift = np.zeros((3, 8), dtype=np.int64)
     plane = linalg.mat_mul(plane_table(m, p)[first[i]], comp_rows[i, :m], p)
-    lift[:, comp] = np.vstack([t1s[i], plane])
+    return np.vstack([t1s[i], plane])
+
+
+def k3_member(sigma: Trivector, flag: Flag, u8: Subspace) -> tuple[bool, Subspace | None]:
+    """Two-condition membership for an 8-space over the (V1, V6) flag.
+
+    (a) sigma(v1, ., .) vanishes on u8;
+    (b) some 3-dim subspace T of u8/V1 satisfies sigma(T, T, u8) = 0.
+    Returns (True, U4) with U4 = V1 + lift(T) when both hold.
+
+    The search for T is exhaustive over Gr(3, 7)(F_p), pruned: a valid T
+    lies in the annihilator A(t) = {w : sigma(t, w, u8) = 0} of each of
+    its points t, so it is t1 plus a plane of A(t1)/t1 for a t1 with
+    dim A(t1) >= 3.  By (a), the table sigma(t, w, u8) in the basis
+    (v1, c) of u8, c the complement of v1, is the 7 x 7 skew form
+    omega = tau(t, ., .), tau = sigma(c, c, c) one `values` table, plus a
+    zero row, with the same kernel A(t); and T is isotropic iff tau
+    vanishes on T x T x F_p^7.  The points t1 are the rank <= 4 points of
+    omega: one `scan.cascade_survivors` pass over the cached P^6 list,
+    then the seven principal 6 x 6 Pfaffians of each survivor, which all
+    vanish exactly when its rank is <= 4.
+
+    Lemma.  For C in combinations(range(7), 3), D its complement and
+    sgn(C, D) the sign of the permutation C + D of range(7), let
+    P_C = sgn(C, D) Pf(omega_D), omega_D the principal minor on D
+    (`_kernel_plucker`).  Then P = 0 iff rank omega <= 2, and at rank 4
+    P is the Pluecker vector of ker omega (the 3 x 3 minors of a basis,
+    on the columns C) up to a nonzero scalar.  Proof: omega ^ omega / 2
+    has coordinate Pf(omega_D) at e_D.  It is zero at rank <= 2, and at
+    rank 4 it is f1 ^ f2 ^ f3 ^ f4 for a basis f of the row space; its
+    Hodge dual, with coordinate sgn(C, D) Pf(omega_D) at e_C, spans the
+    common kernel of the f, which is ker omega.
+
+    So at a rank-4 point T = A(t1) is the only candidate (the forms are
+    skew, so t1 lies in A(t1)), and T = <x, y, z> is isotropic iff each
+    2-form beta_e = tau(., ., e) contracts x ^ y ^ z to zero: the
+    contraction is beta_e(y, z) x - beta_e(x, z) y + beta_e(x, y) z, zero
+    iff beta_e vanishes on T.  In coordinates that is L_tau P = 0, with
+    L_tau the 49 x 35 map whose entry ((i, e), C) is
+    sgn(i, a, b) tau[a, b, e] for C = {i, a, b} (`_isotropy_map`): one
+    `linalg.mat_mul` for all rank-4 points.  The rank <= 2 points (P = 0)
+    before the first rank-4 hit keep the plane search
+    (`_first_isotropic_plane`).  The witness is the first point in
+    canonical order with an isotropic T, at rank <= 2 with its first
+    isotropic plane in `all_subspaces` order, at rank 4 with T read from
+    one `linalg.kernel` of its form.  Practical only at p in {3, 5}.
+    """
+    p = check_search_prime(sigma.p)
+    if u8.dim != 8:
+        raise ValueError(f"expected an 8-dimensional subspace, got dim {u8.dim}")
+    if not u8.contains(flag[1]):
+        raise ValueError("the 8-space must contain V6")
+    v1 = flag[0].basis[0]
+    b8 = u8.basis
+
+    if sigma.values(v1, b8, b8).any():
+        return (False, None)
+
+    v1c = u8.coords_of(v1)
+    comp = list(Subspace.from_rows(v1c, 8, p).complement_pivots())
+    c = b8[comp]  # the complement of v1 in u8
+    tau = sigma.values(c, c, c)
+    skew = tau.reshape(7, 49)
+
+    reps = _p6_points(p)
+    alive = scan.cascade_survivors(skew, reps, 4, p)
+    forms = linalg.mat_mul(reps[alive], skew, p).reshape(-1, 7, 7)
+    low = ~scan.batched_pfaffian_minors(forms, p, combinations(range(7), 6)).any(axis=1)
+    t1s, forms = reps[alive[low]], forms[low]
+    plucker = _kernel_plucker(forms, p)
+    rank4 = plucker.any(axis=1)
+    iso = rank4 & ~linalg.mat_mul(plucker, _isotropy_map(tau, p), p).any(axis=1)
+    stop = int(iso.argmax()) if iso.any() else len(iso)  # the first rank-4 hit
+    small = np.flatnonzero(~rank4[:stop])
+    t_rows = _first_isotropic_plane(t1s[small], forms[small], skew, p) if len(small) else None
+    if t_rows is None:
+        if stop == len(iso):
+            return (False, None)
+        t_rows = linalg.kernel(forms[stop], p)
+    lift = np.zeros((3, 8), dtype=np.int64)
+    lift[:, comp] = t_rows
     u4_rows = np.vstack([v1c[None, :], lift])
     return (True, Subspace.from_rows(linalg.mat_mul(u4_rows, b8, p), sigma.n, p))
 
@@ -212,6 +290,9 @@ def conic_fiber(sigma: Trivector, v4: Subspace, v8: Subspace) -> list[Subspace]:
     return [Subspace.from_rows(basis, 4, p) for basis in table[keep]]
 
 
+_MAX_GRID_POINTS = 1 << 24  # `_grid_quartic_zeros` tables every grid value
+
+
 def _grid_quartic_zeros(polys: list[Poly], base, dirs, p: int) -> np.ndarray:
     """Common-zero parameters of quartic forms on an affine grid, (H, m).
 
@@ -222,9 +303,12 @@ def _grid_quartic_zeros(polys: list[Poly], base, dirs, p: int) -> np.ndarray:
     values; each acts on the leading axis and appends its image last.
     The last axis is transformed for the first form only, and the others
     are read at its zeros, in counter order.  Exact at every admitted
-    prime.
+    prime.  A grid of more than 2^24 points (p^m; p > 256 at m = 3)
+    raises `linalg.UnsupportedPrime` before any table is built.
     """
     m, forms = len(dirs), len(polys)
+    if p**m > _MAX_GRID_POINTS:
+        raise linalg.UnsupportedPrime(f"the quartic grid is limited to 2^24 points, got p^m = {p}^{m}")
     coefs = np.stack([f.restrict(base[None], dirs[None], 4)[0] for f in polys])
     if m == 0:
         return np.zeros((int(not coefs.any()), 0), dtype=np.int64)

@@ -120,7 +120,7 @@ def pf_mod_line(coords: np.ndarray, alpha: np.ndarray, beta: np.ndarray, p: int)
     top = np.where(b != 0, (b * m[:, 0, 2:] - a * m[:, 1, 2:]) % p, m[:, 1, 2:])
     n = m[:, 1:, 1:]  # the lower block m[2:, 2:] under the chart's first row
     n[:, 0, 1:], n[:, 1:, 0] = top, -top % p
-    pf = batched_pfaffian_minors(n, p, range(6))
+    pf = batched_pfaffian_minors(n, p, [range(6)])[:, 0]
     return np.where(beta != 0, beta * beta % p * pf % p, pf)
 
 
@@ -159,14 +159,21 @@ def o5_parametrization(p: int) -> list[Poly]:
     return [comp[pr] for pr in PAIRS_B]
 
 
+_MAX_LINE_PRIME = 1 << 20  # `_min_lift_rank` tables all p lifts
+
+
 def _min_lift_rank(b: BElement) -> int:
     """The least rank over the p lifts of b, capped at 6.
 
     lift(s) = lift(0) + s E, E the lift of zero with (1,2)-entry 1, so one
     `family_ranks` call with bound 4 ranks all p points (s, 1); the cap 6
     is the largest rank of a 7 x 7 skew form, so the result is exact.
+    Primes above 2^20 raise `linalg.UnsupportedPrime` before any table is
+    built: the p points and their Pfaffian columns would take gigabytes.
     """
     p = b.p
+    if p > _MAX_LINE_PRIME:
+        raise linalg.UnsupportedPrime(f"the lift ranks table all p lifts, limited to p <= 2^20, got {p}")
     flat = np.stack([BElement.zero(p).lift(1), b.lift()]).reshape(2, 49)
     line = np.column_stack([np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)])
     return int(family_ranks(flat, line, 4, p).min())

@@ -287,12 +287,15 @@ def pfaffian_poly(size: int, p: int) -> Poly:
     return Poly.from_dict(terms, len(column), p)
 
 
-def batched_pfaffian_minors(mats: np.ndarray, p: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Pfaffians of the principal minor on `subset` for a batch of reduced skew mats:
-    `pfaffian_poly` at the gathered upper entries of the minor."""
-    n = mats.shape[1]
-    pairs = mats.reshape(mats.shape[0], n * n).T[[i * n + j for i, j in combinations(subset, 2)]]
-    return pfaffian_poly(len(subset), p).evaluate_columns(pairs)
+def batched_pfaffian_minors(mats: np.ndarray, p: int, subsets) -> np.ndarray:
+    """(B, len(subsets)) Pfaffians of the principal minors on `subsets`, all of one
+    size, for a batch of reduced skew mats: `pfaffian_poly` at the gathered upper
+    entries of every minor, stacked into one `evaluate_columns` call."""
+    subsets = [tuple(s) for s in subsets]
+    batch, n = mats.shape[0], mats.shape[1]
+    cols = np.array([[i * n + j for i, j in combinations(s, 2)] for s in subsets], dtype=np.int64).T
+    pairs = mats.reshape(batch, n * n).T[cols].reshape(len(cols), len(subsets) * batch)
+    return pfaffian_poly(len(subsets[0]), p).evaluate_columns(pairs).reshape(len(subsets), batch).T
 
 
 _CASCADE_MINORS = 6

@@ -1,6 +1,7 @@
 """Registry wiring and report stability for the named checks."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -158,3 +159,18 @@ def test_prop_3_17_runs_at_the_smallest_prime():
     result = run_check("prop-3.17", CheckConfig(p=3, trials=2))
     assert result.p == 3
     assert sum(result.metrics["count_hist"].values()) == 2
+
+
+@pytest.mark.parametrize(
+    "check_id, digest",
+    [
+        ("lem-3.14", "5dfc80d906573040d46caf23c35dec51c019f62a10fe6b787140e6de51d01d47"),
+        ("prop-3.17", "2bf0f1fc8bbf9ac9a2b80f5d6740499cb650402c59fdb6d9c4cb4bb43ed58c9a"),
+    ],
+)
+def test_table_prime_bounds_leave_the_default_bytes(check_id, digest):
+    # The prime bounds of `orbits._min_lift_rank` and
+    # `loci._grid_quartic_zeros` lie far above the default primes: the
+    # reports at the default config are the bytes from before the bounds.
+    rep = run_check(check_id, CheckConfig())
+    assert hashlib.sha256(rep.stable_bytes()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Exit codes and file plumbing of the command-line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,20 @@ def test_verify_refuses_a_prime_outside_the_search(check_id, p, capsys, monkeypa
     code = main(["verify", check_id, "--p", p, "--trials", "1"])
     assert code == EXIT_USAGE
     assert "the exhaustive inner search is limited to p in {3, 5}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "check_id, message",
+    [("lem-3.14", "limited to p <= 2^20"), ("prop-3.17", "limited to 2^24 points")],
+)
+def test_verify_refuses_a_prime_above_a_table_bound(check_id, message, capsys):
+    # Both checks table every residue mod p; at 2^31 - 1 they refuse the
+    # prime before the first table instead of running out of memory.
+    start = time.perf_counter()
+    code = main(["verify", check_id, "--p", "2147483647", "--trials", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_sample_refuses_a_modulus_that_is_not_prime(capsys):

@@ -1,5 +1,6 @@
 """Degeneracy loci: membership, quotient Pfaffians, cubic, K3 search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from peskine_lab.checks import CheckConfig, run_check, sample_d16_nondegenerate
 from peskine_lab.divisors import sample_divisor, standard_flag
 from peskine_lab.loci import (
     _grid_quartic_zeros,
+    _isotropy_map,
+    _kernel_plucker,
     conic_fiber,
     cubic_from_pfaffian,
     dv_member,
@@ -314,8 +317,11 @@ def test_k3_member_matches_reference_search(p, seed, count):
 def test_k3_candidates_are_the_rank_drop_locus_of_the_skew_family(p, seed):
     # Under sigma(v1, U8, U8) = 0, the 8 x 7 table sigma(t, c_b, b8_z) of
     # the K3 search has the rank of the 7 x 7 skew form sigma(t, c_a, c_b),
-    # c the complement of v1 in U8, at every point t of P^6; and the cascade
-    # plus kernel dims find exactly the points with 7 - rank >= 3.
+    # c the complement of v1 in U8, at every point t of P^6; the cascade
+    # plus kernel dims find exactly the points with 7 - rank >= 3; and, as
+    # k3_member reads the rank, the seven 6 x 6 Pfaffians vanish exactly
+    # where rank <= 4 and some 4 x 4 Pfaffian is nonzero exactly where
+    # rank >= 4.
     samp = sample_d16_nondegenerate(Rng(seed), p)
     sigma, v1 = samp.sigma, samp.flag[0].basis[0]
     reps = np.vstack(list(scan.projective_chunks(6, p)))
@@ -332,6 +338,89 @@ def test_k3_candidates_are_the_rank_drop_locus_of_the_skew_family(p, seed):
         alive = scan.cascade_survivors(flat, reps, 4, p)
         kdims = scan.batched_kernel(skew[alive], p)[1]
         assert alive[kdims >= 3].tolist() == np.flatnonzero(7 - ranks >= 3).tolist()
+        six = scan.batched_pfaffian_minors(skew, p, itertools.combinations(range(7), 6))
+        four = scan.batched_pfaffian_minors(skew, p, itertools.combinations(range(7), 4))
+        assert (~six.any(axis=1)).tolist() == (ranks <= 4).tolist()
+        assert four.any(axis=1).tolist() == (ranks >= 4).tolist()
+
+
+def pluecker(basis, p):
+    """The 3 x 3 minors of a 3 x 7 basis on the columns combinations(range(7), 3)."""
+    return np.array([linalg.det(basis[:, list(c)], p) for c in itertools.combinations(range(7), 3)])
+
+
+def form_with_kernel(g, p):
+    """A rank-4 skew form whose kernel is spanned by the first three rows of g."""
+    f = linalg.inverse(g, p)[:, 3:]  # f_k(g_j) = [j = k + 3]
+    j = np.zeros((4, 4), dtype=np.int64)
+    j[0, 1], j[1, 0], j[2, 3], j[3, 2] = 1, p - 1, 1, p - 1
+    return f @ j @ f.T % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kernel_pluecker_lemma(p):
+    # At rank 4 the signed 4 x 4 Pfaffians are the Pluecker coordinates of
+    # the kernel up to one nonzero scalar; at rank <= 2 they all vanish.
+    # The isotropy map L_tau then decides tau(A, A, .) = 0 for A = ker,
+    # against the direct table, for tau random and tau made isotropic on A.
+    rng = Rng(90 + p)
+    outcomes = set()
+    for trial in range(40):
+        g = linalg.sample_gl(rng, 7, p)
+        form = form_with_kernel(g, p)
+        kern = linalg.kernel(form, p)
+        assert len(kern) == 3 and Subspace.from_rows(kern, 7, p) == Subspace.from_rows(g[:3], 7, p)
+        got, want = _kernel_plucker(form[None], p)[0], pluecker(kern, p)
+        lead = np.flatnonzero(want)[0]
+        scalar = int(got[lead]) * pow(int(want[lead]), -1, p) % p
+        assert scalar and got.tolist() == (scalar * want % p).tolist()
+
+        u, v = rng.ints(7, p), rng.ints(7, p)
+        for low in (np.zeros((7, 7), dtype=np.int64), (np.outer(u, v) - np.outer(v, u)) % p):
+            assert not _kernel_plucker(low[None], p).any()
+
+        # tau = sum c_klm f_k ^ f_l ^ f_m in the dual basis f of g; the
+        # triples with two indices below 3 vanish on A x A when trial is even.
+        coords = Trivector.random(rng, 8, p).tensor[:7, :7, :7]  # alternating on F_p^7
+        if trial % 2 == 0:
+            below = (np.arange(7) < 3).astype(np.int64)
+            coords = coords * ((below[:, None, None] + below[None, :, None] + below[None, None, :]) < 2) % p
+        f = linalg.inverse(g, p)
+        tau = np.einsum("klm,ak,bl,cm->abc", coords, f, f, f) % p
+        direct = not (np.einsum("xa,yb,abc->xyc", kern, kern, tau) % p).any()
+        via_map = not linalg.mat_mul(got[None], _isotropy_map(tau, p), p).any()
+        assert via_map == direct
+        outcomes.add(direct)
+    assert outcomes == {True, False}
+
+
+def test_k3_member_kernels_only_the_rank_two_points(monkeypatch):
+    # A rank-4 point is decided from its Pfaffians: across all candidate
+    # U8s of a sigma, `scan.batched_kernel` sees only forms of rank <= 2,
+    # plus at most one other form (a witness) per k3_member call.
+    p = 3
+    samp = sample_d16_nondegenerate(Rng(41), p)
+    seen = []
+    kernel = scan.batched_kernel
+
+    def spy(mats, q):
+        seen.append(mats.copy())
+        return kernel(mats, q)
+
+    monkeypatch.setattr(scan, "batched_kernel", spy)
+    reps = np.vstack(list(scan.projective_chunks(6, p)))
+    members = 0
+    for u8 in candidate_u8s(samp.sigma, samp.flag):
+        seen.clear()
+        members += k3_member(samp.sigma, samp.flag, u8)[0]
+        b8 = u8.basis
+        c = b8[list(Subspace.from_rows(u8.coords_of(samp.flag[0].basis[0]), 8, p).complement_pivots())]
+        skew = linalg.mat_mul(reps, samp.sigma.values(c, c, c).reshape(7, 49), p).reshape(-1, 7, 7)
+        low = int((scan.batched_rank(skew, p) <= 2).sum())
+        got = np.concatenate(seen) if seen else np.zeros((0, 7, 7), dtype=np.int64)
+        assert len(got) <= low + 1
+        assert (scan.batched_rank(got, p) > 2).sum() <= 1
+    assert members
 
 
 def test_k3_member_matches_reference_on_a_sparse_sigma():

@@ -2,7 +2,7 @@
 
 import threading
 import time
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 
 import numpy as np
@@ -151,10 +151,15 @@ def test_batched_pfaffian_minors_matches_scalar():
         raw = np.stack([rng.matrix(10, 10, p) for _ in range(12)] + [np.triu(np.full((10, 10), p - 1), 1)])
         mats = (raw - raw.transpose(0, 2, 1)) % p
         for subset in subsets:
-            got = batched_pfaffian_minors(mats, p, subset)
+            got = batched_pfaffian_minors(mats, p, [subset])[:, 0]
             idx = np.ix_(subset, subset)
             want = [pfaffian(m[idx], p) for m in mats]
             assert got.tolist() == want, (p, subset)
+        # Every principal minor of one size at once, on the leading 7 x 7 block.
+        for size in (4, 6):
+            got = batched_pfaffian_minors(mats[:, :7, :7], p, combinations(range(7), size))
+            want = [[pfaffian(m[np.ix_(s, s)], p) for s in combinations(range(7), size)] for m in mats]
+            assert got.tolist() == want, (p, size)
 
 
 def test_run_chunked_order_independent_of_threads():
