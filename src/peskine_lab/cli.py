@@ -28,7 +28,7 @@ from .linalg import UnsupportedPrime
 from .loci import peskine_points
 from .report import emit_report, report_from_dict, summary_table
 from .rng import Rng
-from .scan import projective_count
+from .scan import projective_count, thread_count
 from .storage import load_trivector, store_trivector, trivector_to_dict
 
 EXIT_OK = 0
@@ -71,9 +71,11 @@ def _merged_config(args) -> CheckConfig:
         elif key in doc:
             merged[key] = doc[key]
     try:
-        return CheckConfig(**merged)
+        cfg = CheckConfig(**merged)
+        thread_count(cfg.threads)  # PESKINE_LAB_THREADS, where no count is given
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
+    return cfg
 
 
 def _load_input_trivector(path: str):

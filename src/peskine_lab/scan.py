@@ -15,11 +15,11 @@ odd): a cascade of principal Pfaffian minors (`cascade_survivors`,
 `pfaffian_poly` at gathered pair columns) discards most points cheaply,
 the survivors get the exact rank, capped just above the bound, which is
 exact wherever that cap is a proven maximum.
-`rank_drop_mask` is its mask on the family of contractions of a
-trivector (`locus_points` lists the points of P^(n-1) it keeps, through
-the kernels of sigma(w, ., .) over P(W) when cheaper), and `family_pfaffian`
-its symbolic twin: a principal Pfaffian of the family as a polynomial,
-the terms of `pfaffian_poly` expanded by `polynomial.expand_products`.
+`rank_drop_mask` is its mask on the family of contractions of a trivector
+(`locus_points` keeps its points of P^(n-1) from the kernels of sigma(w, ., .)
+over P(W), one elimination per block, in bounded memory, until they cost more),
+and `family_pfaffian` its symbolic twin: a principal Pfaffian of the family as
+a polynomial, the terms of `pfaffian_poly` expanded by `polynomial.expand_products`.
 `family_quotient_pfaffian` divides one such Pfaffian exactly by a linear
 form to get the Pfaffian modulo a radical pair, the one path behind the
 quotient-Pfaffian cubic and quadrics.
@@ -56,15 +56,10 @@ def thread_count(requested: int | None = None) -> int:
     """Worker count: explicit argument, else PESKINE_LAB_THREADS, else 1."""
     if requested is not None and requested > 0:
         return requested
-    env = os.environ.get("PESKINE_LAB_THREADS", "")
-    if env.strip():
-        try:
-            val = int(env)
-        except ValueError as exc:
-            raise ValueError(f"PESKINE_LAB_THREADS must be an integer, got {env!r}") from exc
-        if val > 0:
-            return val
-    return 1
+    env = os.environ.get("PESKINE_LAB_THREADS", "").strip() or "1"
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"PESKINE_LAB_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _join(offsets: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
@@ -427,43 +422,46 @@ def locus_points(sigma: Trivector, bound: int, threads: int | None = None) -> li
     With b the even part of `bound` and W the span of the first b + 1
     coordinates, the kernel at such a u (dimension >= n - b) meets W in some
     w != 0, and by alternation u lies in ker sigma(w, ., .): only those P(ker)
-    are tested, by blocks of P(W), then sorted.  Where the price |P(W)| + sum
-    of |P(ker)| reaches |P^(n-1)| (sigma = 0, or b + 1 >= n) all of P^(n-1) is.
+    are tested, one `batched_kernel` per block of P(W).  Where the running price
+    |P(W) walked| + sum of |P(ker)| reaches |P^(n-1)| (sigma = 0, or b + 1 >= n),
+    before the block is expanded, all of P^(n-1) is tested instead.  One block's
+    kernels and at most 2 x threads + 2 slices of DEFAULT_CHUNK rows are alive.
     """
     n, p, b = sigma.n, sigma.p, bound - bound % 2
+    total = projective_count(n - 1, p)
 
-    def test(rows: np.ndarray) -> np.ndarray:
-        return rows[rank_drop_mask(sigma, rows, bound)]
+    def chunks() -> Iterator[np.ndarray]:
+        price = 0 if 0 <= b < n - 1 else total
+        for block in projective_chunks(b, p, DEFAULT_CHUNK) if price < total else ():
+            kers, dims = batched_kernel(batched_contract1(sigma, np.pad(block, ((0, 0), (0, n - b - 1)))), p)
+            price += len(block) + sum(projective_count(k - 1, p) for k in dims.tolist())
+            if price >= total:
+                break
+            for k in sorted(set(dims.tolist())):  # all of P(ker), at most DEFAULT_CHUNK rows a product
+                bases = kers[dims == k, :k].transpose(1, 0, 2)
+                for pts in projective_chunks(k - 1, p, DEFAULT_CHUNK):
+                    per = max(1, DEFAULT_CHUNK // len(pts))
+                    for start in range(0, bases.shape[1], per):
+                        rows = linalg.mat_mul(pts, bases[:, start : start + per].reshape(k, -1), p)
+                        yield projective_rep(rows.reshape(-1, n), p)
+        if price >= total:
+            yield from projective_chunks(n - 1, p, DEFAULT_CHUNK)
 
-    def contractions(block: np.ndarray) -> np.ndarray:
-        return batched_contract1(sigma, np.hstack([block, np.zeros((len(block), n - b - 1), np.int64)]))
-
-    def price(block: np.ndarray) -> int:
-        dims = np.bincount(n - batched_rank(contractions(block), p))
-        return len(block) + sum(int(c) * projective_count(k - 1, p) for k, c in enumerate(dims) if c)
-
-    def hits(block: np.ndarray) -> np.ndarray:
-        kers, dims = batched_kernel(contractions(block), p)
-        cands = np.vstack([  # every point of P(ker), one product per kernel dimension k
-            linalg.mat_mul(np.vstack(list(projective_chunks(k - 1, p))), basis, p).reshape(-1, n)
-            for k in sorted(set(dims.tolist()))
-            for basis in [kers[dims == k, :k].transpose(1, 0, 2).reshape(k, -1)]
-        ])
-        return test(_canonical_order(projective_rep(cands, p)))
-
-    worker, chunks = test, projective_chunks(n - 1, p)
-    if 0 <= b < n - 1:
-        cost, size = sum(run_chunked(price, projective_chunks(b, p), threads)), projective_count(b, p)
-        if cost < projective_count(n - 1, p):  # blocks of P(W) with about DEFAULT_CHUNK candidates
-            worker, chunks = hits, projective_chunks(b, p, max(1, DEFAULT_CHUNK * size // cost))
-    found = _canonical_order(np.vstack(run_chunked(worker, chunks, threads)))
-    return [tuple(u) for u in found.tolist()]
+    hits = np.vstack(run_chunked(lambda u: u[rank_drop_mask(sigma, u, bound)], _regroup(chunks()), threads))
+    hits = hits[np.lexsort(np.vstack([hits.T[::-1], (hits != 0).argmax(axis=1)]))]  # pivot, then lex
+    hits = np.vstack([hits[:1], hits[1:][(hits[1:] != hits[:-1]).any(axis=1)]])  # each point once
+    return [tuple(u) for u in hits.tolist()]
 
 
-def _canonical_order(rows: np.ndarray) -> np.ndarray:
-    """Distinct canonical representatives in `projective_chunks` order: pivot, then lexicographic."""
-    rows = rows[np.lexsort(np.vstack([rows.T[::-1], (rows != 0).argmax(axis=1)]))]
-    return np.vstack([rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]])
+def _regroup(parts: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """A nonempty stream of blocks of at most DEFAULT_CHUNK rows, in order, neighbours merged up to that."""
+    held: list[np.ndarray] = []
+    for part in parts:
+        if sum(map(len, held)) + len(part) > DEFAULT_CHUNK:
+            yield np.vstack(held)
+            held = []
+        held.append(part)
+    yield np.vstack(held)
 
 
 def run_chunked(

@@ -24,7 +24,9 @@ from .subspaces import Subspace
 
 @lru_cache(maxsize=None)
 def triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Index triples i < j < k in lexicographic order."""
+    """Index triples i < j < k in lexicographic order, for a Trivector's n: even, in [4, 10]."""
+    if n % 2 or not 4 <= n <= 10:  # checked before any table of C(n, 3) triples is built
+        raise ValueError(f"ambient dimension must be even in [4, 10], got {n}")
     return tuple(combinations(range(n), 3))
 
 
@@ -101,8 +103,6 @@ class Trivector:
 
     def __post_init__(self) -> None:
         linalg.check_prime(self.p)
-        if self.n % 2 or not 4 <= self.n <= 10:
-            raise ValueError(f"ambient dimension must be even in [4, 10], got {self.n}")
         want = len(triples(self.n))
         if self.coeffs.shape != (want,):
             raise ValueError(f"expected {want} coefficients, got {self.coeffs.shape}")

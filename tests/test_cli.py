@@ -1,6 +1,9 @@
 """Exit codes and file plumbing of the command-line front end."""
 
 import json
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -83,6 +86,41 @@ def test_scan_p_mismatch(tmp_path, capsys):
     code = main(["scan", "--locus", "peskine", "--in", tri_path, "--p", "7"])
     assert code == EXIT_USAGE
     assert "does not match" in capsys.readouterr().err
+
+
+def test_scan_refuses_a_huge_stored_n_at_once(tmp_path):
+    # n = 5000 once hung the CLI: the C(n, 3) triple table was built before n
+    # was checked.  A child process with a capped address space and a time
+    # limit keeps a regression from stalling the suite or filling the memory.
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({"p": 7, "n": 5000, "coeffs": []}))
+    child = (
+        "import sys, time\n"
+        "from peskine_lab.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.exit(code if time.perf_counter() - start < 1 else 99)\n"
+    )
+    cap = min(2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])
+    done = subprocess.run(
+        [sys.executable, "-c", child, "scan", "--locus", "peskine", "--in", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "ambient dimension must be even in [4, 10], got 5000" in done.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-2", "0"])
+def test_bad_thread_variable_is_a_usage_error(value, capsys, monkeypatch):
+    # "abc" once ended in a ValueError traceback (exit 1, read as a FAIL
+    # verdict), and -2 or 0 ran silently with one thread.
+    monkeypatch.setenv("PESKINE_LAB_THREADS", value)
+    assert main(["scan", "--locus", "peskine", "--p", "3"]) == EXIT_USAGE
+    assert "PESKINE_LAB_THREADS must be a positive integer" in capsys.readouterr().err
+    assert main(["scan", "--locus", "peskine", "--p", "3", "--threads", "1"]) == EXIT_OK
 
 
 def test_rank4_scan_rejects_small_n(tmp_path, capsys):

@@ -177,9 +177,11 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("PESKINE_LAB_THREADS", "5")
     assert thread_count() == 5
     assert thread_count(2) == 2
-    monkeypatch.setenv("PESKINE_LAB_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        thread_count()
+    for bad in ("zebra", "-2", "0", "2.5"):  # -2 and 0 once ran silently as 1
+        monkeypatch.setenv("PESKINE_LAB_THREADS", bad)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            thread_count()
+    assert thread_count(2) == 2
 
 
 
@@ -611,6 +613,37 @@ def test_rank4_points_walks_the_incidence_variety(monkeypatch):
     assert tuple(samp.flag[0].basis[0]) in points
     assert 9 not in drawn
     assert sum(drawn.values()) < projective_count(9, 5) // 100
+    # P(W) is walked once: one elimination per block both prices the walk and
+    # gives its kernels.  Kernel dimensions are even at n = 10 and at n = 6, so no
+    # P(ker) is drawn as a P^4 or a P^2 there.
+    assert drawn[4] == projective_count(4, 5) == 781
+    drawn.clear()
+    locus_points(Trivector.random(Rng(1), 6, 7), 2)
+    assert drawn[2] == projective_count(2, 7) == 57
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_locus_points_test_slices_of_at_most_default_chunk(monkeypatch, threads):
+    # With 64-row slices, blocks of P(W) and groups of kernels (d1-6-10), one
+    # P(ker) = P^3(F_5) (decomposable, bound 0) and the full walk (zero) all
+    # span more than one slice.
+    cases = [
+        ("d1-6-10", 10, 3, 1, 4), ("random", 6, 7, 1, 2), ("decomposable", 6, 5, 1, 0), ("zero", 6, 3, 0, 2)
+    ]
+    sigmas = [(_planted_sigma(kind, n, p, Rng(seed))[0], bound) for kind, n, p, seed, bound in cases]
+    wants = [full_walk(sigma, bound) for sigma, bound in sigmas]
+    sizes = []
+    plain = scan.rank_drop_mask
+
+    def recording(sigma, points, bound):
+        sizes.append(len(points))
+        return plain(sigma, points, bound)
+
+    monkeypatch.setattr(scan, "DEFAULT_CHUNK", 64)
+    monkeypatch.setattr(scan, "rank_drop_mask", recording)
+    for (sigma, bound), want in zip(sigmas, wants):
+        assert locus_points(sigma, bound, threads=threads) == want
+    assert max(sizes) == 64
 
 
 def test_zero_sigma_takes_the_full_walk(monkeypatch):
